@@ -330,8 +330,9 @@ func parallelFleet(b *testing.B, parallel int) *cluster.Cluster {
 // workers, reporting events per wall second and the simulation-time
 // speed. After the timed run, the identical scenario replays serially
 // over the same horizon; speedup_x is the ratio of the two
-// throughputs (reported for the trajectory, not gated — it depends on
-// the runner's core count).
+// throughputs. CI gates it higher-is-better against the previous run;
+// its absolute value depends on the runner's core count (the committed
+// BENCH_CLUSTER.json point is 0.93, below 1).
 func BenchmarkClusterParallelTicks(b *testing.B) {
 	const (
 		warmup = 2 * selftune.Second // fill the fleet with residents first
@@ -409,10 +410,10 @@ func coreParallelMachine(b *testing.B, workers int) *selftune.System {
 // seeded scenario by a simulated second on per-core engine lanes
 // (GOMAXPROCS workers), then the identical scenario replays on the
 // single-engine path over the same horizon. speedup_x is the
-// throughput ratio. Unlike the cluster benchmark the win survives a
-// single-core runner: 64 shallow per-lane heaps beat one 64x-denser
-// heap on every sift, so the sharding pays even before worker
-// goroutines multiply it.
+// throughput ratio. The sharding is meant to pay even on a small
+// runner — 64 shallow per-lane heaps against one 64x-denser heap on
+// every sift — but the committed BENCH_CLUSTER.json point is 0.92,
+// slightly below 1.
 func BenchmarkCoreParallelMachine(b *testing.B) {
 	const (
 		warmup = 1 * selftune.Second

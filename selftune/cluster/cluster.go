@@ -50,9 +50,11 @@
 package cluster
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 
 	"repro/internal/rng"
@@ -1129,11 +1131,8 @@ func (c *Cluster) snapshotInto(snap *FleetSnapshot) {
 }
 
 // sortJobs orders a job list by ID (insertion order is perturbed by
-// swap-removal on departure).
+// swap-removal on departure). IDs are unique, so the unstable sort
+// yields the one ascending order.
 func sortJobs(js []JobStat) {
-	for i := 1; i < len(js); i++ {
-		for k := i; k > 0 && js[k].ID < js[k-1].ID; k-- {
-			js[k], js[k-1] = js[k-1], js[k]
-		}
-	}
+	slices.SortFunc(js, func(a, b JobStat) int { return cmp.Compare(a.ID, b.ID) })
 }

@@ -385,6 +385,46 @@ func TestSeededDeterminism(t *testing.T) {
 	}
 }
 
+// TestSnapshotJobsSortedAfterScatteredDepartures admits hundreds of
+// jobs whose exponential service times make them depart in scattered
+// order, so swap-removal leaves the resident list out of ID order; the
+// fleet snapshot must still list exactly the resident jobs, strictly
+// ascending by ID.
+func TestSnapshotJobsSortedAfterScatteredDepartures(t *testing.T) {
+	c := testCluster(t, WithMachines(8), WithCores(16), WithDetail(0))
+	if _, err := c.AddRealm(RealmConfig{
+		Name: "churn", Reservation: 100, Rate: 400,
+		Mix: []WorkloadSpec{{Kind: "webserver", Hint: 0.05, Service: Exp(2 * selftune.Second)}},
+	}); err != nil {
+		t.Fatalf("AddRealm: %v", err)
+	}
+	c.Run(4 * selftune.Second)
+
+	resident := make(map[int]bool, len(c.active))
+	scrambled := false
+	for i, j := range c.active {
+		resident[j.id] = true
+		if i > 0 && j.id < c.active[i-1].id {
+			scrambled = true
+		}
+	}
+	if len(resident) < 200 || !scrambled {
+		t.Fatalf("scenario too tame: %d residents, scrambled=%v", len(resident), scrambled)
+	}
+	jobs := c.Snapshot().Jobs
+	if len(jobs) != len(resident) {
+		t.Fatalf("snapshot lists %d jobs, %d resident", len(jobs), len(resident))
+	}
+	for i, j := range jobs {
+		if !resident[j.ID] {
+			t.Fatalf("snapshot job %d is not resident", j.ID)
+		}
+		if i > 0 && j.ID <= jobs[i-1].ID {
+			t.Fatalf("snapshot jobs not strictly ascending at %d: %d after %d", i, j.ID, jobs[i-1].ID)
+		}
+	}
+}
+
 // shuffler is a test balancer that re-places the lowest-ID job onto
 // the next machine every opportunity — worthless as policy, but it
 // drives the execution path the load-balanced experiment rarely needs.

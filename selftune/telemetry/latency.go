@@ -218,9 +218,8 @@ func (c *Collector) foldRequest(e selftune.Event) {
 			s.Within++
 		}
 	}
-	c.requestLog = append(c.requestLog, RequestRecord{
+	c.requestLog.push(RequestRecord{
 		At: e.At, Source: e.Source, Kind: e.Workload, Core: e.Core,
 		Latency: e.Latency, Missed: e.Missed,
 	})
-	c.requestLog = trim(c.requestLog, c.capacity)
 }

@@ -247,15 +247,15 @@ type Collector struct {
 	liveMoves     int // cross-machine migrations executed live
 	respawnMoves  int // cross-machine migrations executed as respawns
 	domainLoads   []float64
-	domainSamples []LoadSample
+	domainSamples ring[LoadSample]
 
 	loads       []float64
-	loadSamples []LoadSample
-	sources     map[string]*SourceSeries
-	exhausts    []ExhaustRecord
-	moves       []MigrationRecord
-	moveBatches []BatchRecord
-	rejects     []RejectRecord
+	loadSamples ring[LoadSample]
+	sources     map[string]*sourceState
+	exhausts    ring[ExhaustRecord]
+	moves       ring[MigrationRecord]
+	moveBatches ring[BatchRecord]
+	rejects     ring[RejectRecord]
 
 	tunerError Histogram
 	slack      Histogram
@@ -265,8 +265,17 @@ type Collector struct {
 	latency    LatencyHistogram
 	tardiness  LatencyHistogram
 	groups     map[string]*RequestGroup
-	requestLog []RequestRecord
+	requestLog ring[RequestRecord]
 	slos       []SLOStatus
+}
+
+// sourceState is the live state behind one SourceSeries; Snapshot
+// materialises its tick ring into SourceSeries.Ticks.
+type sourceState struct {
+	name        string
+	core        int
+	exhaustions int
+	ticks       ring[TickRecord]
 }
 
 // CollectorOption adjusts a Collector under construction.
@@ -274,8 +283,10 @@ type CollectorOption func(*Collector)
 
 // WithSeriesCapacity bounds every retained time series (tick records
 // per source, load samples, event logs) to its most recent n entries;
-// counters and histograms keep folding the full stream. The default
-// retains everything.
+// counters and histograms keep folding the full stream. A bounded
+// series is a ring: it holds exactly n entries once full, and each
+// event costs O(1) — the oldest entry is overwritten in place, nothing
+// is shifted. The default (n <= 0) retains everything.
 func WithSeriesCapacity(n int) CollectorOption {
 	return func(c *Collector) {
 		if n > 0 {
@@ -330,7 +341,7 @@ func WithDomains(domain []int) CollectorOption {
 // NewCollector returns an empty Collector.
 func NewCollector(opts ...CollectorOption) *Collector {
 	c := &Collector{
-		sources:    make(map[string]*SourceSeries),
+		sources:    make(map[string]*sourceState),
 		groups:     make(map[string]*RequestGroup),
 		tunerError: newHistogram(0, 1, 10),
 		slack:      newHistogram(0, 1, 10),
@@ -340,6 +351,13 @@ func NewCollector(opts ...CollectorOption) *Collector {
 			opt(c)
 		}
 	}
+	c.domainSamples.limit = c.capacity
+	c.loadSamples.limit = c.capacity
+	c.exhausts.limit = c.capacity
+	c.moves.limit = c.capacity
+	c.moveBatches.limit = c.capacity
+	c.rejects.limit = c.capacity
+	c.requestLog.limit = c.capacity
 	return c
 }
 
@@ -355,20 +373,12 @@ func Attach(sys *selftune.System, opts ...CollectorOption) (*Collector, func()) 
 	return c, sys.Subscribe(c)
 }
 
-// trim drops the oldest entries of a series beyond the capacity.
-func trim[T any](s []T, capacity int) []T {
-	if capacity <= 0 || len(s) <= capacity {
-		return s
-	}
-	return append(s[:0], s[len(s)-capacity:]...)
-}
-
 // source returns the series for a workload name, creating it on first
 // sight (a budget exhaustion may precede the first tuner tick).
-func (c *Collector) source(name string) *SourceSeries {
+func (c *Collector) source(name string) *sourceState {
 	src := c.sources[name]
 	if src == nil {
-		src = &SourceSeries{Name: name}
+		src = &sourceState{name: name, ticks: ring[TickRecord]{limit: c.capacity}}
 		c.sources[name] = src
 	}
 	return src
@@ -392,8 +402,8 @@ func (c *Collector) fold(e selftune.Event) {
 			c.tunerError.observe(float64(snap.Requested-snap.Granted) / float64(snap.Requested))
 		}
 		src := c.source(e.Source)
-		src.Core = e.Core
-		src.Ticks = append(src.Ticks, TickRecord{
+		src.core = e.Core
+		src.ticks.push(TickRecord{
 			At:        e.At,
 			Core:      e.Core,
 			Period:    snap.Period,
@@ -402,17 +412,15 @@ func (c *Collector) fold(e selftune.Event) {
 			Bandwidth: snap.Bandwidth,
 			Detected:  snap.Detected,
 		})
-		src.Ticks = trim(src.Ticks, c.capacity)
 	case selftune.BudgetExhaustedEvent:
 		c.exhaustions++
 		// Exhaustions name the CBS server; a tuner's server is
 		// "tuner:<task>", which telemetry folds back onto the workload.
 		name := strings.TrimPrefix(e.Source, "tuner:")
 		src := c.source(name)
-		src.Exhaustions++
-		src.Core = e.Core
-		c.exhausts = append(c.exhausts, ExhaustRecord{At: e.At, Core: e.Core, Source: name})
-		c.exhausts = trim(c.exhausts, c.capacity)
+		src.exhaustions++
+		src.core = e.Core
+		c.exhausts.push(ExhaustRecord{At: e.At, Core: e.Core, Source: name})
 	case selftune.CoreLoadEvent:
 		c.loadEvents++
 		c.sampleSeen++
@@ -423,18 +431,16 @@ func (c *Collector) fold(e selftune.Event) {
 		for _, l := range e.Loads {
 			c.slack.observe(1 - l)
 		}
-		c.loadSamples = append(c.loadSamples, LoadSample{
+		c.loadSamples.push(LoadSample{
 			At:    e.At,
 			Loads: append([]float64(nil), e.Loads...),
 		})
-		c.loadSamples = trim(c.loadSamples, c.capacity)
 		if c.domains > 0 {
 			c.domainLoads = c.foldDomains(e.Loads)
-			c.domainSamples = append(c.domainSamples, LoadSample{
+			c.domainSamples.push(LoadSample{
 				At:    e.At,
 				Loads: append([]float64(nil), c.domainLoads...),
 			})
-			c.domainSamples = trim(c.domainSamples, c.capacity)
 		}
 	case selftune.MigrationEvent:
 		c.migrations++
@@ -448,21 +454,18 @@ func (c *Collector) fold(e selftune.Event) {
 				c.respawnMoves++
 			}
 		}
-		c.moves = append(c.moves, MigrationRecord{
+		c.moves.push(MigrationRecord{
 			At: e.At, From: e.From, To: e.Core, Source: e.Source, Reason: e.Reason,
 			FromMachine: e.FromMachine, ToMachine: e.ToMachine, Live: e.Live,
 		})
-		c.moves = trim(c.moves, c.capacity)
 	case selftune.MigrationBatchEvent:
 		c.batches++
-		c.moveBatches = append(c.moveBatches, BatchRecord{
+		c.moveBatches.push(BatchRecord{
 			At: e.At, Core: e.Core, Count: e.Count, Reason: e.Reason,
 		})
-		c.moveBatches = trim(c.moveBatches, c.capacity)
 	case selftune.AdmissionRejectEvent:
 		c.rejections++
-		c.rejects = append(c.rejects, RejectRecord{At: e.At, Source: e.Source, Reason: e.Reason})
-		c.rejects = trim(c.rejects, c.capacity)
+		c.rejects.push(RejectRecord{At: e.At, Source: e.Source, Reason: e.Reason})
 	case selftune.RequestCompleteEvent:
 		c.foldRequest(e)
 	}
@@ -564,10 +567,10 @@ func (c *Collector) Snapshot() Snapshot {
 		LiveMigrations:      c.liveMoves,
 		RespawnMigrations:   c.respawnMoves,
 
-		Exhausts:    append([]ExhaustRecord(nil), c.exhausts...),
-		Moves:       append([]MigrationRecord(nil), c.moves...),
-		MoveBatches: append([]BatchRecord(nil), c.moveBatches...),
-		Rejections:  append([]RejectRecord(nil), c.rejects...),
+		Exhausts:    c.exhausts.appendTo(nil),
+		Moves:       c.moves.appendTo(nil),
+		MoveBatches: c.moveBatches.appendTo(nil),
+		Rejections:  c.rejects.appendTo(nil),
 		TunerError:  c.tunerError.clone(),
 		Slack:       c.slack.clone(),
 
@@ -575,7 +578,7 @@ func (c *Collector) Snapshot() Snapshot {
 		DeadlineMisses: c.misses,
 		Latency:        c.latency.Clone(),
 		Tardiness:      c.tardiness.Clone(),
-		RequestLog:     append([]RequestRecord(nil), c.requestLog...),
+		RequestLog:     c.requestLog.appendTo(nil),
 		SLOs:           append([]SLOStatus(nil), c.slos...),
 	}
 	if len(c.groups) > 0 {
@@ -590,25 +593,28 @@ func (c *Collector) Snapshot() Snapshot {
 			return s.RequestGroups[i].Name < s.RequestGroups[j].Name
 		})
 	}
-	s.LoadSamples = make([]LoadSample, len(c.loadSamples))
-	for i, ls := range c.loadSamples {
-		s.LoadSamples[i] = LoadSample{At: ls.At, Loads: append([]float64(nil), ls.Loads...)}
-	}
-	if len(c.domainSamples) > 0 {
-		s.DomainSamples = make([]LoadSample, len(c.domainSamples))
-		for i, ds := range c.domainSamples {
-			s.DomainSamples[i] = LoadSample{At: ds.At, Loads: append([]float64(nil), ds.Loads...)}
-		}
-	}
+	// LoadSamples is never nil, so an empty series marshals as [];
+	// the other series stay nil until their first entry.
+	s.LoadSamples = copySamples(c.loadSamples.appendTo(make([]LoadSample, 0, c.loadSamples.len())))
+	s.DomainSamples = copySamples(c.domainSamples.appendTo(nil))
 	s.Sources = make([]SourceSeries, 0, len(c.sources))
 	for _, src := range c.sources {
 		s.Sources = append(s.Sources, SourceSeries{
-			Name:        src.Name,
-			Core:        src.Core,
-			Exhaustions: src.Exhaustions,
-			Ticks:       append([]TickRecord(nil), src.Ticks...),
+			Name:        src.name,
+			Core:        src.core,
+			Exhaustions: src.exhaustions,
+			Ticks:       src.ticks.appendTo(nil),
 		})
 	}
 	sort.Slice(s.Sources, func(i, j int) bool { return s.Sources[i].Name < s.Sources[j].Name })
 	return s
+}
+
+// copySamples gives every sample of a freshly copied series its own
+// Loads slice, so the snapshot shares no memory with the collector.
+func copySamples(samples []LoadSample) []LoadSample {
+	for i := range samples {
+		samples[i].Loads = append([]float64(nil), samples[i].Loads...)
+	}
+	return samples
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -79,25 +80,161 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	}
 }
 
-// TestSeriesCapacity bounds the retained series without touching the
-// counters.
+// feedAll publishes one event of every kind the collector retains,
+// all at instant i.
+func feedAll(c *Collector, i int) {
+	at := selftune.Time(i)
+	for _, e := range []selftune.Event{
+		{Kind: selftune.TunerTickEvent, At: at, Core: 0, Source: "x",
+			Snapshot: selftune.TunerSnapshot{Period: 40, Requested: 12, Granted: 10}},
+		{Kind: selftune.BudgetExhaustedEvent, At: at, Core: 0, Source: "x"},
+		{Kind: selftune.CoreLoadEvent, At: at, Core: -1, Loads: []float64{0.1, 0.3}},
+		{Kind: selftune.MigrationEvent, At: at, Core: 1, From: 0, Source: "x", Reason: "manual"},
+		{Kind: selftune.MigrationBatchEvent, At: at, Core: 1, From: -1, Count: 2, Reason: "steal"},
+		{Kind: selftune.AdmissionRejectEvent, At: at, Core: -1, Source: "y", Reason: "full"},
+		{Kind: selftune.RequestCompleteEvent, At: at, Core: 0, Source: "x/1", Workload: "webserver",
+			Latency: selftune.Millisecond},
+	} {
+		c.Observe(e)
+	}
+}
+
+// retainedAts lists the instants of every retained entry, per series,
+// in snapshot order.
+func retainedAts(s Snapshot) map[string][]selftune.Time {
+	m := make(map[string][]selftune.Time)
+	add := func(series string, at selftune.Time) { m[series] = append(m[series], at) }
+	for _, src := range s.Sources {
+		for _, tk := range src.Ticks {
+			add("ticks:"+src.Name, tk.At)
+		}
+	}
+	for _, r := range s.Exhausts {
+		add("exhausts", r.At)
+	}
+	for _, r := range s.LoadSamples {
+		add("loads", r.At)
+	}
+	for _, r := range s.DomainSamples {
+		add("domains", r.At)
+	}
+	for _, r := range s.Moves {
+		add("moves", r.At)
+	}
+	for _, r := range s.MoveBatches {
+		add("batches", r.At)
+	}
+	for _, r := range s.Rejections {
+		add("rejects", r.At)
+	}
+	for _, r := range s.RequestLog {
+		add("requests", r.At)
+	}
+	return m
+}
+
+// TestSeriesCapacity bounds every retained series to its most recent
+// entries, oldest first, without touching the counters and histograms,
+// across wrap-around of the ring; the unbounded default keeps every
+// event in order.
 func TestSeriesCapacity(t *testing.T) {
-	c := NewCollector(WithSeriesCapacity(4))
-	for i := 0; i < 32; i++ {
-		c.Observe(selftune.Event{Kind: selftune.CoreLoadEvent,
-			At: selftune.Time(i), Core: -1, Loads: []float64{0.1}})
-		c.Observe(selftune.Event{Kind: selftune.BudgetExhaustedEvent,
-			At: selftune.Time(i), Core: 0, Source: "x"})
+	series := []string{"ticks:x", "exhausts", "loads", "domains", "moves", "batches", "rejects", "requests"}
+	for _, tc := range []struct {
+		name     string
+		opts     []CollectorOption
+		events   int
+		retained int
+	}{
+		{"capacity 1", []CollectorOption{WithSeriesCapacity(1)}, 2*1 + 3, 1},
+		{"capacity 4", []CollectorOption{WithSeriesCapacity(4)}, 2*4 + 3, 4},
+		{"capacity 4 below bound", []CollectorOption{WithSeriesCapacity(4)}, 3, 3},
+		{"unbounded", nil, 37, 37},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCollector(append([]CollectorOption{WithDomains([]int{0, 1})}, tc.opts...)...)
+			for i := 0; i < tc.events; i++ {
+				feedAll(c, i)
+			}
+			s := c.Snapshot()
+			ats := retainedAts(s)
+			for _, name := range series {
+				got := ats[name]
+				if len(got) != tc.retained {
+					t.Errorf("%s retained %d entries, want %d", name, len(got), tc.retained)
+					continue
+				}
+				for k, at := range got {
+					if want := selftune.Time(tc.events - tc.retained + k); at != want {
+						t.Errorf("%s entry %d at %v, want %v (most recent, oldest first)", name, k, at, want)
+						break
+					}
+				}
+			}
+			n := tc.events
+			if s.Ticks != n || s.Exhaustions != n || s.LoadEvents != n || s.Migrations != n ||
+				s.Batches != n || s.Rejects != n || s.Requests != int64(n) {
+				t.Errorf("counters trimmed with the series: ticks=%d exhaustions=%d loads=%d migrations=%d batches=%d rejects=%d requests=%d, want %d each",
+					s.Ticks, s.Exhaustions, s.LoadEvents, s.Migrations, s.Batches, s.Rejects, s.Requests, n)
+			}
+			if s.Sources[0].Exhaustions != n {
+				t.Errorf("per-source exhaustions = %d, want %d", s.Sources[0].Exhaustions, n)
+			}
+			if s.TunerError.Total() != n || s.Slack.Total() != 2*n || s.Latency.Total() != int64(n) {
+				t.Errorf("histograms trimmed with the series: tuner=%d slack=%d latency=%d",
+					s.TunerError.Total(), s.Slack.Total(), s.Latency.Total())
+			}
+
+			// A snapshot is a copy: later events — enough to wrap every
+			// ring again — leave it untouched.
+			before, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := tc.events; i < 2*tc.events+3; i++ {
+				feedAll(c, i)
+			}
+			after, err := json.Marshal(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Error("later events changed an existing snapshot")
+			}
+		})
 	}
-	s := c.Snapshot()
-	if len(s.LoadSamples) != 4 || len(s.Exhausts) != 4 {
-		t.Errorf("retained %d samples / %d exhausts, want 4 each", len(s.LoadSamples), len(s.Exhausts))
+}
+
+// TestBoundedRequestFoldAllocs pins the steady-state cost of a full
+// bounded collector: folding a request completion overwrites the
+// oldest log entry in place and allocates nothing.
+func TestBoundedRequestFoldAllocs(t *testing.T) {
+	c := NewCollector(WithSeriesCapacity(8))
+	e := selftune.Event{Kind: selftune.RequestCompleteEvent, Core: 0, Source: "web/3",
+		Workload: "webserver", Latency: 3 * selftune.Millisecond}
+	for i := 0; i < 16; i++ {
+		c.Observe(e)
 	}
-	if s.LoadEvents != 32 || s.Exhaustions != 32 {
-		t.Errorf("counters trimmed with the series: loads=%d exhaustions=%d", s.LoadEvents, s.Exhaustions)
+	if allocs := testing.AllocsPerRun(100, func() { c.Observe(e) }); allocs != 0 {
+		t.Errorf("folding a request into a full bounded collector allocates %.1f times", allocs)
 	}
-	if s.LoadSamples[0].At != selftune.Time(28) {
-		t.Errorf("oldest retained sample at %v, want 28 (drop-oldest)", s.LoadSamples[0].At)
+}
+
+// BenchmarkCollectorBoundedFold folds request completions into a full
+// WithSeriesCapacity(4096) collector — the per-event cost of bounded
+// retention once every ring has wrapped.
+func BenchmarkCollectorBoundedFold(b *testing.B) {
+	c := NewCollector(WithSeriesCapacity(4096))
+	e := selftune.Event{Kind: selftune.RequestCompleteEvent, Core: 0, Source: "web/3",
+		Workload: "webserver", Latency: 3 * selftune.Millisecond}
+	for i := 0; i < 4096; i++ {
+		e.At = selftune.Time(i)
+		c.Observe(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.At = selftune.Time(4096 + i)
+		c.Observe(e)
 	}
 }
 

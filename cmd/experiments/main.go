@@ -36,7 +36,7 @@ func main() {
 	outPath := flag.String("o", "", "write the output to this file instead of stdout")
 	cores := flag.Int("cores", 4, "cores of the telemetry scenario machine")
 	parallel := flag.Int("parallel", 0, "worker goroutines advancing the cluster experiment's machine engines per tick (0 = GOMAXPROCS; results are identical at every setting)")
-	coreParallel := flag.Int("core-parallel", 0, "fleet-wide budget of core-lane workers for the cluster experiment's machines (0 = single-engine machines; results are identical at every setting)")
+	coreParallel := flag.Int("core-parallel", 0, "fleet-wide budget of core-lane workers for the cluster experiment's machines (0 = single-engine machines; the simulated results are identical at every setting, 0 included, and only the wall-clock events/s varies)")
 	csvPath := flag.String("csv", "", "export the telemetry scenario's CSV series to this file")
 	tracePath := flag.String("trace", "", "export the telemetry scenario's Chrome trace-event JSON to this file")
 	flag.Parse()

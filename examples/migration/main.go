@@ -4,11 +4,9 @@
 // A four-core machine boots consolidated: every tenant starts pinned
 // on core 0 (the state a suspend/resume or a core-onlining event
 // leaves behind). Under -policy none that imbalance is permanent —
-// partitioned EDF never revisits placement. Under -policy periodic the
-// balancer pushes the biggest reservation of the hottest core to the
-// coldest one on a fixed period; under -policy reactive a sustained
-// imbalance across balance ticks makes the coldest core pull from the
-// hottest; under -policy stealing every cold core claims units in the
+// partitioned EDF never revisits placement. Under -policy reactive (the
+// default) a sustained imbalance across balance ticks makes the
+// coldest core pull the biggest reservation of the hottest; under -policy stealing every cold core claims units in the
 // same tick, de-consolidating in one go; under -policy numa the cores
 // group into -nodes NUMA nodes and every candidate move is scored by
 // gain minus a distance-weighted cost, so the machine de-consolidates
@@ -43,7 +41,7 @@ import (
 
 func main() {
 	var (
-		policyName = flag.String("policy", "periodic", "balancer policy: none | periodic | reactive | stealing | numa")
+		policyName = flag.String("policy", "reactive", "balancer policy: none | reactive | stealing | numa")
 		cpus       = flag.Int("cpus", 4, "number of scheduling cores")
 		nodes      = flag.Int("nodes", 2, "NUMA nodes the cores group into (1 = flat machine)")
 		duration   = flag.Duration("duration", 0, "simulated run time (wall-clock syntax, e.g. 8s)")
@@ -53,7 +51,6 @@ func main() {
 	flag.Parse()
 	policies := map[string]selftune.Balancer{
 		"none":     nil,
-		"periodic": selftune.BalancePeriodic(),
 		"reactive": selftune.BalanceReactive(),
 		"stealing": selftune.BalanceWorkStealing(),
 		"numa":     selftune.BalanceTopologyAware(),
@@ -190,7 +187,7 @@ func main() {
 	outcome := report.NewTable("machine-wide admission", "quantity", "value")
 	if lateErr != nil {
 		outcome.AddRowf("late 0.50 tenant", fmt.Sprintf("rejected: %v", lateErr))
-		outcome.AddNote("re-run with -policy periodic or -policy reactive: one migration makes room")
+		outcome.AddNote("re-run with -policy reactive: one migration makes room")
 	} else {
 		outcome.AddRowf("late 0.50 tenant",
 			fmt.Sprintf("admitted on core %d, frames=%d", late.Core().Index, late.Player().Frames()))

@@ -12,7 +12,7 @@ import (
 // fragmenting spawn sequence a machine admits under frozen worst-fit
 // placement versus with the balancer's one-migration admission pass;
 // the recovery half starts the machine deliberately imbalanced and
-// lets the periodic push-migration policy spread it.
+// lets the work-stealing policy spread it.
 type MigrationResult struct {
 	Cores int
 

@@ -26,7 +26,7 @@ func TestMigrationContentionRebalanceAdmitsWhatStaticRejects(t *testing.T) {
 		t.Errorf("admission used %d migrations, want exactly 1", r.AdmissionMigrations)
 	}
 	if r.RecoveryMigrations == 0 {
-		t.Error("periodic policy performed no recovery migrations")
+		t.Error("work-stealing policy performed no recovery migrations")
 	}
 	if r.RecoverySpreadEnd >= r.RecoverySpreadStart/2 {
 		t.Errorf("recovery left spread %.3f of initial %.3f",

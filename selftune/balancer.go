@@ -22,10 +22,11 @@ package selftune
 // task). Every workload kind is migratable once it has substance on
 // its core.
 //
-// The Balancer is an interface, so policies are pluggable: the three
-// built-ins (BalancePeriodic, BalanceReactive, BalanceWorkStealing)
-// cover push, pull and multi-migration de-consolidation, and
-// WithBalancer accepts any user implementation.
+// The Balancer is an interface, so policies are pluggable: the
+// built-ins (BalanceReactive, BalanceWorkStealing and, in topology.go,
+// BalanceTopologyAware) cover pull, multi-migration de-consolidation
+// and cost-based placement, and WithBalancer accepts any user
+// implementation.
 //
 // With any balancer configured, admission is machine-wide: a spawn
 // that fails worst-fit placement builds an admission Snapshot (its
@@ -70,7 +71,7 @@ const (
 
 // Snapshot is the immutable view of the machine a Balancer plans over.
 type Snapshot struct {
-	// At is the planning instant on the System's observation clock.
+	// At is the simulated planning instant.
 	At Time
 	// Reason is the plan trigger: PlanPeriodic or PlanAdmissionReason.
 	Reason string
@@ -189,23 +190,6 @@ const sustainedTicks = 3
 // stealMax bounds how many units one cold core may claim per
 // work-stealing tick.
 const stealMax = 8
-
-type periodicBalancer struct{}
-
-// BalancePeriodic returns the push-migration policy: on every balance
-// tick whose load spread exceeds the threshold, the highest-charge
-// migratable unit of the hottest core that fits on the coldest one is
-// pushed across — at most one migration per tick.
-func BalancePeriodic() Balancer { return periodicBalancer{} }
-
-func (periodicBalancer) Name() string { return "periodic" }
-
-func (periodicBalancer) Plan(snap Snapshot) []Move {
-	if snap.Reason == PlanAdmissionReason {
-		return PlanAdmission(snap)
-	}
-	return planPush(snap, 1, "")
-}
 
 type reactiveBalancer struct {
 	streak int
@@ -571,7 +555,7 @@ func (s *System) snapshot(reason string, pendingHint float64, units []*migUnit) 
 		s.domainMap = s.machine.DomainMap()
 	}
 	snap := Snapshot{
-		At:          s.clock.Now(),
+		At:          s.engine.Now(),
 		Reason:      reason,
 		Threshold:   s.bal.threshold,
 		PendingHint: pendingHint,
@@ -617,15 +601,14 @@ type balancer struct {
 	threshold float64
 }
 
-// start arms the balance tick on the System clock, so an injected
-// WithClock drives planning like everything else.
+// start arms the balance tick on the System's engine.
 func (b *balancer) start() {
 	var tick func()
 	tick = func() {
 		b.sys.runBalancer(PlanPeriodic, 0)
-		b.sys.clock.After(b.every, tick)
+		b.sys.engine.After(b.every, tick)
 	}
-	b.sys.clock.After(b.every, tick)
+	b.sys.engine.After(b.every, tick)
 }
 
 // runBalancer drives one plan-and-execute cycle and returns how many
@@ -707,7 +690,7 @@ func (s *System) execute(units []*migUnit, snap Snapshot, moves []Move) int {
 			total += len(moved)
 			s.publish(Event{
 				Kind:   MigrationBatchEvent,
-				At:     s.clock.Now(),
+				At:     s.engine.Now(),
 				Core:   dest,
 				From:   -1,
 				Reason: batch[moved[0]].reason,
@@ -747,7 +730,7 @@ func (s *System) finishMove(u *migUnit, to int, reason string) {
 	s.migrated++
 	s.publish(Event{
 		Kind:   MigrationEvent,
-		At:     s.clock.Now(),
+		At:     s.engine.Now(),
 		Core:   to,
 		From:   from,
 		Source: u.name,

@@ -41,7 +41,6 @@ func fillFragmented(t *testing.T, sys *selftune.System) {
 // (policies may carry state, so tests never share them).
 func builtinPolicies() map[string]selftune.Balancer {
 	return map[string]selftune.Balancer{
-		"periodic":      selftune.BalancePeriodic(),
 		"reactive":      selftune.BalanceReactive(),
 		"work-stealing": selftune.BalanceWorkStealing(),
 	}
@@ -110,9 +109,9 @@ func TestAdmissionRebalanceAdmitsWhatStaticRejects(t *testing.T) {
 	}
 }
 
-func TestPeriodicBalancerSpreadsPinnedLoad(t *testing.T) {
+func TestReactiveBalancerSpreadsPinnedLoad(t *testing.T) {
 	sys, err := selftune.NewSystem(selftune.WithSeed(2), selftune.WithCPUs(4),
-		selftune.WithBalancer(selftune.BalancePeriodic()),
+		selftune.WithBalancer(selftune.BalanceReactive()),
 		selftune.WithBalanceInterval(100*selftune.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +136,7 @@ func TestPeriodicBalancerSpreadsPinnedLoad(t *testing.T) {
 	}
 	sys.Run(5 * selftune.Second)
 	if sys.Migrations() == 0 {
-		t.Fatal("periodic balancer never migrated")
+		t.Fatal("reactive balancer never migrated")
 	}
 	loads := sys.Machine().Loads()
 	max, min := loads[0], loads[0]

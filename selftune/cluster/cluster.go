@@ -22,9 +22,10 @@
 // machines share no mutable state between tick boundaries — so
 // WithParallelism(n) advances them on a bounded worker pool (default
 // GOMAXPROCS). Cross-machine effects are confined to the serial
-// control phase, and per-machine telemetry staged through shards
-// (WithMachineTelemetry) merges in machine-index order at the tick
-// barrier, so a seeded run is byte-identical at every parallelism
+// control phase, and the machine event streams the cluster folds
+// (WithMachineTelemetry, WithRequestStats) collect in one
+// selftune.Stage per machine, drained in machine-index order at the
+// tick barrier, so a seeded run is byte-identical at every parallelism
 // level.
 //
 // Scale: WithDetail(n) bounds fidelity cost. Jobs landing on the
@@ -254,8 +255,9 @@ func WithTelemetry(opts ...telemetry.CollectorOption) Option {
 // Machine(i)) receive that machine's events on whichever worker
 // advances it; one observer attached to several machines would be
 // called concurrently — feed a shared collector through
-// WithMachineTelemetry instead, which stages per machine and drains
-// in index order at the barrier.
+// WithMachineTelemetry instead, which stages each machine's events in
+// its own selftune.Stage and drains them in index order at the
+// barrier.
 func WithParallelism(n int) Option {
 	return func(o *options) error {
 		if n < 1 {
@@ -288,10 +290,10 @@ func WithCoreParallelism(n int) Option {
 }
 
 // WithMachineTelemetry attaches one cluster-owned Collector (reached
-// via MachineCollector) to every machine's observer bus through
-// per-machine staging shards: each machine's events collect lock-free
+// via MachineCollector) to every machine's observer bus through a
+// per-machine selftune.Stage: each machine's events collect lock-free
 // while the engines advance — possibly concurrently, under
-// WithParallelism — and the shards drain into the collector in
+// WithParallelism — and the stages drain into the collector in
 // machine-index order at every tick barrier. The folded state is
 // therefore identical, byte for byte, for any parallelism level. The
 // options configure the collector (series capacity, sampling stride).
@@ -323,20 +325,6 @@ func WithRequestStats() Option {
 	return func(o *options) error {
 		o.reqStats = true
 		return nil
-	}
-}
-
-// requestStage is the per-machine staging observer of
-// WithRequestStats: it keeps only the request completions of its
-// machine's event stream, for the tick barrier to fold in index order.
-type requestStage struct {
-	events []selftune.Event
-}
-
-// Observe implements selftune.Observer.
-func (s *requestStage) Observe(e selftune.Event) {
-	if e.Kind == selftune.RequestCompleteEvent {
-		s.events = append(s.events, e)
 	}
 }
 
@@ -395,16 +383,15 @@ type Cluster struct {
 	parallel int            // advance workers per tick
 	pool     *workpool.Pool // persistent tick-advance workers
 
-	// Per-machine telemetry staging (WithMachineTelemetry): shard i
-	// subscribes to machine i, and the barrier drains the shards into
-	// mcol in index order.
+	// Machine event staging: stage i subscribes to machine i — every
+	// machine under WithMachineTelemetry, the detail machines under
+	// WithRequestStats alone — and the barrier drains the stages in
+	// index order into mcol and the request fold.
+	stages []selftune.Stage
 	mcol   *telemetry.Collector
-	shards []*telemetry.Shard
 
-	// Request-stats staging (WithRequestStats): stage i subscribes to
-	// detail machine i, and the barrier folds the completions into the
-	// realms and the fleet histogram in index order.
-	reqStages     []*requestStage
+	// Request stats (WithRequestStats): the fleet-wide fold of the
+	// detail machines' completions.
 	fleetLatency  telemetry.LatencyHistogram
 	fleetRequests int64
 	fleetMisses   int64
@@ -519,23 +506,19 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	c.col = telemetry.NewCollector(o.colOpts...)
 	c.pool = workpool.New(c.parallel)
+	// Only detail machines Start workloads, so only they can complete
+	// requests; request stats alone subscribe just those, since a
+	// subscription starts a machine's load sampler.
+	staged := 0
 	if o.machineTel {
 		c.mcol = telemetry.NewCollector(o.machineColO...)
-		c.shards = make([]*telemetry.Shard, o.machines)
-		for i, m := range c.machines {
-			c.shards[i] = telemetry.NewShard()
-			m.Subscribe(c.shards[i])
-		}
+		staged = o.machines
+	} else if o.reqStats {
+		staged = o.detail
 	}
-	if o.reqStats {
-		// Only detail machines Start workloads, so only they can
-		// complete requests; subscribing the rest would start their load
-		// samplers for nothing.
-		c.reqStages = make([]*requestStage, o.detail)
-		for i := range c.reqStages {
-			c.reqStages[i] = &requestStage{}
-			c.machines[i].Subscribe(c.reqStages[i])
-		}
+	c.stages = make([]selftune.Stage, staged)
+	for i := range c.stages {
+		c.machines[i].Subscribe(&c.stages[i])
 	}
 	c.fleetEveryTicks = c.ticksOf(o.fleetEvery)
 	every := o.statsEvery
@@ -629,7 +612,7 @@ func (c *Cluster) Now() selftune.Time { return c.now }
 func (c *Cluster) Collector() *telemetry.Collector { return c.col }
 
 // MachineCollector returns the collector fed by every machine's event
-// stream through the per-machine shards (nil without
+// stream through the per-machine stages (nil without
 // WithMachineTelemetry). Its state is current as of the last tick
 // barrier.
 func (c *Cluster) MachineCollector() *telemetry.Collector { return c.mcol }
@@ -729,11 +712,11 @@ func (c *Cluster) Run(horizon selftune.Duration) {
 // identical state: machines share nothing mutable between tick
 // boundaries (placements, despawns and realm accounting all happen in
 // the serial control phase before the advance), each machine's event
-// execution is a pure function of its own pre-tick state, and the one
-// cross-machine sink — the shared machine-telemetry collector — is
-// fed through per-machine shards drained here in machine-index order.
-// The pool's completion barrier orders every worker's writes before
-// the merge and the next control phase.
+// execution is a pure function of its own pre-tick state, and the
+// cross-machine sinks — the machine-telemetry collector and the
+// request fold — are fed through per-machine stages drained here in
+// machine-index order. The pool's completion barrier orders every
+// worker's writes before the merge and the next control phase.
 func (c *Cluster) advance(next selftune.Time) {
 	c.pool.Run(len(c.machines), func(i int) {
 		m := c.machines[i]
@@ -741,18 +724,22 @@ func (c *Cluster) advance(next selftune.Time) {
 	})
 	// Merge barrier: fold the staged per-machine event streams in
 	// machine-index order. Draining on the serial path too keeps the
-	// fold order — and the collector's bytes — parallelism-invariant.
-	if c.mcol != nil {
-		for _, s := range c.shards {
-			s.Drain(c.mcol)
-		}
+	// fold order — and the collectors' bytes — parallelism-invariant.
+	for i := range c.stages {
+		c.stages[i].Drain(c.foldMachineEvent)
 	}
-	for _, s := range c.reqStages {
-		for i := range s.events {
-			c.foldRequestComplete(s.events[i])
-			s.events[i] = selftune.Event{}
-		}
-		s.events = s.events[:0]
+}
+
+// foldMachineEvent folds one staged machine event at the tick barrier
+// into the machine collector and, for a request completion, the
+// request stats. The two fold disjoint state, so one pass over the
+// stage serves both.
+func (c *Cluster) foldMachineEvent(e selftune.Event) {
+	if c.mcol != nil {
+		c.mcol.Observe(e)
+	}
+	if c.opt.reqStats && e.Kind == selftune.RequestCompleteEvent {
+		c.foldRequestComplete(e)
 	}
 }
 

@@ -36,7 +36,7 @@ func runDeterministic(t *testing.T, parallel int) (uint64, FleetSnapshot, []byte
 
 // TestParallelismDeterminism is the contract behind WithParallelism:
 // the same seed produces byte-identical telemetry — cluster-scope and
-// shard-merged machine-scope — and deeply equal fleet snapshots at
+// stage-merged machine-scope — and deeply equal fleet snapshots at
 // every parallelism level. The scenario is the full determinism pot
 // (detail machine, autoscaler, fleet balancer, heavy-tailed mixes);
 // parallelism 16 exceeds the 3-machine fleet to exercise the cap.
@@ -76,7 +76,7 @@ func TestParallelismDeterminism(t *testing.T) {
 }
 
 // TestParallelClusterRace drives an 8-machine fully detailed fleet
-// with four workers and shard-staged machine telemetry — the
+// with four workers and stage-drained machine telemetry — the
 // configuration with the most cross-goroutine traffic. Its job is to
 // put the parallel advance under the CI race detector; the assertions
 // just prove the machines actually did concurrent work that reached
@@ -113,7 +113,7 @@ func TestParallelClusterRace(t *testing.T) {
 	}
 	tel := c.MachineCollector().Snapshot()
 	if tel.LoadEvents == 0 {
-		t.Fatal("no machine-level load samples crossed the shard barrier")
+		t.Fatal("no machine-level load samples crossed the tick barrier")
 	}
 	if tel.Cores != 4 {
 		t.Fatalf("machine collector sees %d cores, want 4", tel.Cores)

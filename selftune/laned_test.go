@@ -136,12 +136,3 @@ func TestLanedBasics(t *testing.T) {
 		t.Error("Steps() = 0")
 	}
 }
-
-// TestCoreParallelismRejectsClock pins the documented exclusion: the
-// fence schedule needs the engine as the observation timebase.
-func TestCoreParallelismRejectsClock(t *testing.T) {
-	_, err := NewSystem(WithCoreParallelism(2), WithClock(engineClock{nil}))
-	if err == nil {
-		t.Fatal("WithCoreParallelism + WithClock should be rejected")
-	}
-}

@@ -79,9 +79,8 @@ func (k EventKind) String() string {
 type Event struct {
 	// Kind discriminates which of the payload fields are valid.
 	Kind EventKind
-	// At is the instant of the event on the System's observation
-	// clock (every event kind uses the same timebase, including under
-	// WithClock).
+	// At is the simulated instant of the event (every event kind uses
+	// the same timebase: the System's engine).
 	At Time
 	// Core is the index of the originating core, or -1 for
 	// system-wide events (core-load samples, admission rejects).
@@ -156,8 +155,8 @@ type subscription struct {
 // The bus itself — registration, cancellation and event delivery — is
 // safe for concurrent use: a draining goroutine may Subscribe or
 // cancel while the simulation publishes. The exception is a Subscribe
-// that (re)starts the load sampler: arming it schedules on the System
-// clock, and the simulation engine is not goroutine-safe, so attach
+// that (re)starts the load sampler: arming it schedules on the
+// simulation engine, which is not goroutine-safe, so attach
 // the sampler-starting first observer from the simulation's goroutine
 // (in practice: before Run), as every collector in this module does.
 func (s *System) Subscribe(o Observer) (cancel func()) {
@@ -212,7 +211,7 @@ func (s *System) publish(e Event) {
 }
 
 // startSampler schedules the periodic per-core load sample on the
-// System clock. Idempotent; the sampler retires itself once every
+// System's engine. Idempotent; the sampler retires itself once every
 // observer has cancelled (publish compacts the list), and the next
 // Subscribe restarts it.
 func (s *System) startSampler() {
@@ -228,7 +227,7 @@ func (s *System) startSampler() {
 		s.sampleBuf = s.machine.LoadsInto(s.sampleBuf[:0])
 		s.publish(Event{
 			Kind:  CoreLoadEvent,
-			At:    s.clock.Now(),
+			At:    s.engine.Now(),
 			Core:  -1,
 			Loads: s.sampleBuf,
 		})
@@ -239,7 +238,7 @@ func (s *System) startSampler() {
 			return
 		}
 		s.obsMu.Unlock()
-		s.clock.After(s.loadSample, tick)
+		s.engine.After(s.loadSample, tick)
 	}
-	s.clock.After(s.loadSample, tick)
+	s.engine.After(s.loadSample, tick)
 }

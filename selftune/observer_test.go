@@ -144,20 +144,6 @@ func TestUnobservedSystemsMatchObservedOnes(t *testing.T) {
 	}
 }
 
-// fakeClock is a manually driven Clock, the injection seam WithClock
-// exists for.
-type fakeClock struct {
-	now     selftune.Time
-	pending []func()
-	delays  []selftune.Duration
-}
-
-func (c *fakeClock) Now() selftune.Time { return c.now }
-func (c *fakeClock) After(d selftune.Duration, fn func()) {
-	c.delays = append(c.delays, d)
-	c.pending = append(c.pending, fn)
-}
-
 // TestUserExhaustHookDoesNotSeverBus installs a user exhaust hook on
 // the core's scheduler and checks observers still receive
 // BudgetExhaustedEvents (the bus uses its own slot).
@@ -193,60 +179,27 @@ func TestUserExhaustHookDoesNotSeverBus(t *testing.T) {
 
 // TestSamplerRetiresWithoutObservers cancels the only observer and
 // checks the load sampler stops rescheduling itself, then restarts on
-// the next subscription.
+// the next subscription. The System runs no workloads, so every engine
+// step is a sampler tick.
 func TestSamplerRetiresWithoutObservers(t *testing.T) {
-	clk := &fakeClock{}
-	sys := newSystem(t, selftune.WithClock(clk), selftune.WithLoadSampling(selftune.Second))
+	sys := newSystem(t, selftune.WithLoadSampling(selftune.Second))
 	cancel := sys.Subscribe(selftune.ObserverFunc(func(selftune.Event) {}))
-	if len(clk.pending) != 1 {
-		t.Fatalf("pending after subscribe: %d", len(clk.pending))
-	}
 	cancel()
-	tick := clk.pending[0]
-	clk.pending = clk.pending[:0]
-	tick()
-	if len(clk.pending) != 0 {
-		t.Fatal("sampler kept rescheduling with zero observers")
+	// The tick armed by the subscription fires once, finds no observer
+	// left and does not re-arm.
+	sys.Run(5 * selftune.Second)
+	if got := sys.Steps(); got != 1 {
+		t.Fatalf("sampler ran %d ticks with zero observers, want 1", got)
 	}
 	// A new subscription brings it back.
-	sys.Subscribe(selftune.ObserverFunc(func(selftune.Event) {}))
-	if len(clk.pending) != 1 {
-		t.Fatal("sampler did not restart on resubscription")
-	}
-}
-
-func TestClockInjection(t *testing.T) {
-	clk := &fakeClock{now: selftune.Time(42 * selftune.Second)}
-	sys := newSystem(t,
-		selftune.WithClock(clk),
-		selftune.WithLoadSampling(selftune.Second))
-	if sys.Clock() != selftune.Clock(clk) {
-		t.Fatal("Clock() is not the injected clock")
-	}
-	// Now() reads the injected clock, not the engine.
-	if got := sys.Now(); got != selftune.Time(42*selftune.Second) {
-		t.Errorf("Now() = %v, want 42s", got)
-	}
-
-	// The load sampler runs on the injected clock: subscription
-	// schedules a sample at the configured interval, and firing it
-	// stamps the event with the fake time.
-	var events []selftune.Event
-	sys.Subscribe(selftune.ObserverFunc(func(e selftune.Event) { events = append(events, e) }))
-	if len(clk.pending) != 1 || clk.delays[0] != selftune.Second {
-		t.Fatalf("sampler scheduling: %d pending, delays %v", len(clk.pending), clk.delays)
-	}
-	clk.now = clk.now.Add(selftune.Second)
-	tick := clk.pending[0]
-	clk.pending = clk.pending[:0]
-	tick()
-	if len(events) != 1 || events[0].Kind != selftune.CoreLoadEvent {
-		t.Fatalf("events after manual tick: %+v", events)
-	}
-	if events[0].At != selftune.Time(43*selftune.Second) {
-		t.Errorf("event stamped %v, want 43s", events[0].At)
-	}
-	if len(clk.pending) != 1 {
-		t.Errorf("sampler did not reschedule (pending %d)", len(clk.pending))
+	samples := 0
+	sys.Subscribe(selftune.ObserverFunc(func(e selftune.Event) {
+		if e.Kind == selftune.CoreLoadEvent {
+			samples++
+		}
+	}))
+	sys.Run(3 * selftune.Second)
+	if samples != 3 {
+		t.Fatalf("resubscribed sampler delivered %d samples in 3s, want 3", samples)
 	}
 }

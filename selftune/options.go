@@ -3,28 +3,8 @@ package selftune
 import (
 	"fmt"
 
-	"repro/internal/sim"
 	"repro/internal/simtime"
 )
-
-// Clock is the System's observation time source: it stamps observer
-// events and answers System.Now, and it paces the per-core load
-// sampler. The simulation itself always advances on the discrete-event
-// engine; injecting a Clock (the uber-go/ratelimit idiom) lets tests
-// and embedding harnesses control what "now" means to observers
-// without touching the engine.
-type Clock interface {
-	// Now returns the current instant.
-	Now() Time
-	// After schedules fn to run d from now.
-	After(d Duration, fn func())
-}
-
-// engineClock is the default Clock: the simulation engine itself.
-type engineClock struct{ eng *sim.Engine }
-
-func (c engineClock) Now() Time                   { return c.eng.Now() }
-func (c engineClock) After(d Duration, fn func()) { c.eng.After(d, fn) }
 
 // options collects the configuration assembled by functional options.
 type options struct {
@@ -32,7 +12,6 @@ type options struct {
 	cpus         int
 	ulub         float64
 	tracerCap    int
-	clock        Clock
 	loadSample   Duration
 	balancer     Balancer
 	balanceEvery Duration
@@ -106,18 +85,6 @@ func WithTracerCapacity(n int) Option {
 	}
 }
 
-// WithClock injects the System's observation clock. The default reads
-// the simulation engine.
-func WithClock(c Clock) Option {
-	return func(o *options) error {
-		if c == nil {
-			return fmt.Errorf("selftune: WithClock(nil)")
-		}
-		o.clock = c
-		return nil
-	}
-}
-
 // WithTopology groups the machine's cores into cache/NUMA domains, so
 // distance-aware policies (BalanceTopologyAware) and the per-domain
 // telemetry know which migrations cross a node boundary. The topology
@@ -143,10 +110,8 @@ func WithTopology(t Topology) Option {
 // workers only: the lane partition is always one lane per core, so a
 // seeded run produces byte-identical event streams at any n ≥ 1.
 // Laned mode gives every core its own syscall tracer (System.Tracer
-// returns nil; migrations carry undownloaded evidence across buffers)
-// and cannot be combined with WithClock — the fence schedule needs the
-// engine as the observation timebase. The default (no option) is the
-// single-engine machine.
+// returns nil; migrations carry undownloaded evidence across buffers).
+// The default (no option) is the single-engine machine.
 func WithCoreParallelism(n int) Option {
 	return func(o *options) error {
 		if n < 1 {
@@ -174,8 +139,7 @@ func WithPIDOffset(off int) Option {
 }
 
 // WithBalancer installs a cross-core load-balancing policy. The
-// built-ins are BalancePeriodic() (one push migration per tick),
-// BalanceReactive() (pull after sustained imbalance),
+// built-ins are BalanceReactive() (pull after sustained imbalance),
 // BalanceWorkStealing() (multi-migration de-consolidation) and
 // BalanceTopologyAware() (cost-based placement over WithTopology); any
 // user-supplied Balancer implementation works the same way. nil — the

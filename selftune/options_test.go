@@ -18,7 +18,6 @@ func TestOptionValidation(t *testing.T) {
 		{"WithCPUs(-2)", selftune.WithCPUs(-2)},
 		{"WithTracerCapacity(0)", selftune.WithTracerCapacity(0)},
 		{"WithTracerCapacity(-1)", selftune.WithTracerCapacity(-1)},
-		{"WithClock(nil)", selftune.WithClock(nil)},
 		{"WithLoadSampling(0)", selftune.WithLoadSampling(0)},
 	}
 	for _, tc := range bad {

@@ -333,7 +333,7 @@ func (s *System) Spawn(kind string, opts ...SpawnOption) (*Handle, error) {
 		// error strings.
 		s.publish(Event{
 			Kind:   AdmissionRejectEvent,
-			At:     s.clock.Now(),
+			At:     s.engine.Now(),
 			Core:   -1,
 			Source: spec.Name,
 			Reason: err.Error(),

@@ -2,7 +2,6 @@ package selftune
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -22,18 +21,19 @@ type System struct {
 	machine *smp.Machine
 	tracer  *ktrace.Buffer
 	rand    *rng.Source
-	clock   Clock
 
 	// Core-parallel (laned) mode, enabled by WithCoreParallelism: each
 	// core runs on its own engine lane, advanced concurrently between
 	// causality fences; s.engine becomes the control engine carrying
 	// the balancer tick, the load sampler and the fence schedule.
 	// All nil/empty on a single-engine System.
-	lanes      []*sim.Engine
-	group      *sim.EngineGroup
-	laneBufs   []*ktrace.Buffer // per-core tracers
-	laneStages [][]Event        // per-lane staged observer events
-	drainBuf   []Event          // fence-time merge buffer
+	lanes    []*sim.Engine
+	group    *sim.EngineGroup
+	laneBufs []*ktrace.Buffer // per-core tracers
+	// Per-lane staged observer events, published at the next fence.
+	// Each lane writes only its own stage, and control-phase stagings
+	// run with the lanes at rest, so staging needs no lock.
+	stages []Stage
 
 	loadSample Duration
 	obsMu      sync.Mutex // guards observers and samplerOn
@@ -88,13 +88,9 @@ func NewSystem(opts ...Option) (*System, error) {
 	s := &System{
 		engine:     eng,
 		rand:       rng.New(o.seed),
-		clock:      o.clock,
 		loadSample: o.loadSample,
 	}
 	if o.coreParallel > 0 {
-		if o.clock != nil {
-			return nil, fmt.Errorf("selftune: WithCoreParallelism cannot be combined with WithClock")
-		}
 		s.lanes = make([]*sim.Engine, o.cpus)
 		s.laneBufs = make([]*ktrace.Buffer, o.cpus)
 		for i := range s.lanes {
@@ -103,7 +99,7 @@ func NewSystem(opts ...Option) (*System, error) {
 		}
 		s.group = sim.NewGroup(s.lanes, o.coreParallel)
 		s.machine = smp.NewLanedOffset(s.lanes, o.ulub, o.pidOffset)
-		s.laneStages = make([][]Event, o.cpus)
+		s.stages = make([]Stage, o.cpus)
 	} else {
 		s.machine = smp.NewOffset(eng, o.cpus, o.ulub, o.pidOffset)
 		s.tracer = ktrace.NewBuffer(ktrace.QTrace, o.tracerCap)
@@ -116,9 +112,6 @@ func NewSystem(opts ...Option) (*System, error) {
 		if err := s.machine.SetTopology(topo); err != nil {
 			return nil, fmt.Errorf("selftune: WithTopology: %w", err)
 		}
-	}
-	if s.clock == nil {
-		s.clock = engineClock{eng}
 	}
 	for i := 0; i < s.machine.Cores(); i++ {
 		s.installExhaustHook(i)
@@ -145,7 +138,7 @@ func (s *System) installExhaustHook(i int) {
 	if s.group != nil {
 		lane := s.lanes[i]
 		s.machine.Core(i).SetExhaustBus(func(srv *sched.Server, now Time) {
-			s.stage(core, Event{
+			s.stages[core].Observe(Event{
 				Kind:   BudgetExhaustedEvent,
 				At:     lane.Now(),
 				Core:   core,
@@ -157,44 +150,11 @@ func (s *System) installExhaustHook(i int) {
 	s.machine.Core(i).SetExhaustBus(func(srv *sched.Server, now Time) {
 		s.publish(Event{
 			Kind:   BudgetExhaustedEvent,
-			At:     s.clock.Now(),
+			At:     s.engine.Now(),
 			Core:   core,
 			Source: srv.Name(),
 		})
 	})
-}
-
-// stage appends an observer event to a lane's staging slice. Each lane
-// touches only its own slice (and control-phase stagings run with the
-// lanes at rest), so staging is race-free by construction; drainStages
-// merges and publishes at the next fence.
-func (s *System) stage(lane int, e Event) {
-	s.laneStages[lane] = append(s.laneStages[lane], e)
-}
-
-// drainStages publishes every staged observer event in deterministic
-// order: ascending timestamp, ties broken by lane index, FIFO within a
-// lane (lanes execute in time order, so each slice is already sorted —
-// a stable sort over the lane-ordered concatenation yields exactly
-// that order, independent of worker count).
-func (s *System) drainStages() {
-	total := 0
-	for i := range s.laneStages {
-		total += len(s.laneStages[i])
-	}
-	if total == 0 {
-		return
-	}
-	buf := s.drainBuf[:0]
-	for i := range s.laneStages {
-		buf = append(buf, s.laneStages[i]...)
-		s.laneStages[i] = s.laneStages[i][:0]
-	}
-	sort.SliceStable(buf, func(a, b int) bool { return buf[a].At < buf[b].At })
-	for i := range buf {
-		s.publish(buf[i])
-	}
-	s.drainBuf = buf[:0]
 }
 
 // Core is one CPU of the System: an EDF+CBS scheduler and the
@@ -265,12 +225,27 @@ func (s *System) engineFor(core int) *sim.Engine {
 	return s.engine
 }
 
-// Clock returns the System's observation clock.
-func (s *System) Clock() Clock { return s.clock }
+// Clock is a simulated time source: the current instant, and
+// callbacks scheduled relative to it.
+type Clock interface {
+	// Now returns the current instant.
+	Now() Time
+	// After schedules fn to run d from now.
+	After(d Duration, fn func())
+}
 
-// Now returns the current instant of the observation clock (the
-// simulated time, unless WithClock injected something else).
-func (s *System) Now() Time { return s.clock.Now() }
+// engineClock is a Clock reading the simulation engine.
+type engineClock struct{ eng *sim.Engine }
+
+func (c engineClock) Now() Time                   { return c.eng.Now() }
+func (c engineClock) After(d Duration, fn func()) { c.eng.After(d, fn) }
+
+// Clock returns the System's simulated clock: its engine, which stamps
+// every observer event and paces the balancer and the load sampler.
+func (s *System) Clock() Clock { return engineClock{s.engine} }
+
+// Now returns the current simulated instant.
+func (s *System) Now() Time { return s.engine.Now() }
 
 // Run advances the simulation until the given horizon.
 //
@@ -280,9 +255,10 @@ func (s *System) Now() Time { return s.clock.Now() }
 // at the same simulated instant and every cross-core effect applies in
 // a deterministic order. Fences sit exactly where machine-wide state
 // is touched: at every control-engine event (balancer ticks, load
-// samples — anything scheduled through the System clock) and at the
-// horizon. Staged observer events are published at each fence sorted
-// by timestamp with lane-index tiebreak, then the control engine runs,
+// samples — anything scheduled on the control engine) and at the
+// horizon. Each lane stages its observer events in its own Stage;
+// DrainMerged publishes them at the fence in timestamp order, ties
+// broken by lane index and staging order, then the control engine runs,
 // migrating reservations and re-arming lane timers while the lanes
 // rest. Seeded runs are byte-identical at any worker count.
 func (s *System) Run(horizon Duration) {
@@ -297,7 +273,7 @@ func (s *System) Run(horizon Duration) {
 			next = p
 		}
 		s.group.AdvanceTo(next)
-		s.drainStages()
+		DrainMerged(s.stages, s.publish)
 		s.engine.RunUntil(next)
 		if next >= end {
 			return
@@ -353,14 +329,14 @@ func (s *System) tickPublisher(coreIdx int, source string) func(TunerSnapshot) {
 	return func(snap TunerSnapshot) {
 		e := Event{
 			Kind:     TunerTickEvent,
-			At:       s.clock.Now(),
+			At:       s.engine.Now(),
 			Core:     coreIdx,
 			Source:   source,
 			Snapshot: snap,
 		}
 		if s.group != nil {
 			e.At = s.lanes[coreIdx].Now()
-			s.stage(coreIdx, e)
+			s.stages[coreIdx].Observe(e)
 			return
 		}
 		s.publish(e)
@@ -392,7 +368,7 @@ func (s *System) requestPublisher(ctx *spawnCtx, kind, source string) RequestObs
 		sys := ctx.sys
 		e := Event{
 			Kind:     RequestCompleteEvent,
-			At:       sys.clock.Now(),
+			At:       sys.engine.Now(),
 			Core:     ctx.core,
 			Source:   source,
 			Workload: kind,
@@ -402,7 +378,7 @@ func (s *System) requestPublisher(ctx *spawnCtx, kind, source string) RequestObs
 		}
 		if sys.group != nil {
 			e.At = sys.lanes[ctx.core].Now()
-			sys.stage(ctx.core, e)
+			sys.stages[ctx.core].Observe(e)
 			return
 		}
 		sys.publish(e)

@@ -130,7 +130,7 @@ func (s Snapshot) Tables() []*report.Table {
 
 // ReportSink is the live half of the pipeline: it subscribes a
 // Collector to a System and renders the snapshot tables to a writer on
-// a fixed interval of the System's observation clock — the streaming
+// a fixed interval of the System's simulated clock — the streaming
 // replacement for ad-hoc printing inside simulation loops.
 type ReportSink struct {
 	mu     sync.Mutex

@@ -388,12 +388,6 @@ func (c *Collector) source(name string) *sourceState {
 func (c *Collector) Observe(e selftune.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.fold(e)
-}
-
-// fold is Observe without the lock — the single fold path shared by
-// direct observation and Shard draining.
-func (c *Collector) fold(e selftune.Event) {
 	switch e.Kind {
 	case selftune.TunerTickEvent:
 		c.ticks++
@@ -469,56 +463,6 @@ func (c *Collector) fold(e selftune.Event) {
 	case selftune.RequestCompleteEvent:
 		c.foldRequest(e)
 	}
-}
-
-// Shard is a lock-free staging buffer for one event stream feeding a
-// shared Collector. A concurrent simulation gives each event source
-// (one machine of a cluster) its own Shard as the observer: Observe
-// appends to private storage with no synchronisation, and the caller
-// drains the shards into the Collector in a fixed order at a
-// synchronisation barrier. That keeps the fold order — and therefore
-// the folded state, byte for byte — independent of how the sources
-// were scheduled onto goroutines.
-//
-// A Shard is NOT safe for concurrent use; it belongs to exactly one
-// source at a time, and Drain must not race Observe.
-type Shard struct {
-	events []selftune.Event
-	loads  []float64 // arena for Loads copies, reset on Drain
-}
-
-// NewShard returns an empty staging buffer.
-func NewShard() *Shard { return &Shard{} }
-
-// Observe stages one event. Shard implements selftune.Observer.
-// Loads slices are copied at staging time: publishers reuse their
-// sample buffers, and by drain time the original would be stale.
-func (s *Shard) Observe(e selftune.Event) {
-	if len(e.Loads) > 0 {
-		n := len(s.loads)
-		s.loads = append(s.loads, e.Loads...)
-		e.Loads = s.loads[n : n+len(e.Loads) : n+len(e.Loads)]
-	}
-	s.events = append(s.events, e)
-}
-
-// Len returns the number of staged events.
-func (s *Shard) Len() int { return len(s.events) }
-
-// Drain folds every staged event into c in staging order and resets
-// the shard for reuse, keeping its storage.
-func (s *Shard) Drain(c *Collector) {
-	if len(s.events) == 0 {
-		return
-	}
-	c.mu.Lock()
-	for i := range s.events {
-		c.fold(s.events[i])
-		s.events[i] = selftune.Event{}
-	}
-	c.mu.Unlock()
-	s.events = s.events[:0]
-	s.loads = s.loads[:0]
 }
 
 // domainOf maps a core to its domain (0 for out-of-range cores).

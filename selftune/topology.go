@@ -20,6 +20,11 @@ package selftune
 // same planning step.
 const DefaultCrossNodeCost = 0.75
 
+// topologyAware is the cost-based policy. cost is the cross-node
+// weight: 0 prices node crossings like local moves (plain stealing), 1
+// makes a cross-node move worthless in itself, chosen only as the
+// saturation fallback, and values above 1 actively prefer the smallest
+// unit when forced across.
 type topologyAware struct {
 	cost float64
 }
@@ -38,19 +43,6 @@ type topologyAware struct {
 // their domain. On a machine without a topology every distance is 0
 // and the policy degenerates to plain greedy stealing.
 func BalanceTopologyAware() Balancer { return topologyAware{cost: DefaultCrossNodeCost} }
-
-// BalanceTopologyAwareCost returns the topology-aware policy with an
-// explicit cross-node cost weight. Cost 0 prices node crossings like
-// local moves (plain stealing); 1 makes a cross-node move worthless in
-// itself, chosen only as the saturation fallback; values above 1
-// actively prefer the smallest unit when forced across. Negative costs
-// are treated as 0.
-func BalanceTopologyAwareCost(cost float64) Balancer {
-	if cost < 0 {
-		cost = 0
-	}
-	return topologyAware{cost: cost}
-}
 
 func (topologyAware) Name() string { return "topology-aware" }
 

@@ -107,50 +107,6 @@ func TestTopologyAwareCrossNodeFallbackWhenNodeSaturates(t *testing.T) {
 	}
 }
 
-// TestTopologyAwareCostMonotonicity pins the scoring contract: raising
-// the cross-node cost never plans more cross-node moves on the same
-// snapshot. The snapshot offers a big unit that only fits across the
-// boundary and a small one that fits next door, so the cost weight is
-// exactly what arbitrates.
-func TestTopologyAwareCostMonotonicity(t *testing.T) {
-	mkSnap := func() selftune.Snapshot {
-		return topoSnap([]float64{0.9, 0.75, 0, 0.3}, []struct {
-			core   int
-			charge float64
-			kind   string
-		}{
-			{0, 0.5, "video"}, // fits only on node 1 (core 1 would overflow)
-			{0, 0.1, "video"}, // fits next door on core 1
-		})
-	}
-	crossAt := func(cost float64) int {
-		snap := mkSnap()
-		cross := 0
-		for _, mv := range selftune.BalanceTopologyAwareCost(cost).Plan(snap) {
-			if snap.Distance(snap.Units[mv.Unit].Core, mv.To) > 0 {
-				cross++
-			}
-		}
-		return cross
-	}
-	prev := -1
-	var prevCost float64
-	for i, cost := range []float64{0, 0.4, 0.8, 0.95, 1.5} {
-		cross := crossAt(cost)
-		if i > 0 && cross > prev {
-			t.Errorf("cost %.2f plans %d cross-node moves, more than %d at cost %.2f",
-				cost, cross, prev, prevCost)
-		}
-		prev, prevCost = cross, cost
-	}
-	if crossAt(0) == 0 {
-		t.Error("cost 0 planned no cross-node move; the scenario lost its teeth")
-	}
-	if crossAt(1.5) != 0 {
-		t.Error("cost 1.5 still crossed the node with an intra-node candidate available")
-	}
-}
-
 func TestTopologyAwareSharedGroupAffinity(t *testing.T) {
 	// A shared-reservation group on the hot core, with every intra-node
 	// destination full: the group stays put (affinity), the plain unit

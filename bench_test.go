@@ -223,8 +223,8 @@ func BenchmarkNUMAContention64Core(b *testing.B) {
 	b.ReportMetric(last.Topo.SpreadEnd, "spread_after")
 	b.ReportMetric(float64(last.Topo.Migrations), "migrations")
 	b.ReportMetric(last.Topo.CrossNodeFraction, "xnode_frac")
-	b.ReportMetric(last.Steal.SpreadEnd, "spread_after_steal")
-	b.ReportMetric(last.Steal.CrossNodeFraction, "xnode_frac_steal")
+	b.ReportMetric(last.WorkStealing.SpreadEnd, "spread_after_steal")
+	b.ReportMetric(last.WorkStealing.CrossNodeFraction, "xnode_frac_steal")
 }
 
 // BenchmarkClusterContention runs the fleet surge study in reduced

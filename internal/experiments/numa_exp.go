@@ -47,8 +47,8 @@ type NUMAResult struct {
 	CoresPerNode int
 	Tenants      int
 
-	Steal NUMAPolicyResult // BalanceWorkStealing: blind de-consolidation
-	Topo  NUMAPolicyResult // BalanceTopologyAware: cost-based placement
+	WorkStealing NUMAPolicyResult // BalanceWorkStealing: blind de-consolidation
+	Topo         NUMAPolicyResult // BalanceTopologyAware: cost-based placement
 }
 
 // Table renders the result in the repo's report style.
@@ -61,7 +61,7 @@ func (r NUMAResult) Table() string {
 	return fmt.Sprintf(`== NUMA-aware balancing (%d cores = %d nodes x %d, %d tenants booted per-node consolidated) ==
 %s
 %s
-`, r.Cores, r.Nodes, r.CoresPerNode, r.Tenants, row(r.Steal), row(r.Topo))
+`, r.Cores, r.Nodes, r.CoresPerNode, r.Tenants, row(r.WorkStealing), row(r.Topo))
 }
 
 // NUMAContention runs the recovery scenario on nodes×coresPerNode
@@ -84,7 +84,7 @@ func NUMAContention(seed uint64, nodes, coresPerNode int, horizon simtime.Durati
 		Cores: cores, Nodes: nodes, CoresPerNode: coresPerNode,
 		Tenants: nodes * perBoot,
 	}
-	res.Steal = numaRecovery(seed, nodes, coresPerNode, horizon, selftune.BalanceWorkStealing())
+	res.WorkStealing = numaRecovery(seed, nodes, coresPerNode, horizon, selftune.BalanceWorkStealing())
 	res.Topo = numaRecovery(seed, nodes, coresPerNode, horizon, selftune.BalanceTopologyAware())
 	return res
 }

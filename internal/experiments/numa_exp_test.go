@@ -16,7 +16,7 @@ func TestNUMAContention64CoreCutsCrossNodeMoves(t *testing.T) {
 		t.Skip("64-core recovery is a long simulation")
 	}
 	r := NUMAContention(1, 4, 16, 2*simtime.Second)
-	for _, p := range []NUMAPolicyResult{r.Steal, r.Topo} {
+	for _, p := range []NUMAPolicyResult{r.WorkStealing, r.Topo} {
 		if p.SpreadStart < 0.8 {
 			t.Fatalf("%s recovery started at spread %.3f; the consolidation lost its teeth",
 				p.Policy, p.SpreadStart)
@@ -31,13 +31,13 @@ func TestNUMAContention64CoreCutsCrossNodeMoves(t *testing.T) {
 			t.Errorf("%s decoded no frames during recovery", p.Policy)
 		}
 	}
-	if r.Steal.CrossNodeFraction < 0.2 {
+	if r.WorkStealing.CrossNodeFraction < 0.2 {
 		t.Fatalf("plain work-stealing crossed nodes on only %.0f%% of moves; the contrast lost its teeth",
-			r.Steal.CrossNodeFraction*100)
+			r.WorkStealing.CrossNodeFraction*100)
 	}
-	if r.Topo.CrossNodeFraction > r.Steal.CrossNodeFraction/2 {
+	if r.Topo.CrossNodeFraction > r.WorkStealing.CrossNodeFraction/2 {
 		t.Errorf("topology-aware cross-node fraction %.3f, want <= half of work-stealing's %.3f",
-			r.Topo.CrossNodeFraction, r.Steal.CrossNodeFraction)
+			r.Topo.CrossNodeFraction, r.WorkStealing.CrossNodeFraction)
 	}
 }
 
@@ -52,8 +52,8 @@ func TestNUMAContentionScalesDown(t *testing.T) {
 		t.Errorf("topology-aware left spread %.3f of initial %.3f",
 			r.Topo.SpreadEnd, r.Topo.SpreadStart)
 	}
-	if r.Topo.CrossNode > r.Steal.CrossNode {
+	if r.Topo.CrossNode > r.WorkStealing.CrossNode {
 		t.Errorf("topology-aware crossed nodes %d times, work-stealing %d",
-			r.Topo.CrossNode, r.Steal.CrossNode)
+			r.Topo.CrossNode, r.WorkStealing.CrossNode)
 	}
 }

@@ -1,7 +1,6 @@
 package smp_test
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -43,7 +42,7 @@ func totalMachineBandwidth(m *smp.Machine) float64 {
 // reserved, never how much.
 func TestMigrateGroupConservesBandwidth(t *testing.T) {
 	eng := sim.New()
-	m := smp.New(eng, 4, 1)
+	m := newMachine(eng, 4)
 	g := reservedGroup(t, m, 0, "bg", 0.1, 3)
 	before := totalMachineBandwidth(m)
 	loadSumBefore := 0.0
@@ -83,7 +82,7 @@ func TestMigrateGroupConservesBandwidth(t *testing.T) {
 // the members that would fit individually.
 func TestMigrateGroupAllOrNothing(t *testing.T) {
 	eng := sim.New()
-	m := smp.New(eng, 2, 1)
+	m := newMachine(eng, 2)
 	g := reservedGroup(t, m, 0, "bg", 0.2, 3) // 0.6 aggregate
 	// Core 1 has room for any single member (0.2) but not the unit.
 	if err := m.Reserve(1, 0.5); err != nil {
@@ -117,76 +116,3 @@ func TestMigrateGroupAllOrNothing(t *testing.T) {
 		t.Fatalf("group migration after freeing room: %v", err)
 	}
 }
-
-// TestStealClaimsUpToMax exercises the steal path: a cold core claims
-// candidates in order, skipping what does not fit, stopping at Max.
-func TestStealClaimsUpToMax(t *testing.T) {
-	eng := sim.New()
-	m := smp.New(eng, 3, 1)
-	var cands []smp.StealCandidate
-	for i := 0; i < 4; i++ {
-		g := reservedGroup(t, m, 0, "u", 0.2, 1)
-		cands = append(cands, smp.StealCandidate{Group: g, From: 0, Hint: 0.2})
-	}
-	var hooked []int
-	moved := m.Steal(smp.StealRequest{
-		To:         2,
-		Max:        2,
-		Candidates: cands,
-		OnMoved:    func(i int) error { hooked = append(hooked, i); return nil },
-	})
-	if len(moved) != 2 || moved[0] != 0 || moved[1] != 1 {
-		t.Fatalf("moved %v, want [0 1]", moved)
-	}
-	if len(hooked) != 2 {
-		t.Errorf("OnMoved fired %d times", len(hooked))
-	}
-	if got := m.Load(2); math.Abs(got-0.4) > 1e-9 {
-		t.Errorf("claiming core at %.3f, want 0.4", got)
-	}
-	if got := m.Load(0); math.Abs(got-0.4) > 1e-9 {
-		t.Errorf("origin core at %.3f, want 0.4", got)
-	}
-	if m.Migrations() != 2 {
-		t.Errorf("Migrations() = %d, want 2", m.Migrations())
-	}
-}
-
-// TestStealRollsBackOnHookError: a failing OnMoved (the tuner-rehome
-// seam) returns the unit to its origin and the steal moves on.
-func TestStealRollsBackOnHookError(t *testing.T) {
-	eng := sim.New()
-	m := smp.New(eng, 2, 1)
-	g0 := reservedGroup(t, m, 0, "a", 0.2, 1)
-	g1 := reservedGroup(t, m, 0, "b", 0.2, 1)
-	moved := m.Steal(smp.StealRequest{
-		To: 1,
-		Candidates: []smp.StealCandidate{
-			{Group: g0, From: 0, Hint: 0.2},
-			{Group: g1, From: 0, Hint: 0.2},
-		},
-		OnMoved: func(i int) error {
-			if i == 0 {
-				return errRefused
-			}
-			return nil
-		},
-	})
-	if len(moved) != 1 || moved[0] != 1 {
-		t.Fatalf("moved %v, want [1]", moved)
-	}
-	if !m.Core(0).Owns(g0.Servers[0]) {
-		t.Error("rolled-back unit not returned to its origin")
-	}
-	if !m.Core(1).Owns(g1.Servers[0]) {
-		t.Error("surviving unit not on the claiming core")
-	}
-	if got := m.Load(0); math.Abs(got-0.2) > 1e-9 {
-		t.Errorf("origin at %.3f after rollback, want 0.2", got)
-	}
-	if got := m.Load(1); math.Abs(got-0.2) > 1e-9 {
-		t.Errorf("destination at %.3f, want 0.2", got)
-	}
-}
-
-var errRefused = errors.New("refused")

@@ -12,6 +12,11 @@ import (
 	"repro/internal/smp"
 )
 
+// single is the migration unit of one server and its attached tasks.
+func single(srv *sched.Server) sched.Group {
+	return sched.Group{Servers: []*sched.Server{srv}}
+}
+
 // reservedServer places a hint on a specific core and backs it with a
 // real CBS server of the same bandwidth, the shape a tuned workload
 // leaves on the machine.
@@ -29,14 +34,14 @@ func reservedServer(t *testing.T, m *smp.Machine, core int, name string, bw floa
 
 func TestMigrateToFullCoreRejected(t *testing.T) {
 	eng := sim.New()
-	m := smp.New(eng, 2, 1)
+	m := newMachine(eng, 2)
 	srv := reservedServer(t, m, 0, "mover", 0.3)
 	// Fill core 1 so the 0.3 reservation cannot fit.
 	if err := m.Reserve(1, 0.8); err != nil {
 		t.Fatal(err)
 	}
 	before := m.Loads()
-	if err := m.Migrate(srv, 0, 1, 0.3); err == nil {
+	if err := m.MigrateGroup(single(srv), 0, 1, 0.3); err == nil {
 		t.Fatal("migration to a full core accepted")
 	}
 	// Rejection must leave the machine untouched: same loads, server
@@ -53,13 +58,13 @@ func TestMigrateToFullCoreRejected(t *testing.T) {
 	if m.Migrations() != 0 {
 		t.Errorf("Migrations() = %d after rejection", m.Migrations())
 	}
-	// A rollback (ForceMigrate) bypasses the admission check: a state
+	// A rollback (ForceMigrateGroup) bypasses the admission check: a state
 	// that was legal moments ago must be restorable.
-	if err := m.ForceMigrate(srv, 0, 1, 0.3); err != nil {
-		t.Fatalf("ForceMigrate: %v", err)
+	if err := m.ForceMigrateGroup(single(srv), 0, 1, 0.3); err != nil {
+		t.Fatalf("ForceMigrateGroup: %v", err)
 	}
 	if !m.Core(1).Owns(srv) {
-		t.Error("server did not move under ForceMigrate")
+		t.Error("server did not move under ForceMigrateGroup")
 	}
 	if got := m.Load(1); math.Abs(got-1.1) > 1e-9 {
 		t.Errorf("core 1 load %.3f after forced move, want 1.1", got)
@@ -68,7 +73,7 @@ func TestMigrateToFullCoreRejected(t *testing.T) {
 
 func TestMigrateValidation(t *testing.T) {
 	eng := sim.New()
-	m := smp.New(eng, 2, 1)
+	m := newMachine(eng, 2)
 	srv := reservedServer(t, m, 0, "s", 0.2)
 	foreign := sched.New(sched.Config{Engine: eng}).NewServer("foreign", 10*simtime.Millisecond, 100*simtime.Millisecond, sched.HardCBS)
 	cases := []struct {
@@ -84,7 +89,7 @@ func TestMigrateValidation(t *testing.T) {
 		{"foreign server", foreign, 0, 1},
 	}
 	for _, tc := range cases {
-		if err := m.Migrate(tc.srv, tc.from, tc.to, 0.2); err == nil {
+		if err := m.MigrateGroup(single(tc.srv), tc.from, tc.to, 0.2); err == nil {
 			t.Errorf("%s: migration accepted", tc.name)
 		}
 	}
@@ -95,7 +100,7 @@ func TestMigrateValidation(t *testing.T) {
 
 func TestMigrateConservesBandwidth(t *testing.T) {
 	eng := sim.New()
-	m := smp.New(eng, 4, 1)
+	m := newMachine(eng, 4)
 	srvs := []*sched.Server{
 		reservedServer(t, m, 0, "a", 0.40),
 		reservedServer(t, m, 0, "b", 0.25),
@@ -127,7 +132,7 @@ func TestMigrateConservesBandwidth(t *testing.T) {
 		{srvs[0], 2, 1, 0.40},
 	}
 	for i, mv := range moves {
-		if err := m.Migrate(mv.srv, mv.from, mv.to, mv.hint); err != nil {
+		if err := m.MigrateGroup(single(mv.srv), mv.from, mv.to, mv.hint); err != nil {
 			t.Fatalf("move %d: %v", i, err)
 		}
 		if got := total(); math.Abs(got-wantTotal) > 1e-9 {
@@ -151,7 +156,7 @@ func TestMigrateConservesBandwidth(t *testing.T) {
 // reservation would permanently shrink the machine. Run under -race
 // this also proves the accounts are safe to probe concurrently.
 func TestConcurrentPlaceReleaseLeavesNoOrphan(t *testing.T) {
-	m := smp.New(sim.New(), 4, 1)
+	m := newMachine(sim.New(), 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -7,10 +7,10 @@
 // headroom for the feedback loops to adapt into.
 //
 // On top of the partitioned baseline the machine supports migration:
-// Migrate atomically releases a reservation (a CBS server and its
-// placement hint) from one core and re-places it on another, using the
-// sched package's Detach/Adopt to carry the budget/deadline state
-// across. The paper calls the cooperation between load balancing and
+// MigrateGroup atomically releases a migration unit (CBS servers with
+// their tasks, bare tasks, and its placement hint) from one core and
+// re-places it on another, using the sched package's DetachAll/AdoptAll
+// to carry the budget/deadline state across. The paper calls the cooperation between load balancing and
 // adaptive reservations "an open research issue"; the policies built
 // on this mechanism live in the selftune balancer.
 //
@@ -32,11 +32,11 @@ import (
 	"repro/internal/supervisor"
 )
 
-// Machine is a set of independent cores sharing one simulated clock.
+// Machine is a set of independent cores, each scheduling on its entry
+// of the engine table it was built from.
 type Machine struct {
-	engine *sim.Engine
-	cores  []*sched.Scheduler
-	sups   []*supervisor.Supervisor
+	cores []*sched.Scheduler
+	sups  []*supervisor.Supervisor
 
 	mu         sync.Mutex
 	placed     []float64 // bandwidth hints accepted per core
@@ -47,71 +47,45 @@ type Machine struct {
 	domainOf []int // per-core domain index, aligned with cores
 }
 
-// New builds a machine with n cores, each supervised at ulub. All
-// cores share one engine: events across cores interleave in global
-// (when, seq) order on a single goroutine.
-func New(engine *sim.Engine, n int, ulub float64) *Machine {
-	return NewOffset(engine, n, ulub, 0)
-}
-
-// NewOffset builds a machine like New but shifts every core's PID base
-// by pidOffset. Fleets of machines that exchange tasks (live
+// New builds a machine with one core per engine, each supervised at
+// ulub: core i's scheduler schedules exclusively on engines[i].
+//
+// A single-engine machine passes the same engine for every core, so
+// events across cores interleave in global (when, seq) order on one
+// goroutine. A laned machine passes one engine per core, and the lanes
+// advance concurrently between causality fences (sim.EngineGroup);
+// cross-core operations (MigrateGroup, LoadsInto) are then only legal
+// while every lane rests at the same fence instant. Migration carries a
+// reservation's timers across lanes: sched.Detach/Adopt cancel and
+// re-arm on each scheduler's own engine, which is exactly lane-correct
+// at a fence.
+//
+// Every core gets a disjoint PID range (the cores share — or, laned,
+// migrate trace evidence between — syscall tracers, and per-PID drains
+// must never mix tasks from different cores), and pidOffset shifts the
+// whole machine's range: fleets of machines that exchange tasks (live
 // cross-machine migration carries syscall evidence between tracers)
-// give each machine a disjoint offset so per-PID drains never mix
-// tasks from different machines; offset 0 is the single-machine
-// default.
-func NewOffset(engine *sim.Engine, n int, ulub float64, pidOffset int) *Machine {
-	if n <= 0 {
-		panic("smp: need at least one core")
-	}
-	m := &Machine{engine: engine, placed: make([]float64, n), domainOf: make([]int, n)}
-	for i := 0; i < n; i++ {
-		m.cores = append(m.cores, sched.New(coreConfig(engine, i, pidOffset)))
-		m.sups = append(m.sups, supervisor.New(ulub))
-	}
-	return m
-}
-
-// NewLaned builds a machine whose cores run on separate engine lanes:
-// core i's scheduler schedules exclusively on engines[i], so the lanes
-// can advance concurrently between causality fences (sim.EngineGroup).
-// Engine() returns lane 0; cross-core operations (Migrate, Steal,
-// LoadsInto) are only legal while every lane rests at the same fence
-// instant. Migration carries a reservation's timers across lanes:
-// sched.Detach/Adopt already cancel and re-arm on each scheduler's own
-// engine, which is exactly lane-correct at a fence.
-func NewLaned(engines []*sim.Engine, ulub float64) *Machine {
-	return NewLanedOffset(engines, ulub, 0)
-}
-
-// NewLanedOffset builds a laned machine like NewLaned but shifts every
-// core's PID base by pidOffset (see NewOffset).
-func NewLanedOffset(engines []*sim.Engine, ulub float64, pidOffset int) *Machine {
+// give each machine a disjoint offset. Offset 0 keeps core 0 on the
+// uniprocessor default base. Job storage is pooled: every job a
+// machine workload completes is recycled generation-tagged.
+func New(engines []*sim.Engine, ulub float64, pidOffset int) *Machine {
 	if len(engines) == 0 {
 		panic("smp: need at least one core")
 	}
 	n := len(engines)
-	m := &Machine{engine: engines[0], placed: make([]float64, n), domainOf: make([]int, n)}
+	m := &Machine{placed: make([]float64, n), domainOf: make([]int, n)}
 	for i, eng := range engines {
 		if eng == nil {
-			panic("smp: NewLaned with a nil engine lane")
+			panic(fmt.Sprintf("smp: core %d has a nil engine", i))
 		}
-		m.cores = append(m.cores, sched.New(coreConfig(eng, i, pidOffset)))
+		m.cores = append(m.cores, sched.New(sched.Config{
+			Engine:      eng,
+			PIDBase:     pidOffset + 1000 + i*1_000_000,
+			RecycleJobs: true,
+		}))
 		m.sups = append(m.sups, supervisor.New(ulub))
 	}
 	return m
-}
-
-// coreConfig is the per-core scheduler configuration shared by both
-// constructors: disjoint PID ranges per core (the cores share — or in
-// laned mode, migrate trace evidence between — syscall tracers, and
-// per-PID drains must never mix tasks from different cores; core 0 of
-// an unshifted machine keeps the uniprocessor default base), and
-// pooled job storage (every job a machine workload completes is
-// recycled generation-tagged). pidOffset shifts the whole machine's
-// PID space so fleets stay disjoint machine-to-machine.
-func coreConfig(engine *sim.Engine, i, pidOffset int) sched.Config {
-	return sched.Config{Engine: engine, PIDBase: pidOffset + 1000 + i*1_000_000, RecycleJobs: true}
 }
 
 // Cores returns the number of cores.
@@ -122,9 +96,6 @@ func (m *Machine) Core(i int) *sched.Scheduler { return m.cores[i] }
 
 // Supervisor returns core i's supervisor.
 func (m *Machine) Supervisor(i int) *supervisor.Supervisor { return m.sups[i] }
-
-// Engine returns the shared simulation engine.
-func (m *Machine) Engine() *sim.Engine { return m.engine }
 
 // Place picks a core for an application expected to need the given
 // bandwidth, worst-fit (the least-loaded core), and records the hint.
@@ -187,47 +158,6 @@ func (m *Machine) Release(core int, bandwidth float64) {
 	}
 }
 
-// CanFit reports whether core i currently has room for the given
-// additional bandwidth under its supervisor's bound.
-func (m *Machine) CanFit(core int, bandwidth float64) bool {
-	if core < 0 || core >= len(m.cores) || bandwidth <= 0 {
-		return false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.load(core)+bandwidth <= m.sups[core].ULub()+1e-9
-}
-
-// Migrate atomically releases the reservation of srv from core `from`
-// and re-places it on core `to`: the server (with its attached tasks
-// and live budget/deadline state) moves between the per-core
-// schedulers, and `hint` of placement-account bandwidth moves with it.
-// The move is admission-checked against the target core first — the
-// server arrives with the larger of its hint and its actually reserved
-// bandwidth, and that must fit under the target supervisor's bound —
-// and on any error the machine is left exactly as it was. The caller
-// is responsible for moving any supervisor *client* of the reservation
-// (selftune does this through AutoTuner.Rehome).
-func (m *Machine) Migrate(srv *sched.Server, from, to int, hint float64) error {
-	return m.migrate(srv, from, to, hint, true)
-}
-
-// ForceMigrate moves srv like Migrate but skips the target admission
-// check. It exists for rollback paths that restore a reservation to a
-// core it just vacated: a state that was legal moments ago must be
-// restorable even if the accounts shifted meanwhile, and re-running
-// admission there could strand the reservation.
-func (m *Machine) ForceMigrate(srv *sched.Server, from, to int, hint float64) error {
-	return m.migrate(srv, from, to, hint, false)
-}
-
-func (m *Machine) migrate(srv *sched.Server, from, to int, hint float64, admit bool) error {
-	if srv == nil {
-		return fmt.Errorf("smp: migrate of a nil server")
-	}
-	return m.migrateGroup(sched.Group{Servers: []*sched.Server{srv}}, from, to, hint, admit)
-}
-
 // MigrateGroup atomically moves a whole migration unit — a set of CBS
 // servers (each with its attached tasks) plus bare best-effort tasks —
 // from core `from` to core `to`, together with `hint` of
@@ -243,8 +173,10 @@ func (m *Machine) MigrateGroup(g sched.Group, from, to int, hint float64) error 
 }
 
 // ForceMigrateGroup moves a group like MigrateGroup but skips the
-// target admission check, for rollback paths restoring a unit to a
-// core it just vacated (see ForceMigrate).
+// target admission check. It exists for rollback paths that restore a
+// unit to a core it just vacated: a state that was legal moments ago
+// must be restorable even if the accounts shifted meanwhile, and
+// re-running admission there could strand the reservations.
 func (m *Machine) ForceMigrateGroup(g sched.Group, from, to int, hint float64) error {
 	return m.migrateGroup(g, from, to, hint, false)
 }
@@ -321,59 +253,6 @@ func (m *Machine) migrateGroup(g sched.Group, from, to int, hint float64, admit 
 	return nil
 }
 
-// StealCandidate is one unit a steal request may claim: a group on
-// core From carrying Hint of placement-account bandwidth.
-type StealCandidate struct {
-	Group sched.Group
-	From  int
-	Hint  float64
-}
-
-// StealRequest asks the machine to move reservations onto core To — a
-// cold core claiming work from its overloaded peers in one tick.
-type StealRequest struct {
-	// To is the claiming (destination) core.
-	To int
-	// Max bounds how many candidates the request may claim; 0 means
-	// all of them.
-	Max int
-	// Candidates are tried in order. One that fails admission on To is
-	// skipped, not fatal: the steal claims what fits.
-	Candidates []StealCandidate
-	// OnMoved, if non-nil, runs after each candidate's physical move
-	// (e.g. re-registering a tuner with the destination supervisor). A
-	// non-nil error rolls that candidate back to its origin core and
-	// drops it from the result.
-	OnMoved func(i int) error
-}
-
-// Steal executes the request and returns the indices of the candidates
-// that moved. Each candidate is admission-checked individually against
-// To's account as it fills up, so a steal never overloads the claiming
-// core; like everything touching live scheduler state it must run on
-// the simulation goroutine.
-func (m *Machine) Steal(req StealRequest) []int {
-	var moved []int
-	for i, c := range req.Candidates {
-		if req.Max > 0 && len(moved) >= req.Max {
-			break
-		}
-		if err := m.MigrateGroup(c.Group, c.From, req.To, c.Hint); err != nil {
-			continue
-		}
-		if req.OnMoved != nil {
-			if err := req.OnMoved(i); err != nil {
-				if rb := m.ForceMigrateGroup(c.Group, req.To, c.From, c.Hint); rb != nil {
-					panic(fmt.Sprintf("smp: steal stranded a group: %v after %v", rb, err))
-				}
-				continue
-			}
-		}
-		moved = append(moved, i)
-	}
-	return moved
-}
-
 // moveHint transfers placement-account bandwidth between cores. The
 // caller must hold m.mu.
 func (m *Machine) moveHint(from, to int, hint float64) {
@@ -387,7 +266,7 @@ func (m *Machine) moveHint(from, to int, hint float64) {
 	m.placed[to] += hint
 }
 
-// Migrations returns the number of successful Migrate calls (a
+// Migrations returns the number of successful group migrations (a
 // rolled-back migration counts each direction; selftune's
 // System.Migrations counts workload moves instead).
 func (m *Machine) Migrations() int {

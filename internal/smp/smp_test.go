@@ -3,6 +3,7 @@ package smp_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -16,9 +17,45 @@ import (
 	"repro/internal/workload"
 )
 
+// newMachine builds an n-core single-engine machine at U_lub 1: every
+// core schedules on eng.
+func newMachine(eng *sim.Engine, n int) *smp.Machine {
+	return smp.New(slices.Repeat([]*sim.Engine{eng}, n), 1, 0)
+}
+
+// TestNewBindsEachCoreToItsEngine: core i schedules on engines[i] —
+// one engine repeated is a single-engine machine, distinct engines a
+// laned one — and every core gets a disjoint PID range shifted by the
+// machine's offset.
+func TestNewBindsEachCoreToItsEngine(t *testing.T) {
+	lanes := []*sim.Engine{sim.New(), sim.New(), sim.New()}
+	m := smp.New(lanes, 0.9, 7_000_000_000)
+	for i, eng := range lanes {
+		if m.Core(i).Engine() != eng {
+			t.Errorf("core %d schedules on another engine", i)
+		}
+		if got := m.Supervisor(i).ULub(); got != 0.9 {
+			t.Errorf("core %d supervised at %v, want 0.9", i, got)
+		}
+		if got, want := m.Core(i).NewTask("t").PID(), 7_000_001_000+i*1_000_000; got != want {
+			t.Errorf("core %d first PID %d, want %d", i, got, want)
+		}
+	}
+	shared := newMachine(lanes[0], 2)
+	if shared.Core(0).Engine() != lanes[0] || shared.Core(1).Engine() != lanes[0] {
+		t.Error("single-engine machine's cores do not share the engine")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted a nil engine")
+		}
+	}()
+	smp.New([]*sim.Engine{lanes[0], nil}, 1, 0)
+}
+
 func TestWorstFitSpreadsLoad(t *testing.T) {
 	eng := sim.New()
-	m := smp.New(eng, 2, 1)
+	m := newMachine(eng, 2)
 	cores := make([]int, 0, 4)
 	for _, bw := range []float64{0.4, 0.4, 0.4, 0.4} {
 		c, err := m.Place(bw)
@@ -46,7 +83,7 @@ func TestWorstFitSpreadsLoad(t *testing.T) {
 }
 
 func TestPlaceValidation(t *testing.T) {
-	m := smp.New(sim.New(), 2, 1)
+	m := newMachine(sim.New(), 2)
 	for _, bw := range []float64{0, -1, 1.5} {
 		if _, err := m.Place(bw); err == nil {
 			t.Errorf("Place(%v) accepted", bw)
@@ -60,7 +97,7 @@ func TestPlaceValidation(t *testing.T) {
 func TestQuickWorstFitNeverOverloadsACore(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := rng.New(seed)
-		m := smp.New(sim.New(), 1+r.Intn(4), 1)
+		m := newMachine(sim.New(), 1+r.Intn(4))
 		for i := 0; i < 20; i++ {
 			bw := r.Uniform(0.05, 0.5)
 			if _, err := m.Place(bw); err != nil {
@@ -86,7 +123,7 @@ func TestSixTunedPlayersOnTwoCores(t *testing.T) {
 	// each core's reservations stay under its bound. On one core the
 	// same set would be infeasible (6 x ~0.3 requested).
 	eng := sim.New()
-	m := smp.New(eng, 2, 1)
+	m := newMachine(eng, 2)
 	r := rng.New(5)
 
 	type placedApp struct {
@@ -169,7 +206,7 @@ func TestSixTunedPlayersOnTwoCores(t *testing.T) {
 
 func TestMachineUtilization(t *testing.T) {
 	eng := sim.New()
-	m := smp.New(eng, 2, 1)
+	m := newMachine(eng, 2)
 	// Load core 0 fully, keep core 1 idle: machine utilisation ~0.5.
 	workload.StartCPUHog(m.Core(0), "hog", simtime.Duration(10*simtime.Second))
 	eng.RunUntil(simtime.Time(2 * simtime.Second))

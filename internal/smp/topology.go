@@ -229,26 +229,6 @@ func (m *Machine) Distance(a, b int) int {
 	return 1
 }
 
-// DomainLoads returns the mean effective load of each domain's cores —
-// the per-node counterpart of Loads.
-func (m *Machine) DomainLoads() []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]float64, m.topo.NumDomains())
-	count := make([]int, len(out))
-	for i := range m.cores {
-		d := m.domainAt(i)
-		out[d] += m.load(i)
-		count[d]++
-	}
-	for d := range out {
-		if count[d] > 0 {
-			out[d] /= float64(count[d])
-		}
-	}
-	return out
-}
-
 // CrossNodeMigrations returns how many successful migrations crossed
 // a domain boundary (always 0 on a machine without a topology).
 func (m *Machine) CrossNodeMigrations() int {

@@ -1,11 +1,18 @@
 package smp
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
+
+// newMachine builds an n-core single-engine machine at U_lub 1: every
+// core schedules on eng.
+func newMachine(eng *sim.Engine, n int) *Machine {
+	return New(slices.Repeat([]*sim.Engine{eng}, n), 1, 0)
+}
 
 func TestTopologyValidatePartition(t *testing.T) {
 	cases := []struct {
@@ -81,7 +88,7 @@ func TestTopologyDomainMapAndDistance(t *testing.T) {
 }
 
 func TestMachineSetTopologyRejectsNonPartition(t *testing.T) {
-	m := New(sim.New(), 4, 1)
+	m := newMachine(sim.New(), 4)
 	if err := m.SetTopology(Topology{Domains: [][]int{{0, 1}}}); err == nil {
 		t.Error("SetTopology accepted a topology missing cores 2 and 3")
 	}
@@ -94,7 +101,7 @@ func TestMachineSetTopologyRejectsNonPartition(t *testing.T) {
 }
 
 func TestMachineTopologyCopyIsIsolated(t *testing.T) {
-	m := New(sim.New(), 4, 1)
+	m := newMachine(sim.New(), 4)
 	if err := m.SetTopology(Uniform(4, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -113,13 +120,13 @@ func migrateOne(t *testing.T, m *Machine, from, to int) {
 		t.Fatal(err)
 	}
 	srv := m.Core(from).NewServer("srv", 10_000_000, 100_000_000, sched.HardCBS)
-	if err := m.Migrate(srv, from, to, 0.3); err != nil {
+	if err := m.MigrateGroup(sched.Group{Servers: []*sched.Server{srv}}, from, to, 0.3); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestMachineCrossNodeCounter(t *testing.T) {
-	m := New(sim.New(), 4, 1)
+	m := newMachine(sim.New(), 4)
 	if err := m.SetTopology(Uniform(4, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +145,11 @@ func TestMachineCrossNodeCounter(t *testing.T) {
 
 // TestMachineSingleDomainEqualsFlat pins the degenerate case: a
 // machine with an explicit single-domain topology behaves exactly like
-// one that never heard of topologies — zero distances, one domain
-// load, and no migration ever counted as cross-node.
+// one that never heard of topologies — zero distances, one domain,
+// and no migration ever counted as cross-node.
 func TestMachineSingleDomainEqualsFlat(t *testing.T) {
-	flat := New(sim.New(), 4, 1)
-	single := New(sim.New(), 4, 1)
+	flat := newMachine(sim.New(), 4)
+	single := newMachine(sim.New(), 4)
 	if err := single.SetTopology(Flat(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +164,6 @@ func TestMachineSingleDomainEqualsFlat(t *testing.T) {
 		if m.CrossNodeMigrations() != 0 {
 			t.Error("single-domain machine counted a cross-node migration")
 		}
-		if dl := m.DomainLoads(); len(dl) != 1 {
-			t.Errorf("DomainLoads has %d entries, want 1", len(dl))
-		}
 	}
 	// The two machines agree on every per-core load.
 	fl, sl := flat.Loads(), single.Loads()
@@ -167,31 +171,5 @@ func TestMachineSingleDomainEqualsFlat(t *testing.T) {
 		if fl[i] != sl[i] {
 			t.Errorf("core %d load differs: flat %v vs single-domain %v", i, fl[i], sl[i])
 		}
-	}
-}
-
-func TestMachineDomainLoads(t *testing.T) {
-	m := New(sim.New(), 4, 1)
-	if err := m.SetTopology(Uniform(4, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Reserve(0, 0.4); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Reserve(1, 0.2); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Reserve(3, 0.6); err != nil {
-		t.Fatal(err)
-	}
-	dl := m.DomainLoads()
-	if len(dl) != 2 {
-		t.Fatalf("DomainLoads has %d entries, want 2", len(dl))
-	}
-	if diff := dl[0] - 0.3; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("node 0 mean load = %v, want 0.3", dl[0])
-	}
-	if diff := dl[1] - 0.3; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("node 1 mean load = %v, want 0.3", dl[1])
 	}
 }

@@ -7,14 +7,15 @@ import (
 
 // LaneMover is implemented by every workload kind that can follow its
 // reservation across engine lanes. On a machine whose cores run on
-// separate sim.Engine lanes (smp.NewLaned), a workload's self-timers —
-// release loops, jittered releases, arrival processes — live on the
-// lane of the core it runs on; a cross-core migration must therefore
-// re-arm them on the destination lane. MoveLane does exactly that, and
-// repoints the workload's syscall sink at the destination core's
-// tracer (nil keeps the current sink). It must only be called at a
-// causality fence: both lanes resting at the same instant, with the
-// workload's reservation already moved (sched.Detach/Adopt).
+// separate sim.Engine lanes (smp.New with one engine per core), a
+// workload's self-timers — release loops, jittered releases, arrival
+// processes — live on the lane of the core it runs on; a cross-core
+// migration must therefore re-arm them on the destination lane.
+// MoveLane does exactly that, and repoints the workload's syscall sink
+// at the destination core's tracer (nil keeps the current sink). It
+// must only be called at a causality fence: both lanes resting at the
+// same instant, with the workload's reservation already moved
+// (sched.Detach/Adopt).
 type LaneMover interface {
 	MoveLane(dst *sim.Engine, sink SyscallSink)
 }

@@ -10,8 +10,8 @@ package selftune
 // per-core loads and bounds plus the list of migration *units* — hands
 // it to the configured Balancer, and executes the returned moves
 // through the migration machinery of internal/smp and internal/sched
-// (batched per destination through the steal path, all-or-nothing per
-// unit, tuners re-registered on arrival).
+// (batched per destination, all-or-nothing per unit, tuners
+// re-registered on arrival, rejections rolled back).
 //
 // A migration unit is the set of CBS servers and tasks that must
 // change cores together: a tuned workload (one server, rehomed via
@@ -39,7 +39,6 @@ import (
 	"sort"
 
 	"repro/internal/sched"
-	"repro/internal/smp"
 	"repro/internal/workload"
 )
 
@@ -382,7 +381,8 @@ type sharedGroup struct {
 }
 
 // migUnit is the live counterpart of a snapshot Unit: the sched.Group
-// to move, the handles whose cores to update, and the tuner to rehome.
+// to move, the handles whose cores to update, and — through its shared
+// group or its single handle — the tuner to rehome.
 type migUnit struct {
 	name    string
 	kind    string
@@ -391,71 +391,15 @@ type migUnit struct {
 	group   sched.Group
 	handles []*Handle
 	shared  *sharedGroup
-	rehome  func(to int) error // nil when nothing re-registers
 }
 
 // unitFor builds the live migration unit containing h: its shared
-// group when it has one, otherwise the handle alone. On a laned
-// machine every unit's rehome additionally carries the workload's
-// lane-bound state — self-timers, syscall sink, undownloaded trace
-// evidence, the tuner's tracer — to the destination lane; the lane
-// move is infallible and runs only after the base rehome succeeded,
-// so a supervisor rejection still rolls back cleanly.
+// group when it has one, otherwise the handle alone.
 func (s *System) unitFor(h *Handle) *migUnit {
-	var u *migUnit
 	if h.shared != nil {
-		u = s.sharedUnit(h.shared)
-	} else {
-		u = s.handleUnit(h)
+		return s.sharedUnit(h.shared)
 	}
-	if s.group != nil {
-		base := u.rehome
-		u.rehome = func(to int) error {
-			if base != nil {
-				if err := base(to); err != nil {
-					return err
-				}
-			}
-			s.moveUnitLane(u, to)
-			return nil
-		}
-	}
-	return u
-}
-
-// moveUnitLane moves a migration unit's lane-bound state after its
-// reservations switched cores on a laned machine: each member
-// workload's self-timers re-arm on the destination lane and its sink
-// repoints at the destination core's tracer (LaneMover), the tasks'
-// undownloaded syscall evidence transfers between the per-core buffers
-// (so the period analyser loses nothing across the move), the request
-// publishers follow, and the unit's tuner — if any — downloads from
-// the destination buffer from now on. Runs at a causality fence, with
-// every lane at rest; u.core is still the source core here (finishMove
-// updates it afterwards).
-func (s *System) moveUnitLane(u *migUnit, to int) {
-	dstEng, dstBuf := s.lanes[to], s.laneBufs[to]
-	srcBuf := s.laneBufs[u.core]
-	for _, h := range u.handles {
-		if lm, ok := h.w.(workload.LaneMover); ok {
-			lm.MoveLane(dstEng, dstBuf)
-		}
-		h.ctx.core = to
-	}
-	for _, srv := range u.group.Servers {
-		for _, t := range srv.Tasks() {
-			dstBuf.Inject(srcBuf.DrainPID(t.PID()))
-		}
-	}
-	for _, t := range u.group.Tasks {
-		dstBuf.Inject(srcBuf.DrainPID(t.PID()))
-	}
-	switch {
-	case u.shared != nil:
-		u.shared.tuner.SetTracer(dstBuf)
-	case len(u.handles) == 1 && u.handles[0].tuner != nil:
-		u.handles[0].tuner.SetTracer(dstBuf)
-	}
+	return s.handleUnit(h)
 }
 
 func (s *System) sharedUnit(g *sharedGroup) *migUnit {
@@ -470,14 +414,6 @@ func (s *System) sharedUnit(g *sharedGroup) *migUnit {
 	for _, h := range g.handles {
 		u.hint += h.hint
 	}
-	tuner := g.tuner
-	u.rehome = func(to int) error {
-		if err := tuner.Rehome(s.machine.Core(to), s.machine.Supervisor(to)); err != nil {
-			return err
-		}
-		tuner.BusTick = s.tickPublisher(to, tuner.Tasks()[0].Name())
-		return nil
-	}
 	return u
 }
 
@@ -489,36 +425,90 @@ func (s *System) handleUnit(h *Handle) *migUnit {
 		hint:    h.hint,
 		handles: []*Handle{h},
 	}
-	switch {
-	case h.tuner != nil:
-		tuner := h.tuner
-		u.group.Servers = []*sched.Server{tuner.Server()}
-		u.rehome = func(to int) error {
-			if err := tuner.Rehome(s.machine.Core(to), s.machine.Supervisor(to)); err != nil {
-				return err
-			}
-			// The tuner's tick publisher captured the spawn-time core;
-			// re-wire it so TunerTickEvents report where the workload
-			// now runs.
-			tuner.BusTick = s.tickPublisher(to, tuner.Task().Name())
-			return nil
-		}
-	default:
-		// Untuned: the workload's own reservations (a started
-		// multi-server load), or its single server or bare task.
-		if sb, ok := h.w.(interface{ Servers() []*sched.Server }); ok {
-			u.group.Servers = sb.Servers()
-		} else if tn, ok := h.w.(Tunable); ok {
-			if t := tn.Task(); t != nil {
-				if t.Server() != nil {
-					u.group.Servers = []*sched.Server{t.Server()}
-				} else {
-					u.group.Tasks = []*sched.Task{t}
-				}
+	if h.tuner != nil {
+		u.group.Servers = []*sched.Server{h.tuner.Server()}
+		return u
+	}
+	// Untuned: the workload's own reservations (a started multi-server
+	// load), or its single server or bare task.
+	if sb, ok := h.w.(interface{ Servers() []*sched.Server }); ok {
+		u.group.Servers = sb.Servers()
+	} else if tn, ok := h.w.(Tunable); ok {
+		if t := tn.Task(); t != nil {
+			if t.Server() != nil {
+				u.group.Servers = []*sched.Server{t.Server()}
+			} else {
+				u.group.Tasks = []*sched.Task{t}
 			}
 		}
 	}
 	return u
+}
+
+// rehome re-registers the unit's tuner, if it has one, with core `to`
+// of dst after the unit's reservations arrived there: the supervisor
+// claim and the sampling tick move (Rehome registers with the new
+// supervisor before releasing the old claim, so a rejection leaves the
+// tuner intact on its source core), and the tick publisher, which
+// captured the previous core, is rebuilt so TunerTickEvents report
+// where the workload now runs.
+func (u *migUnit) rehome(dst *System, to int) error {
+	sd, sup := dst.machine.Core(to), dst.machine.Supervisor(to)
+	switch {
+	case u.shared != nil:
+		t := u.shared.tuner
+		if err := t.Rehome(sd, sup); err != nil {
+			return err
+		}
+		t.BusTick = dst.tickPublisher(to, t.Tasks()[0].Name())
+	case u.handles[0].tuner != nil:
+		t := u.handles[0].tuner
+		if err := t.Rehome(sd, sup); err != nil {
+			return err
+		}
+		t.BusTick = dst.tickPublisher(to, t.Task().Name())
+	}
+	return nil
+}
+
+// carryLane moves a unit's lane-bound state after its reservations and
+// tuner moved from core `from` of src to core `to` of dst: each member
+// workload's self-timers re-arm on the destination engine and its sink
+// repoints at the destination tracer (LaneMover), the tasks'
+// undownloaded syscall evidence follows them between tracers (so the
+// period analyser loses nothing), the unit's tuner downloads from the
+// destination tracer, and the request publishers report the new core
+// and System. It runs with every engine involved at rest.
+//
+// A move that keeps both engine and tracer — a migration within a
+// single-engine System — carries nothing: MoveLane would overwrite a
+// custom sink, draining and re-injecting into the one shared ring
+// would reorder it, and request events keep reporting the spawn core.
+func carryLane(u *migUnit, src *System, from int, dst *System, to int) {
+	srcBuf, dstEng, dstBuf := src.tracers[from], dst.engines[to], dst.tracers[to]
+	if src.engines[from] == dstEng && srcBuf == dstBuf {
+		return
+	}
+	for _, h := range u.handles {
+		if lm, ok := h.w.(workload.LaneMover); ok {
+			lm.MoveLane(dstEng, dstBuf)
+		}
+		h.ctx.sys, h.ctx.core = dst, to
+	}
+	for _, srv := range u.group.Servers {
+		for _, t := range srv.Tasks() {
+			dstBuf.Inject(srcBuf.DrainPID(t.PID()))
+		}
+	}
+	for _, t := range u.group.Tasks {
+		dstBuf.Inject(srcBuf.DrainPID(t.PID()))
+	}
+	switch {
+	case u.shared != nil:
+		u.shared.tuner.SetTracer(dstBuf)
+	case u.handles[0].tuner != nil:
+		u.handles[0].tuner.SetTracer(dstBuf)
+	}
 }
 
 // units enumerates the machine's migration units in spawn order,
@@ -623,13 +613,14 @@ func (s *System) runBalancer(reason string, pendingHint float64) int {
 	return s.execute(units, snap, moves)
 }
 
-// execute performs the planned moves, batched per destination core
-// through the machine's steal path: each batch is one claiming core
-// taking its units in a single tick, each unit admission-checked and
-// all-or-nothing, tuners rehomed on arrival (a rehome rejection rolls
-// that unit back). Invalid moves — out-of-range indices, the unit's
-// current core, immigratable units, duplicate units — are skipped.
-// One MigrationBatchEvent per destination summarises each batch.
+// execute performs the planned moves, batched per destination core:
+// each batch is one claiming core taking its units in a single tick,
+// each unit moved on its own through the move protocol (a unit that
+// fails admission or whose tuner the destination supervisor rejects
+// stays where it was, and the batch goes on). Invalid moves —
+// out-of-range indices, the unit's current core, immigratable units,
+// duplicate units — are skipped. One MigrationBatchEvent per
+// destination summarises the units that arrived.
 func (s *System) execute(units []*migUnit, snap Snapshot, moves []Move) int {
 	if len(moves) == 0 {
 		return 0
@@ -667,34 +658,25 @@ func (s *System) execute(units []*migUnit, snap Snapshot, moves []Move) int {
 	s.destOrder = destOrder
 	total := 0
 	for _, dest := range destOrder {
-		batch := s.perDest[dest]
-		cands := make([]smp.StealCandidate, len(batch))
-		for i, p := range batch {
-			cands[i] = smp.StealCandidate{Group: p.u.group, From: p.u.core, Hint: p.u.hint}
+		moved, reason := 0, ""
+		for _, p := range s.perDest[dest] {
+			if s.move(p.u, dest, p.reason) != nil {
+				continue
+			}
+			if moved == 0 {
+				reason = p.reason
+			}
+			moved++
 		}
-		moved := s.machine.Steal(smp.StealRequest{
-			To:         dest,
-			Candidates: cands,
-			OnMoved: func(i int) error {
-				p := batch[i]
-				if p.u.rehome != nil {
-					if err := p.u.rehome(dest); err != nil {
-						return err
-					}
-				}
-				s.finishMove(p.u, dest, p.reason)
-				return nil
-			},
-		})
-		if len(moved) > 0 {
-			total += len(moved)
+		if moved > 0 {
+			total += moved
 			s.publish(Event{
 				Kind:   MigrationBatchEvent,
 				At:     s.engine.Now(),
 				Core:   dest,
 				From:   -1,
-				Reason: batch[moved[0]].reason,
-				Count:  len(moved),
+				Reason: reason,
+				Count:  moved,
 			})
 		}
 	}
@@ -714,6 +696,32 @@ func (s *System) execute(units []*migUnit, snap Snapshot, moves []Move) int {
 type plannedMove struct {
 	u      *migUnit
 	reason string
+}
+
+// move migrates one unit to core `to` of this System — the one move
+// protocol behind Migrate and the balancer's batches. The unit's
+// reservations move admission-checked (MigrateGroup) and its tuner
+// re-registers with the destination supervisor; a rejection there
+// moves the reservations back and returns the error, leaving the
+// machine as it was. Then the lane-bound state follows (carryLane) and
+// the bookkeeping updates (finishMove).
+func (s *System) move(u *migUnit, to int, reason string) error {
+	from := u.core
+	if err := s.machine.MigrateGroup(u.group, from, to, u.hint); err != nil {
+		return err
+	}
+	if err := u.rehome(s, to); err != nil {
+		// Undo the physical move without re-running admission: the
+		// origin core was legal a moment ago and must take the
+		// reservation back even if its accounts shifted meanwhile.
+		if rb := s.machine.ForceMigrateGroup(u.group, to, from, u.hint); rb != nil {
+			panic(fmt.Sprintf("selftune: migration of %q stranded: %v after %v", u.name, rb, err))
+		}
+		return err
+	}
+	carryLane(u, s, from, s, to)
+	s.finishMove(u, to, reason)
+	return nil
 }
 
 // finishMove updates the bookkeeping after a unit's physical move and
@@ -770,23 +778,7 @@ func (s *System) Migrate(h *Handle, to int) error {
 		return fmt.Errorf("selftune: workload %q (%s) has nothing to migrate yet (start it first)",
 			h.Name(), h.Kind())
 	}
-	from := u.core
-	if err := s.machine.MigrateGroup(u.group, from, to, u.hint); err != nil {
-		return err
-	}
-	if u.rehome != nil {
-		if err := u.rehome(to); err != nil {
-			// Undo the physical move without re-running admission: the
-			// origin core was legal a moment ago and must take the
-			// reservation back even if its accounts shifted meanwhile.
-			if rb := s.machine.ForceMigrateGroup(u.group, to, from, u.hint); rb != nil {
-				panic(fmt.Sprintf("selftune: migration of %q stranded: %v after %v", h.Name(), rb, err))
-			}
-			return err
-		}
-	}
-	s.finishMove(u, to, "manual")
-	return nil
+	return s.move(u, to, "manual")
 }
 
 // Migrations returns the number of units moved across cores so far

@@ -10,13 +10,13 @@
 // is the fleet and the budget is a tenant's capacity slice.
 //
 // Time: every machine runs its own discrete-event engine. The Cluster
-// advances them in deterministic lockstep ticks (WithTick, default
-// 100ms): each tick it processes departures, runs the fleet balancer,
-// generates arrivals, drains queues, runs the autoscaler, folds
-// cluster telemetry, and then advances every machine engine to the
-// tick boundary. Cluster control therefore operates at tick
-// granularity — service times quantise up to the next boundary —
-// while the machines simulate at full event resolution in between.
+// advances them in deterministic lockstep ticks of 100ms: each tick it
+// processes departures, runs the fleet balancer, generates arrivals,
+// drains queues, runs the autoscaler, folds cluster telemetry, and
+// then advances every machine engine to the tick boundary. Cluster
+// control therefore operates at tick granularity — service times
+// quantise up to the next boundary — while the machines simulate at
+// full event resolution in between.
 //
 // Parallelism: the per-machine engines of one tick are independent —
 // machines share no mutable state between tick boundaries — so
@@ -70,13 +70,9 @@ type options struct {
 	seed         uint64
 	machines     int
 	cores        int
-	nodeCores    int // 0 = auto, -1 = flat
-	ulub         float64
-	tick         selftune.Duration
 	detail       int
 	parallel     int // 0 = GOMAXPROCS
 	coreParallel int // 0 = single-engine machines
-	machineBal   func() selftune.Balancer
 	fleetBal     ClusterBalancer
 	fleetEvery   selftune.Duration
 	scaler       *AutoscalerConfig
@@ -91,8 +87,6 @@ func defaultClusterOptions() options {
 	return options{
 		machines:   4,
 		cores:      8,
-		ulub:       1,
-		tick:       100 * selftune.Millisecond,
 		detail:     1,
 		fleetEvery: 500 * selftune.Millisecond,
 		statsEvery: 1 * selftune.Second,
@@ -123,54 +117,16 @@ func WithMachines(n int) Option {
 }
 
 // WithCores sets every machine's core count (default 8; the fleet is
-// homogeneous).
+// homogeneous). Every core runs at U_lub 1, machines of more than 8
+// cores that 8 divides group them into cache/NUMA nodes of 8
+// (selftune.WithTopology), and no machine balances across its cores:
+// placement within a machine stays where spawn put it.
 func WithCores(n int) Option {
 	return func(o *options) error {
 		if n < 1 {
 			return fmt.Errorf("cluster: WithCores(%d): need at least one core", n)
 		}
 		o.cores = n
-		return nil
-	}
-}
-
-// WithNodeCores groups every machine's cores into cache/NUMA nodes of
-// the given width (selftune.WithTopology per machine). The default
-// groups nodes of 8 when the core count divides evenly and leaves the
-// machine flat otherwise; 0 forces flat machines.
-func WithNodeCores(n int) Option {
-	return func(o *options) error {
-		if n < 0 {
-			return fmt.Errorf("cluster: WithNodeCores(%d)", n)
-		}
-		if n == 0 {
-			o.nodeCores = -1
-		} else {
-			o.nodeCores = n
-		}
-		return nil
-	}
-}
-
-// WithULub sets every core's supervisor utilisation bound (default 1).
-func WithULub(u float64) Option {
-	return func(o *options) error {
-		if u <= 0 || u > 1 {
-			return fmt.Errorf("cluster: WithULub(%v): bound must be in (0,1]", u)
-		}
-		o.ulub = u
-		return nil
-	}
-}
-
-// WithTick sets the cluster control tick (default 100ms): the
-// granularity of arrivals, departures, balancing and scaling.
-func WithTick(d selftune.Duration) Option {
-	return func(o *options) error {
-		if d <= 0 {
-			return fmt.Errorf("cluster: WithTick(%v): tick must be positive", d)
-		}
-		o.tick = d
 		return nil
 	}
 }
@@ -186,17 +142,6 @@ func WithDetail(n int) Option {
 			return fmt.Errorf("cluster: WithDetail(%d)", n)
 		}
 		o.detail = n
-		return nil
-	}
-}
-
-// WithMachineBalancer installs a per-machine cross-core balancing
-// policy: the factory runs once per machine (policies keep state).
-// The default leaves machines unbalanced (spawn-time placement), the
-// single-machine default.
-func WithMachineBalancer(factory func() selftune.Balancer) Option {
-	return func(o *options) error {
-		o.machineBal = factory
 		return nil
 	}
 }
@@ -447,7 +392,7 @@ func New(opts ...Option) (*Cluster, error) {
 		opt:         o,
 		machines:    make([]*selftune.System, o.machines),
 		mused:       make([]float64, o.machines),
-		mcap:        float64(o.cores) * o.ulub,
+		mcap:        float64(o.cores),
 		rand:        rng.New(o.seed),
 		jobs:        make(map[int]*job),
 		realmByName: make(map[string]*Realm),
@@ -474,7 +419,6 @@ func New(opts ...Option) (*Cluster, error) {
 		mopts := []selftune.Option{
 			selftune.WithSeed(seeds.Uint64()),
 			selftune.WithCPUs(o.cores),
-			selftune.WithULub(o.ulub),
 			// Disjoint PID spaces per machine: live Transfers inject a
 			// task's syscall evidence into the destination tracer, and
 			// per-PID drains must never mix tasks from different
@@ -485,18 +429,8 @@ func New(opts ...Option) (*Cluster, error) {
 		if laneWorkers > 0 {
 			mopts = append(mopts, selftune.WithCoreParallelism(laneWorkers))
 		}
-		switch {
-		case o.nodeCores > 0:
-			if o.cores%o.nodeCores != 0 {
-				return nil, fmt.Errorf("cluster: WithNodeCores(%d) does not divide %d cores",
-					o.nodeCores, o.cores)
-			}
-			mopts = append(mopts, selftune.WithTopology(selftune.UniformTopology(o.cores, o.nodeCores)))
-		case o.nodeCores == 0 && o.cores > smp.DefaultNodeCores && o.cores%smp.DefaultNodeCores == 0:
+		if o.cores > smp.DefaultNodeCores && o.cores%smp.DefaultNodeCores == 0 {
 			mopts = append(mopts, selftune.WithTopology(selftune.UniformTopology(o.cores, smp.DefaultNodeCores)))
-		}
-		if o.machineBal != nil {
-			mopts = append(mopts, selftune.WithBalancer(o.machineBal()))
 		}
 		sys, err := selftune.NewSystem(mopts...)
 		if err != nil {
@@ -529,6 +463,10 @@ func New(opts ...Option) (*Cluster, error) {
 	return c, nil
 }
 
+// tick is the cluster control tick: the granularity of arrivals,
+// departures, balancing and scaling.
+const tick = 100 * selftune.Millisecond
+
 // machinePIDSpan is the PID-space width reserved per machine: far
 // above any per-machine PID (core bases step by 1e6, so 1024 cores at
 // a million tasks each still fit), far below int64 overflow for any
@@ -537,7 +475,7 @@ const machinePIDSpan = 1_000_000_000
 
 // ticksOf converts a duration to whole ticks, rounding up, minimum 1.
 func (c *Cluster) ticksOf(d selftune.Duration) int {
-	n := int((d + c.opt.tick - 1) / c.opt.tick)
+	n := int((d + tick - 1) / tick)
 	if n < 1 {
 		n = 1
 	}
@@ -690,7 +628,7 @@ func (c *Cluster) Run(horizon selftune.Duration) {
 			c.foldRealmTicks()
 		}
 		c.foldLoads()
-		step := c.opt.tick
+		step := tick
 		if remain := end.Sub(c.now); remain < step {
 			step = remain
 		}
@@ -792,7 +730,7 @@ func (c *Cluster) processDepartures() {
 // generateArrivals draws each realm's Poisson arrivals for this tick
 // and admits, queues or rejects them.
 func (c *Cluster) generateArrivals() {
-	tickSec := float64(c.opt.tick) / float64(selftune.Second)
+	tickSec := float64(tick) / float64(selftune.Second)
 	for _, r := range c.realms {
 		if r.rate <= 0 {
 			continue
@@ -1015,7 +953,7 @@ func (c *Cluster) rebalance() {
 		})
 	}
 	// One batch record per destination machine, like the machine-level
-	// steal path's per-destination batches. Destinations in index
+	// balancer's per-destination batches. Destinations in index
 	// order for determinism; the batch carries its first move's reason.
 	for dest := 0; dest < len(c.machines); dest++ {
 		if n := perDest[dest]; n > 0 {

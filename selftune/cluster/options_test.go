@@ -19,12 +19,6 @@ func TestClusterOptionValidation(t *testing.T) {
 		{"WithMachines(-2)", WithMachines(-2)},
 		{"WithCores(0)", WithCores(0)},
 		{"WithCores(-1)", WithCores(-1)},
-		{"WithNodeCores(-1)", WithNodeCores(-1)},
-		{"WithULub(0)", WithULub(0)},
-		{"WithULub(-0.5)", WithULub(-0.5)},
-		{"WithULub(1.5)", WithULub(1.5)},
-		{"WithTick(0)", WithTick(0)},
-		{"WithTick(-1ms)", WithTick(-selftune.Millisecond)},
 		{"WithDetail(-1)", WithDetail(-1)},
 		{"WithFleetBalanceInterval(0)", WithFleetBalanceInterval(0)},
 		{"WithFleetBalanceInterval(-1s)", WithFleetBalanceInterval(-selftune.Second)},

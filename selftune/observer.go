@@ -36,19 +36,23 @@ const (
 	AdmissionRejectEvent
 	// MigrationBatchEvent fires once per executed balancer batch — a
 	// destination core claiming one or more migration units of a
-	// single plan through the machine's steal path. Every policy's
-	// moves flow through it: a push policy's batches carry one unit,
-	// the work-stealing policy's carry many. Event.Core is the
-	// claiming core, Event.Count how many units arrived, Event.Reason
-	// the plan's trigger. The individual MigrationEvents are published
-	// alongside.
+	// single plan. Every policy's moves flow through it: a push
+	// policy's batches carry one unit, the work-stealing policy's
+	// carry many. Event.Core is the claiming core, Event.Count how many
+	// units arrived (a unit that failed admission or whose tuner the
+	// destination supervisor rejected stays behind and is not
+	// counted), Event.Reason the trigger of the first unit that
+	// arrived. The individual MigrationEvents are published alongside.
 	MigrationBatchEvent
 	// RequestCompleteEvent fires when a request-shaped workload (a
 	// webserver request, a game-loop frame, a VM demand slice, a
 	// transcode unit) completes one unit of work. Event.Source names the
 	// instance, Event.Workload its registry kind, Event.Latency the
 	// completion latency, Event.Deadline the relative deadline (0 =
-	// none) and Event.Missed whether it finished late. Event.Core is the
+	// none) and Event.Missed whether it finished late. Event.Core is
+	// the instance's current core on a laned machine
+	// (WithCoreParallelism) and after a cross-machine Transfer; on a
+	// single-engine machine, cross-core migrations leave it at the
 	// core the instance was placed on at spawn.
 	RequestCompleteEvent
 )

@@ -35,7 +35,7 @@ func defaultOptions() options {
 
 // Option configures a System under construction. Options validate
 // eagerly: NewSystem reports the first option error instead of
-// silently clamping, unlike the deprecated SystemConfig path.
+// silently clamping.
 type Option func(*options) error
 
 // WithSeed makes the whole simulation deterministic; runs with equal
@@ -74,7 +74,9 @@ func WithULub(u float64) Option {
 	}
 }
 
-// WithTracerCapacity sets the syscall ring size shared by all cores.
+// WithTracerCapacity sets the syscall ring size: of the one ring all
+// cores share, or of each core's own ring on a laned machine
+// (WithCoreParallelism).
 func WithTracerCapacity(n int) Option {
 	return func(o *options) error {
 		if n <= 0 {

@@ -352,9 +352,9 @@ func (s *System) Spawn(kind string, opts ...SpawnOption) (*Handle, error) {
 		Core:       s.Core(coreIdx),
 		Scheduler:  s.machine.Core(coreIdx),
 		Supervisor: s.machine.Supervisor(coreIdx),
-		Tracer:     s.tracerFor(coreIdx),
+		Tracer:     s.tracers[coreIdx],
 		Rand:       s.split(),
-		Requests:   s.requestPublisher(ctx, kind, spec.Name),
+		Requests:   requestPublisher(ctx, kind, spec.Name),
 	}
 	w, err := f(env, spec)
 	if err != nil {

@@ -13,26 +13,30 @@ import (
 )
 
 // System is a ready-to-use simulated machine: engine, one or more
-// scheduling cores with their supervisors, and a shared syscall
-// tracer. Build one with NewSystem and functional options, spawn
-// workloads from the registry, and watch it through Subscribe.
+// scheduling cores with their supervisors, and syscall tracers. Build
+// one with NewSystem and functional options, spawn workloads from the
+// registry, and watch it through Subscribe.
 type System struct {
 	engine  *sim.Engine
 	machine *smp.Machine
-	tracer  *ktrace.Buffer
 	rand    *rng.Source
 
-	// Core-parallel (laned) mode, enabled by WithCoreParallelism: each
-	// core runs on its own engine lane, advanced concurrently between
-	// causality fences; s.engine becomes the control engine carrying
-	// the balancer tick, the load sampler and the fence schedule.
-	// All nil/empty on a single-engine System.
-	lanes    []*sim.Engine
-	group    *sim.EngineGroup
-	laneBufs []*ktrace.Buffer // per-core tracers
-	// Per-lane staged observer events, published at the next fence.
+	// Per-core tables: the engine core i's scheduler, workloads and
+	// tuner schedule on, and the syscall tracer its workloads record
+	// into and its tuner downloads from. On a single-engine System
+	// every entry aliases engine and one shared tracer. On a laned one
+	// (WithCoreParallelism) each core has its own engine lane and
+	// tracer, and engine is the control engine carrying the balancer
+	// tick, the load sampler and the fence schedule.
+	engines []*sim.Engine
+	tracers []*ktrace.Buffer
+
+	// Laned mode only (nil on a single-engine System): the lanes'
+	// group, advanced concurrently between causality fences, and the
+	// per-lane staged observer events, published at the next fence.
 	// Each lane writes only its own stage, and control-phase stagings
 	// run with the lanes at rest, so staging needs no lock.
+	group  *sim.EngineGroup
 	stages []Stage
 
 	loadSample Duration
@@ -89,21 +93,23 @@ func NewSystem(opts ...Option) (*System, error) {
 		engine:     eng,
 		rand:       rng.New(o.seed),
 		loadSample: o.loadSample,
+		engines:    make([]*sim.Engine, o.cpus),
+		tracers:    make([]*ktrace.Buffer, o.cpus),
 	}
 	if o.coreParallel > 0 {
-		s.lanes = make([]*sim.Engine, o.cpus)
-		s.laneBufs = make([]*ktrace.Buffer, o.cpus)
-		for i := range s.lanes {
-			s.lanes[i] = sim.New()
-			s.laneBufs[i] = ktrace.NewBuffer(ktrace.QTrace, o.tracerCap)
+		for i := range s.engines {
+			s.engines[i] = sim.New()
+			s.tracers[i] = ktrace.NewBuffer(ktrace.QTrace, o.tracerCap)
 		}
-		s.group = sim.NewGroup(s.lanes, o.coreParallel)
-		s.machine = smp.NewLanedOffset(s.lanes, o.ulub, o.pidOffset)
+		s.group = sim.NewGroup(s.engines, o.coreParallel)
 		s.stages = make([]Stage, o.cpus)
 	} else {
-		s.machine = smp.NewOffset(eng, o.cpus, o.ulub, o.pidOffset)
-		s.tracer = ktrace.NewBuffer(ktrace.QTrace, o.tracerCap)
+		tracer := ktrace.NewBuffer(ktrace.QTrace, o.tracerCap)
+		for i := range s.engines {
+			s.engines[i], s.tracers[i] = eng, tracer
+		}
 	}
+	s.machine = smp.New(s.engines, o.ulub, o.pidOffset)
 	if o.topoSet {
 		topo := o.topo
 		if topo.Empty() {
@@ -113,8 +119,13 @@ func NewSystem(opts ...Option) (*System, error) {
 			return nil, fmt.Errorf("selftune: WithTopology: %w", err)
 		}
 	}
+	// Every core's exhaustion bus slot feeds the observer bus (the
+	// user-facing SetExhaustHook slot stays free); a no-op until
+	// someone subscribes.
 	for i := 0; i < s.machine.Cores(); i++ {
-		s.installExhaustHook(i)
+		s.machine.Core(i).SetExhaustBus(func(srv *sched.Server, now Time) {
+			s.emit(i, Event{Kind: BudgetExhaustedEvent, Core: i, Source: srv.Name()})
+		})
 	}
 	if o.balancer != nil {
 		s.bal = &balancer{
@@ -128,33 +139,17 @@ func NewSystem(opts ...Option) (*System, error) {
 	return s, nil
 }
 
-// installExhaustHook points core i's exhaustion bus slot at the
-// observer bus (the user-facing SetExhaustHook slot stays free). The
-// hook is a no-op until someone subscribes. In laned mode the event is
-// staged on the core's own lane — exhaustions fire mid-epoch, while
-// other lanes run concurrently — and delivered at the next fence.
-func (s *System) installExhaustHook(i int) {
-	core := i
+// emit stamps e with core's engine time and delivers it. On a laned
+// System the event fired mid-epoch, while other lanes run
+// concurrently, so it is staged on the core's own lane and published
+// at the next fence; a single-engine System publishes it at once.
+func (s *System) emit(core int, e Event) {
+	e.At = s.engines[core].Now()
 	if s.group != nil {
-		lane := s.lanes[i]
-		s.machine.Core(i).SetExhaustBus(func(srv *sched.Server, now Time) {
-			s.stages[core].Observe(Event{
-				Kind:   BudgetExhaustedEvent,
-				At:     lane.Now(),
-				Core:   core,
-				Source: srv.Name(),
-			})
-		})
+		s.stages[core].Observe(e)
 		return
 	}
-	s.machine.Core(i).SetExhaustBus(func(srv *sched.Server, now Time) {
-		s.publish(Event{
-			Kind:   BudgetExhaustedEvent,
-			At:     s.engine.Now(),
-			Core:   core,
-			Source: srv.Name(),
-		})
-	})
+	s.publish(e)
 }
 
 // Core is one CPU of the System: an EDF+CBS scheduler and the
@@ -201,29 +196,16 @@ func (s *System) Topology() Topology { return s.machine.Topology() }
 // Tracer exposes the system-wide syscall tracer. In laned mode
 // (WithCoreParallelism) there is no shared buffer — every core traces
 // into its own, reachable via CoreTracer — and Tracer returns nil.
-func (s *System) Tracer() *Tracer { return s.tracer }
+func (s *System) Tracer() *Tracer {
+	if s.group != nil {
+		return nil
+	}
+	return s.tracers[0]
+}
 
 // CoreTracer returns core i's syscall tracer: the per-core buffer in
 // laned mode, the shared system-wide buffer otherwise.
-func (s *System) CoreTracer(i int) *Tracer { return s.tracerFor(i) }
-
-// tracerFor resolves the buffer workloads and tuners of core i record
-// into and download from.
-func (s *System) tracerFor(core int) *ktrace.Buffer {
-	if s.group != nil {
-		return s.laneBufs[core]
-	}
-	return s.tracer
-}
-
-// engineFor resolves the engine core i's timers schedule on: the
-// core's own lane in laned mode, the shared engine otherwise.
-func (s *System) engineFor(core int) *sim.Engine {
-	if s.group != nil {
-		return s.lanes[core]
-	}
-	return s.engine
-}
+func (s *System) CoreTracer(i int) *Tracer { return s.tracers[i] }
 
 // Clock is a simulated time source: the current instant, and
 // callbacks scheduled relative to it.
@@ -321,36 +303,23 @@ func (s *System) Close() {
 func (s *System) Handles() []*Handle { return s.handles }
 
 // tickPublisher returns the OnTick hook that routes a tuner's
-// activation snapshots onto the observer bus. Tuner ticks run on the
-// core's own lane in laned mode, so the event is staged there and
-// published at the next fence; the balancer rebuilds the hook on
-// migration, so coreIdx is always the tuner's current core.
+// activation snapshots onto the observer bus. The hook is rebuilt
+// whenever the tuner rehomes, so coreIdx is always the tuner's current
+// core.
 func (s *System) tickPublisher(coreIdx int, source string) func(TunerSnapshot) {
 	return func(snap TunerSnapshot) {
-		e := Event{
-			Kind:     TunerTickEvent,
-			At:       s.engine.Now(),
-			Core:     coreIdx,
-			Source:   source,
-			Snapshot: snap,
-		}
-		if s.group != nil {
-			e.At = s.lanes[coreIdx].Now()
-			s.stages[coreIdx].Observe(e)
-			return
-		}
-		s.publish(e)
+		s.emit(coreIdx, Event{Kind: TunerTickEvent, Core: coreIdx, Source: source, Snapshot: snap})
 	}
 }
 
-// spawnCtx tracks where a spawned instance currently runs. Request
-// publishers are buried inside workload configs and cannot be rebuilt
-// on migration, so they read the System and core through this
-// indirection. On a single-engine System the core is never updated —
-// Event.Core keeps its documented spawn-time semantics — while laned
-// migrations update the core, and cross-machine live transfers update
-// the System, so events stage on (and report) the machine and lane
-// actually executing the workload.
+// spawnCtx tracks where a spawned instance's request events go.
+// Request publishers are buried inside workload configs and cannot be
+// rebuilt on migration, so they read the System and core through this
+// indirection. Only a move that changes the workload's engine or
+// tracer updates it (carryLane): a laned migration updates the core
+// and a cross-machine Transfer both, so events stage on (and report)
+// the machine and lane actually executing the workload. A migration
+// within a single-engine System leaves the spawn core in place.
 type spawnCtx struct {
 	sys  *System
 	core int
@@ -363,25 +332,17 @@ type spawnCtx struct {
 // at publish time, so a live cross-machine transfer re-routes the
 // stream to the destination's bus without rebuilding the workload's
 // config.
-func (s *System) requestPublisher(ctx *spawnCtx, kind, source string) RequestObserver {
+func requestPublisher(ctx *spawnCtx, kind, source string) RequestObserver {
 	return func(r Request) {
-		sys := ctx.sys
-		e := Event{
+		ctx.sys.emit(ctx.core, Event{
 			Kind:     RequestCompleteEvent,
-			At:       sys.engine.Now(),
 			Core:     ctx.core,
 			Source:   source,
 			Workload: kind,
 			Latency:  r.Latency,
 			Deadline: r.Deadline,
 			Missed:   r.Missed,
-		}
-		if sys.group != nil {
-			e.At = sys.lanes[ctx.core].Now()
-			sys.stages[ctx.core].Observe(e)
-			return
-		}
-		sys.publish(e)
+		})
 	}
 }
 
@@ -389,7 +350,7 @@ func (s *System) requestPublisher(ctx *spawnCtx, kind, source string) RequestObs
 // its snapshots into the observer bus and starts it.
 func (s *System) attachTuner(coreIdx int, task *Task, cfg TunerConfig) (*AutoTuner, error) {
 	tuner, err := core.New(s.machine.Core(coreIdx), s.machine.Supervisor(coreIdx),
-		s.tracerFor(coreIdx), task, cfg)
+		s.tracers[coreIdx], task, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -448,7 +409,7 @@ func (s *System) TuneShared(handles []*Handle, prios []int, cfg TunerConfig) (*M
 // core, wires its snapshots into the observer bus and starts it.
 func (s *System) attachMultiTuner(coreIdx int, tasks []*sched.Task, prios []int, cfg TunerConfig) (*MultiTuner, error) {
 	tuner, err := core.NewMulti(s.machine.Core(coreIdx), s.machine.Supervisor(coreIdx),
-		s.tracerFor(coreIdx), tasks, prios, cfg)
+		s.tracers[coreIdx], tasks, prios, cfg)
 	if err != nil {
 		return nil, err
 	}

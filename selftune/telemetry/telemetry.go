@@ -82,9 +82,9 @@ type MigrationRecord struct {
 }
 
 // BatchRecord is one executed balancer batch: a destination core
-// claiming Count migration units of one plan through the steal path
-// (every policy's moves flow through it; only the work-stealing
-// policy's batches typically exceed one unit).
+// claiming Count migration units of one plan (every policy's moves
+// flow through batches; only the work-stealing policy's typically
+// exceed one unit).
 type BatchRecord struct {
 	At     selftune.Time
 	Core   int // the claiming (destination) core

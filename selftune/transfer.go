@@ -115,50 +115,30 @@ func (s *System) Transfer(h *Handle, dst *System) (int, error) {
 		dst.machine.Release(dstCore, charge)
 		return 0, fmt.Errorf("selftune: Transfer %q: %w", h.Name(), err)
 	}
-	if h.tuner != nil {
-		// Rehome registers with the destination supervisor before
-		// releasing the source claim, so a rejection here leaves the
-		// tuner intact on the source — undo the physical move and
-		// report. The sampling tick re-arms on the destination engine at
-		// its preserved instant (core.moveTick).
-		if err := h.tuner.Rehome(dst.machine.Core(dstCore), dst.machine.Supervisor(dstCore)); err != nil {
-			if rb := dst.machine.Core(dstCore).DetachAll(u.group); rb != nil {
-				panic(fmt.Sprintf("selftune: Transfer stranded %q: %v after %v", h.Name(), rb, err))
-			}
-			if rb := s.machine.Core(srcCore).AdoptAll(u.group); rb != nil {
-				panic(fmt.Sprintf("selftune: Transfer stranded %q: %v after %v", h.Name(), rb, err))
-			}
-			dst.machine.Release(dstCore, charge)
-			return 0, fmt.Errorf("selftune: Transfer %q: %w", h.Name(), err)
+	// The tuner, if any, re-registers with the destination supervisor
+	// before releasing the source claim, so a rejection here leaves it
+	// intact on the source — undo the physical move and report. The
+	// sampling tick re-arms on the destination engine at its preserved
+	// instant (core.moveTick).
+	if err := u.rehome(dst, dstCore); err != nil {
+		if rb := dst.machine.Core(dstCore).DetachAll(u.group); rb != nil {
+			panic(fmt.Sprintf("selftune: Transfer stranded %q: %v after %v", h.Name(), rb, err))
 		}
-	}
-	// Past this point nothing can fail: carry the lane-bound state.
-	// Self-timers re-arm on the destination engine (lane, in laned
-	// mode) and the sink repoints at the destination tracer.
-	h.w.(workload.LaneMover).MoveLane(dst.engineFor(dstCore), dst.tracerFor(dstCore))
-	// Undownloaded syscall evidence follows the tasks between tracers,
-	// so the destination's period analyser loses nothing.
-	srcBuf, dstBuf := s.tracerFor(srcCore), dst.tracerFor(dstCore)
-	if srcBuf != nil && dstBuf != nil {
-		for _, srv := range u.group.Servers {
-			for _, t := range srv.Tasks() {
-				dstBuf.Inject(srcBuf.DrainPID(t.PID()))
-			}
+		if rb := s.machine.Core(srcCore).AdoptAll(u.group); rb != nil {
+			panic(fmt.Sprintf("selftune: Transfer stranded %q: %v after %v", h.Name(), rb, err))
 		}
-		for _, t := range u.group.Tasks {
-			dstBuf.Inject(srcBuf.DrainPID(t.PID()))
-		}
+		dst.machine.Release(dstCore, charge)
+		return 0, fmt.Errorf("selftune: Transfer %q: %w", h.Name(), err)
 	}
-	if h.tuner != nil {
-		h.tuner.SetTracer(dstBuf)
-		h.tuner.BusTick = dst.tickPublisher(dstCore, h.tuner.Task().Name())
-	}
+	// Past this point nothing can fail: carry the lane-bound state —
+	// self-timers, sink, undownloaded evidence, the tuner's tracer and
+	// the request publisher — to dst.
+	carryLane(u, s, srcCore, dst, dstCore)
 	// Settle the accounts: the lasting hint leaves the source and stays
 	// on the destination; the admission overcharge shrinks back.
 	s.machine.Release(srcCore, h.hint)
 	dst.machine.Release(dstCore, charge-h.hint)
-	// Re-register the handle: it now belongs to dst, and its request
-	// publisher (reading ctx at publish time) follows it there.
+	// Re-register the handle: it now belongs to dst.
 	for i, live := range s.handles {
 		if live == h {
 			s.handles = append(s.handles[:i], s.handles[i+1:]...)
@@ -168,8 +148,6 @@ func (s *System) Transfer(h *Handle, dst *System) (int, error) {
 	dst.handles = append(dst.handles, h)
 	h.sys = dst
 	h.core = dstCore
-	h.ctx.sys = dst
-	h.ctx.core = dstCore
 	dst.migrated++
 	return dstCore, nil
 }

@@ -1,0 +1,28 @@
+package ktrace
+
+import (
+	"testing"
+
+	"repro/internal/simtime"
+)
+
+// BenchmarkDrainPID is one tuner activation's download in the tune
+// benchmark workload: a ring of the default 64k capacity holding
+// 200 ms of 24 processes' syscalls (~88 each, ~2k in all), from which
+// one process's events are drained. Re-injecting them afterwards keeps
+// the ring at that occupancy, so every iteration, -benchtime=1x
+// included, measures the steady state.
+func BenchmarkDrainPID(b *testing.B) {
+	const pids, perPID = 24, 88
+	buf := NewBuffer(QTrace, 1<<16)
+	step := 200 * simtime.Millisecond / (pids * perPID)
+	for i := 0; i < pids*perPID; i++ {
+		buf.Syscall(simtime.Time(i)*simtime.Time(step), 1+i%pids, 1)
+	}
+	buf.Inject(buf.DrainPID(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Inject(buf.DrainPID(1 + i%pids))
+	}
+}

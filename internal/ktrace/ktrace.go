@@ -202,27 +202,44 @@ func (b *Buffer) Snapshot() []Event {
 }
 
 // DrainPID downloads and removes only the events of one process,
-// leaving other processes' events buffered.
+// leaving other processes' events buffered in their order. It
+// compacts them within the ring and returns one exactly-sized slice,
+// nil when the process has nothing buffered.
 func (b *Buffer) DrainPID(pid int) []Event {
-	all := b.Drain()
-	var mine, rest []Event
-	for _, e := range all {
-		if e.PID == pid {
-			mine = append(mine, e)
-		} else {
-			rest = append(rest, e)
+	start := b.head - b.count
+	if start < 0 {
+		start += len(b.ring)
+	}
+	mine := 0
+	for i, p := 0, start; i < b.count; i++ {
+		if b.ring[p].PID == pid {
+			mine++
+		}
+		if p++; p == len(b.ring) {
+			p = 0
 		}
 	}
-	for _, e := range rest {
-		b.ring[b.head] = e
-		b.head = (b.head + 1) % len(b.ring)
-		if b.count < len(b.ring) {
-			b.count++
+	if mine == 0 {
+		return nil
+	}
+	out := make([]Event, 0, mine)
+	w := start // the next kept event's slot; never ahead of p
+	for i, p := 0, start; i < b.count; i++ {
+		if e := b.ring[p]; e.PID == pid {
+			out = append(out, e)
 		} else {
-			b.dropped++
+			b.ring[w] = e
+			if w++; w == len(b.ring) {
+				w = 0
+			}
+		}
+		if p++; p == len(b.ring) {
+			p = 0
 		}
 	}
-	return mine
+	b.count -= mine
+	b.head = w
+	return out
 }
 
 // Inject appends already recorded events to the buffer, preserving

@@ -1,6 +1,9 @@
 package ktrace
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -145,6 +148,102 @@ func TestDrainPID(t *testing.T) {
 	}
 	if rest[0].PID != 8 || rest[1].PID != 9 {
 		t.Errorf("remaining PIDs %d,%d", rest[0].PID, rest[1].PID)
+	}
+}
+
+// refDrainPID is DrainPID as it was before it compacted in place: drain
+// the whole ring, split it into the process's events and the rest, and
+// re-append the rest.
+func refDrainPID(b *Buffer, pid int) []Event {
+	all := b.Drain()
+	var mine, rest []Event
+	for _, e := range all {
+		if e.PID == pid {
+			mine = append(mine, e)
+		} else {
+			rest = append(rest, e)
+		}
+	}
+	for _, e := range rest {
+		b.ring[b.head] = e
+		b.head = (b.head + 1) % len(b.ring)
+		if b.count < len(b.ring) {
+			b.count++
+		} else {
+			b.dropped++
+		}
+	}
+	return mine
+}
+
+// TestDrainPIDMatchesReference drives DrainPID and the reference on
+// twin buffers through random Syscall, DrainPID, Drain and Inject
+// sequences on rings small enough to wrap and drop, and compares the
+// observable state after every step.
+func TestDrainPIDMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewPCG(4, 5))
+	for seq := 0; seq < 300; seq++ {
+		capacity := 4 + r.IntN(61)
+		got, want := NewBuffer(QTrace, capacity), NewBuffer(QTrace, capacity)
+		now := simtime.Time(0)
+		for step := 0; step < 400; step++ {
+			var op string
+			var gotOut, wantOut []Event
+			switch k := r.IntN(10); {
+			case k < 6:
+				op = "Syscall"
+				now += simtime.Time(1 + r.IntN(1000))
+				pid, nr := 1+r.IntN(4), r.IntN(3)
+				got.Syscall(now, pid, nr)
+				want.Syscall(now, pid, nr)
+			case k < 8:
+				pid := 1 + r.IntN(5) // 5 is never recorded
+				op = fmt.Sprintf("DrainPID(%d)", pid)
+				gotOut, wantOut = got.DrainPID(pid), refDrainPID(want, pid)
+			case k < 9:
+				op = "Drain"
+				gotOut, wantOut = got.Drain(), want.Drain()
+			default:
+				op = "Inject"
+				batch := make([]Event, r.IntN(capacity+2))
+				for i := range batch {
+					now += simtime.Time(1 + r.IntN(1000))
+					batch[i] = Event{At: now, PID: 1 + r.IntN(4), Nr: r.IntN(3)}
+				}
+				got.Inject(batch)
+				want.Inject(batch)
+			}
+			if !slices.Equal(gotOut, wantOut) || !slices.Equal(got.Snapshot(), want.Snapshot()) ||
+				got.Len() != want.Len() || got.Dropped() != want.Dropped() || got.Recorded() != want.Recorded() {
+				t.Fatalf("capacity %d, step %d, %s: returned %v, buffered %v (len %d, dropped %d, recorded %d); "+
+					"reference returned %v, buffered %v (len %d, dropped %d, recorded %d)",
+					capacity, step, op, gotOut, got.Snapshot(), got.Len(), got.Dropped(), got.Recorded(),
+					wantOut, want.Snapshot(), want.Len(), want.Dropped(), want.Recorded())
+			}
+		}
+	}
+}
+
+func TestDrainPIDAllocatesOnlyItsResult(t *testing.T) {
+	b := NewBuffer(QTrace, 64)
+	for i := int64(0); i < 48; i++ {
+		b.Syscall(ev(i, 1+int(i%3), 1))
+	}
+	if a := testing.AllocsPerRun(10, func() { b.DrainPID(9) }); a != 0 {
+		t.Errorf("DrainPID of an absent PID allocates %v times, want 0", a)
+	}
+	now := int64(100)
+	a := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 8; i++ {
+			now++
+			b.Syscall(ev(now, 4, 1))
+		}
+		if got := b.DrainPID(4); len(got) != 8 || cap(got) != 8 {
+			t.Fatalf("DrainPID returned len %d cap %d, want 8 and 8", len(got), cap(got))
+		}
+	})
+	if a != 1 {
+		t.Errorf("DrainPID allocates %v times, want 1", a)
 	}
 }
 

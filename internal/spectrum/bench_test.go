@@ -58,3 +58,30 @@ func BenchmarkWindowObserve(b *testing.B) {
 		w.Observe(now, batch)
 	}
 }
+
+// BenchmarkWindowObserveTune is one tuner activation of the tune
+// benchmark workload: a 2 s horizon holding ~880 events, with ~88
+// added and ~88 expired per 200 ms Observe. The window is warmed up to
+// its steady occupancy first, so -benchtime=1x reports steady state.
+func BenchmarkWindowObserveTune(b *testing.B) {
+	const perBatch = 88
+	step := 200 * simtime.Millisecond
+	w := NewWindow(DefaultBand, 2*simtime.Second)
+	batch := make([]simtime.Time, perBatch)
+	now := simtime.Time(0)
+	observe := func() {
+		now = now.Add(step)
+		for k := range batch {
+			batch[k] = now.Add(-step + simtime.Duration(k)*step/perBatch)
+		}
+		w.Observe(now, batch)
+	}
+	for i := 0; i < 20; i++ {
+		observe()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		observe()
+	}
+}

@@ -9,6 +9,22 @@
 // (event, frequency bin) pair — Equation (3) of the paper. The
 // implementation counts those operations so the complexity claims can
 // be tested, not just trusted.
+//
+// One batched kernel serves Compute, Incremental and Window. It works
+// bin by bin: for each bin it adds the batch's events in order, then
+// subtracts the expired ones in order. Every accumulator therefore
+// sees, bit for bit, the sequence of an event-by-event loop: one
+// math.Sincos and one add or subtract per (event, bin), in event
+// order. The kernel inlines math.Sincos's own reduction and
+// polynomials for arguments in (0, 2^29), two events at a time, with
+// the octant picked by bit masks; any other argument goes to
+// math.Sincos. Bins are independent, so a batch of at least 49152
+// exponentials (events × bins, ~50 events on the default band) is
+// split into runtime.GOMAXPROCS(0) contiguous bin ranges computed
+// concurrently; a smaller batch, or any batch at GOMAXPROCS 1, runs
+// inline. Ops still counts N·F exponentials per batch (Eq. 3).
+// ComputeFast, the rotation recurrence, is the ablation: faster, but
+// not bit-identical, so a near-tie detection could flip on it.
 package spectrum
 
 import (
@@ -69,31 +85,9 @@ type Spectrum struct {
 // Compute evaluates the amplitude spectrum of the given event train
 // over the band, exactly as Eq. (4): |S(ω)| = |Σ_i e^{-jω t_i}|.
 func Compute(events []simtime.Time, band Band) *Spectrum {
-	if !band.Valid() {
-		panic("spectrum: invalid band")
-	}
-	n := band.Bins()
-	re := make([]float64, n)
-	im := make([]float64, n)
-	for _, t := range events {
-		ts := t.Seconds()
-		for i := 0; i < n; i++ {
-			w := 2 * math.Pi * band.Freq(i)
-			s, c := math.Sincos(w * ts)
-			re[i] += c
-			im[i] -= s
-		}
-	}
-	amp := make([]float64, n)
-	for i := range amp {
-		amp[i] = math.Hypot(re[i], im[i])
-	}
-	return &Spectrum{
-		Band:   band,
-		Amp:    amp,
-		Events: len(events),
-		Ops:    int64(len(events)) * int64(n),
-	}
+	inc := NewIncremental(band)
+	inc.update(events, nil)
+	return inc.Spectrum()
 }
 
 // ComputeFast evaluates the same spectrum using one Sincos per event
@@ -167,8 +161,10 @@ func (s *Spectrum) Mean() float64 {
 type Incremental struct {
 	band   Band
 	re, im []float64
+	secs   []float64 // scratch: the instants of one update, in seconds
 	events int
 	ops    int64
+	split  int // bin ranges per update; 0 chooses by work (tests force it)
 }
 
 // NewIncremental returns an empty incremental analyser over the band.
@@ -190,23 +186,25 @@ func (inc *Incremental) Events() int { return inc.events }
 func (inc *Incremental) Ops() int64 { return inc.ops }
 
 // Add accumulates one event.
-func (inc *Incremental) Add(t simtime.Time) { inc.accumulate(t, 1) }
+func (inc *Incremental) Add(t simtime.Time) { inc.update([]simtime.Time{t}, nil) }
 
 // Remove subtracts a previously added event. The caller must ensure
 // the event was in fact added; the analyser cannot verify it.
-func (inc *Incremental) Remove(t simtime.Time) { inc.accumulate(t, -1) }
+func (inc *Incremental) Remove(t simtime.Time) { inc.update(nil, []simtime.Time{t}) }
 
-func (inc *Incremental) accumulate(t simtime.Time, sign float64) {
-	ts := t.Seconds()
-	n := len(inc.re)
-	for i := 0; i < n; i++ {
-		w := 2 * math.Pi * inc.band.Freq(i)
-		s, c := math.Sincos(w * ts)
-		inc.re[i] += sign * c
-		inc.im[i] -= sign * s
+// update adds the events in add and then removes those in sub, each
+// in order, with one pass of the kernel over the bins.
+func (inc *Incremental) update(add, sub []simtime.Time) {
+	inc.secs = inc.secs[:0]
+	for _, t := range add {
+		inc.secs = append(inc.secs, t.Seconds())
 	}
-	inc.events += int(sign)
-	inc.ops += int64(n)
+	for _, t := range sub {
+		inc.secs = append(inc.secs, t.Seconds())
+	}
+	kernel(inc.re, inc.im, inc.band, inc.secs[:len(add)], inc.secs[len(add):], inc.split)
+	inc.events += len(add) - len(sub)
+	inc.ops += int64(len(add)+len(sub)) * int64(len(inc.re))
 }
 
 // Reset clears the accumulators.
@@ -251,18 +249,16 @@ func (w *Window) Events() int { return w.inc.events }
 
 // Observe adds a batch of events (must be chronological and not before
 // previously observed events) and expires those older than H relative
-// to now.
+// to now. Expiry applies after the batch is added, so a batch event
+// already older than H is added and then removed.
 func (w *Window) Observe(now simtime.Time, events []simtime.Time) {
-	for _, t := range events {
-		w.inc.Add(t)
-		w.buf = append(w.buf, t)
-	}
+	w.buf = append(w.buf, events...)
 	cutoff := now.Add(-w.horizon)
 	drop := 0
 	for drop < len(w.buf) && w.buf[drop] < cutoff {
-		w.inc.Remove(w.buf[drop])
 		drop++
 	}
+	w.inc.update(events, w.buf[:drop])
 	if drop > 0 {
 		w.buf = append(w.buf[:0], w.buf[drop:]...)
 	}

@@ -191,7 +191,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	}
 	got := inc.Spectrum()
 	for i := range batch.Amp {
-		if math.Abs(batch.Amp[i]-got.Amp[i]) > 1e-6 {
+		if math.Float64bits(batch.Amp[i]) != math.Float64bits(got.Amp[i]) {
 			t.Fatalf("bin %d: batch %v vs incremental %v", i, batch.Amp[i], got.Amp[i])
 		}
 	}

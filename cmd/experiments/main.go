@@ -29,24 +29,37 @@ import (
 )
 
 func main() {
-	seed := flag.Uint64("seed", 42, "deterministic seed for all experiments")
-	reps := flag.Int("reps", 100, "repetitions for statistical experiments (paper uses 100)")
-	frames := flag.Int("frames", 1400, "frames for the feedback experiments (paper plots ~1400)")
-	quick := flag.Bool("quick", false, "shrink reps/frames for a fast smoke run")
-	outPath := flag.String("o", "", "write the output to this file instead of stdout")
-	cores := flag.Int("cores", 4, "cores of the telemetry scenario machine")
-	parallel := flag.Int("parallel", 0, "worker goroutines advancing the cluster experiment's machine engines per tick (0 = GOMAXPROCS; results are identical at every setting)")
-	coreParallel := flag.Int("core-parallel", 0, "fleet-wide budget of core-lane workers for the cluster experiment's machines (0 = single-engine machines; the simulated results are identical at every setting, 0 included, and only the wall-clock events/s varies)")
-	csvPath := flag.String("csv", "", "export the telemetry scenario's CSV series to this file")
-	tracePath := flag.String("trace", "", "export the telemetry scenario's Chrome trace-event JSON to this file")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if err != flag.ErrHelp {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		}
+		os.Exit(2)
+	}
+}
 
-	var out io.Writer = os.Stdout
+// run parses the command line and writes the selected experiments'
+// output to w (or to the -o file).
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	seed := fs.Uint64("seed", 42, "deterministic seed for all experiments")
+	reps := fs.Int("reps", 100, "repetitions for statistical experiments (paper uses 100)")
+	frames := fs.Int("frames", 1400, "frames for the feedback experiments (paper plots ~1400)")
+	quick := fs.Bool("quick", false, "shrink reps/frames for a fast smoke run")
+	outPath := fs.String("o", "", "write the output to this file instead of stdout")
+	cores := fs.Int("cores", 4, "cores of the telemetry scenario machine")
+	parallel := fs.Int("parallel", 0, "worker goroutines advancing the cluster experiment's machine engines per tick (0 = GOMAXPROCS; results are identical at every setting)")
+	coreParallel := fs.Int("core-parallel", 0, "fleet-wide budget of core-lane workers for the cluster experiment's machines (0 = single-engine machines; the simulated results are identical at every setting, 0 included, and only the wall-clock events/s varies)")
+	csvPath := fs.String("csv", "", "export the telemetry scenario's CSV series to this file")
+	tracePath := fs.String("trace", "", "export the telemetry scenario's Chrome trace-event JSON to this file")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	out := w
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		out = f
@@ -56,10 +69,9 @@ func main() {
 		*reps = 10
 		*frames = 400
 	}
-	args := flag.Args()
+	args = fs.Args()
 	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [flags] <fig1|fig2|table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|table2|fig12|fig13|fig14|table3|migration|numa|telemetry|cluster|slo|sloaware|ablations|all>...")
-		os.Exit(2)
+		return fmt.Errorf("usage: experiments [flags] <fig1|fig2|table1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|fig11|table2|fig12|fig13|fig14|table3|migration|numa|telemetry|cluster|slo|sloaware|ablations|all>...")
 	}
 	want := make(map[string]bool)
 	all := false
@@ -70,7 +82,7 @@ func main() {
 		}
 		want[a] = true
 	}
-	run := func(name string) bool { return all || want[name] }
+	selected := func(name string) bool { return all || want[name] }
 	ran := 0
 	// emit renders a sequence of report series, blank-line separated.
 	emit := func(series ...*report.Series) {
@@ -80,21 +92,21 @@ func main() {
 		fmt.Fprintln(out)
 	}
 
-	if run("fig1") {
+	if selected("fig1") {
 		ran++
 		r := experiments.Fig1()
 		r.Series.AddNote("landmarks: B(T=P)=%.3f (paper 0.20), B(34ms)=%.3f (paper ~0.29), B(200ms)=%.3f (paper ~0.60)",
 			r.AtTaskPeriod, r.AtT34, r.AtT200)
 		emit(r.Series)
 	}
-	if run("fig2") {
+	if selected("fig2") {
 		ran++
 		r := experiments.Fig2()
 		r.Series.AddNote("utilisation=%.3f best waste=%.3f worst waste=%.3f (paper: 6%%..41%%)",
 			r.Utilization, r.BestWaste, r.WorstWaste)
 		emit(r.Series)
 	}
-	if run("table1") {
+	if selected("table1") {
 		ran++
 		runs := 10
 		if *quick {
@@ -102,15 +114,15 @@ func main() {
 		}
 		fmt.Fprintln(out, experiments.Table1(*seed, runs).Table())
 	}
-	if run("fig4") {
+	if selected("fig4") {
 		ran++
 		fmt.Fprintln(out, experiments.Fig4(*seed, 30*simtime.Second).Table())
 	}
-	if run("fig5") {
+	if selected("fig5") {
 		ran++
 		emit(experiments.Fig5(*seed).Series)
 	}
-	if run("fig6") {
+	if selected("fig6") {
 		ran++
 		r := experiments.Fig6(*seed, *reps)
 		over, prec := r.Series()
@@ -119,7 +131,7 @@ func main() {
 		}
 		emit(over, prec)
 	}
-	if run("fig7") {
+	if selected("fig7") {
 		ran++
 		r := experiments.Fig7(*seed, *reps)
 		over, prec := r.Series()
@@ -127,24 +139,24 @@ func main() {
 			r.StdAt100, r.StdAt400)
 		emit(over, prec)
 	}
-	if run("fig8") {
+	if selected("fig8") {
 		ran++
 		r := experiments.Fig8(*seed, *reps)
 		s := r.Series()
 		s.AddNote("alpha=0 vs alpha=0.2 cost ratio: %.2fx", r.SpeedupFromAlpha)
 		emit(s)
 	}
-	if run("fig9") {
+	if selected("fig9") {
 		ran++
 		emit(experiments.Fig9(*seed, *reps).Series())
 	}
-	if run("fig10") {
+	if selected("fig10") {
 		ran++
 		r := experiments.Fig10(*seed)
 		r.Series.AddNote("normalised peak at 32.5Hz per tracing time: %v", r.PeakSharpness)
 		emit(r.Series)
 	}
-	if run("fig11") {
+	if selected("fig11") {
 		ran++
 		r := experiments.Fig11(*seed, *reps)
 		s1, s2 := r.Series()
@@ -152,13 +164,13 @@ func main() {
 			r.ShortHit*100, r.LongHit*100, r.ShortHarmonic*100, r.LongHarmonic*100)
 		emit(s1, s2)
 	}
-	if run("table2") || run("fig12") {
+	if selected("table2") || selected("fig12") {
 		ran++
 		r := experiments.Table2(*seed, *reps, simtime.Second)
 		fmt.Fprintln(out, r.Table())
 		emit(r.Series())
 	}
-	if run("fig13") {
+	if selected("fig13") {
 		ran++
 		r := experiments.Fig13(*seed, *frames)
 		r.Reserved.AddNote("IFT stats: LFS mean=%.3fms std=%.3fms | LFS++ mean=%.3fms std=%.3fms",
@@ -166,22 +178,22 @@ func main() {
 		r.Reserved.AddNote("paper:     LFS mean=39.992ms std=11.287ms | LFS++ mean=40.925ms std=4.631ms")
 		emit(r.IFT, r.Reserved)
 	}
-	if run("fig14") {
+	if selected("fig14") {
 		ran++
 		r := experiments.Fig14(*seed, *frames)
 		r.ReservedCDF.AddNote("P(IFT>60ms): LFS %.3f vs LFS++ %.3f; allocation spread (p95-p05): %.3f vs %.3f",
 			r.LFSTail, r.LFSPTail, r.LFSSpread, r.LFSPSpread)
 		emit(r.IFTCDF, r.ReservedCDF)
 	}
-	if run("table3") {
+	if selected("table3") {
 		ran++
 		fmt.Fprintln(out, experiments.Table3(*seed, *frames).Table())
 	}
-	if run("migration") {
+	if selected("migration") {
 		ran++
 		fmt.Fprintln(out, experiments.MigrationContention(*seed, 8, 4*simtime.Second).Table())
 	}
-	if run("numa") {
+	if selected("numa") {
 		ran++
 		horizon := 4 * simtime.Second
 		if *quick {
@@ -189,11 +201,10 @@ func main() {
 		}
 		fmt.Fprintln(out, experiments.NUMAContention(*seed, 4, 16, horizon).Table())
 	}
-	if run("telemetry") {
+	if selected("telemetry") {
 		ran++
 		if *cores < 2 {
-			fmt.Fprintf(os.Stderr, "experiments: -cores %d: the telemetry scenario needs at least 2 cores\n", *cores)
-			os.Exit(2)
+			return fmt.Errorf("-cores %d: the telemetry scenario needs at least 2 cores", *cores)
 		}
 		horizon := 10 * simtime.Second
 		if *quick {
@@ -205,13 +216,17 @@ func main() {
 		}
 		fmt.Fprintln(out)
 		if *csvPath != "" {
-			exportTo(*csvPath, r.Snapshot.WriteCSV)
+			if err := exportTo(*csvPath, r.Snapshot.WriteCSV); err != nil {
+				return err
+			}
 		}
 		if *tracePath != "" {
-			exportTo(*tracePath, r.Snapshot.WriteTrace)
+			if err := exportTo(*tracePath, r.Snapshot.WriteTrace); err != nil {
+				return err
+			}
 		}
 	}
-	if run("cluster") {
+	if selected("cluster") {
 		ran++
 		machines, ccores, realms := 100, 64, 8
 		horizon := 30 * simtime.Second
@@ -221,7 +236,7 @@ func main() {
 		}
 		fmt.Fprintln(out, experiments.ClusterContention(*seed, machines, ccores, realms, horizon, *parallel, *coreParallel).Table())
 	}
-	if run("slo") {
+	if selected("slo") {
 		ran++
 		machines, scores := 4, 8
 		horizon := 12 * simtime.Second
@@ -231,7 +246,7 @@ func main() {
 		}
 		fmt.Fprintln(out, experiments.SLOExperiment(*seed, machines, scores, horizon).Table())
 	}
-	if run("sloaware") {
+	if selected("sloaware") {
 		ran++
 		machines, scores := 4, 8
 		horizon := 12 * simtime.Second
@@ -241,7 +256,7 @@ func main() {
 		}
 		fmt.Fprintln(out, experiments.SLOAwareFleet(*seed, machines, scores, horizon, *parallel).Table())
 	}
-	if run("ablations") {
+	if selected("ablations") {
 		ran++
 		fmt.Fprintln(out, experiments.AblationPredictor(*seed, *frames).Table())
 		fmt.Fprintln(out, experiments.AblationSpread(*seed, *frames).Table())
@@ -260,24 +275,20 @@ func main() {
 		fmt.Fprintln(out, t)
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: nothing matched %v\n", args)
-		os.Exit(2)
+		return fmt.Errorf("nothing matched %v", args)
 	}
+	return nil
 }
 
 // exportTo writes one exporter's output to a file.
-func exportTo(path string, write func(io.Writer) error) {
+func exportTo(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	if err := write(f); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
+		f.Close()
+		return err
 	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
+	return f.Close()
 }

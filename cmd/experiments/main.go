@@ -20,7 +20,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
@@ -126,8 +128,8 @@ func run(args []string, w io.Writer) error {
 		ran++
 		r := experiments.Fig6(*seed, *reps)
 		over, prec := r.Series()
-		for df, r2 := range r.TimeFitR2 {
-			prec.AddNote("linearity of time vs H at deltaF=%.1f: R2=%.4f", df, r2)
+		for _, df := range slices.Sorted(maps.Keys(r.TimeFitR2)) {
+			prec.AddNote("linearity of time vs H at deltaF=%.1f: R2=%.4f", df, r.TimeFitR2[df])
 		}
 		emit(over, prec)
 	}

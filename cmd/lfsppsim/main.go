@@ -1,6 +1,6 @@
 // Command lfsppsim runs one self-tuning scheduling session: a legacy
 // multimedia application model on the simulated AQuoSA-style kernel,
-// managed by an AutoTuner, optionally next to background real-time
+// managed by a Tuner, optionally next to background real-time
 // load. Reporting goes through selftune/telemetry: -live prints
 // periodic reports during the run, the final summary renders the
 // collector's snapshot, -csv/-trace export it as figure data and a

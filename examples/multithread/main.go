@@ -1,10 +1,10 @@
 // Multithread: one legacy application with two threads — a 50 Hz audio
 // mixer and a 25 Hz video decoder — tuned two ways:
 //
-//  1. per-thread reservations (one AutoTuner each), the efficient
+//  1. per-thread reservations (one Tuner each), the efficient
 //     configuration the paper's Figure 2 recommends;
-//  2. one shared reservation managed by a MultiTuner (the paper's
-//     Sec. 6 multi-threaded future-work item).
+//  2. one shared reservation managed by one Tuner (TuneShared, the
+//     paper's Sec. 6 multi-threaded future-work item).
 //
 // Both keep the threads on rate. The printed bandwidths also make a
 // point the paper's Figure 2 leaves implicit: the figure's bandwidth

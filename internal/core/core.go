@@ -1,15 +1,21 @@
 // Package core implements the paper's headline contribution: the
-// self-tuning scheduler of Figure 3. Each legacy task gets a task
-// controller (AutoTuner) that
+// self-tuning scheduler of Figure 3. Each legacy application gets a
+// task controller (Tuner) that
 //
-//  1. downloads the task's syscall timestamps from the kernel tracer,
+//  1. downloads the application's syscall timestamps from the kernel
+//     tracer,
 //  2. feeds them to the period analyser to estimate the activation
 //     period P,
 //  3. samples the scheduler's consumed-CPU-time sensor and runs a
 //     feedback controller (LFS++ by default) to compute a budget
 //     request Q_req, and
 //  4. submits (Q_req, P) to the supervisor, applying the granted
-//     reservation to the task's CBS server.
+//     reservation to the application's CBS server.
+//
+// New manages one task in a server of its own, as in the paper.
+// NewShared manages the threads of a multi-threaded application in one
+// shared server, the paper's Sec. 6 future-work item; the two differ
+// only in how step 2 learns the period.
 //
 // Everything is transparent to the application: no API calls, no
 // instrumentation — exactly the paper's definition of support for
@@ -28,7 +34,7 @@ import (
 	"repro/internal/supervisor"
 )
 
-// Config parameterises an AutoTuner.
+// Config parameterises a Tuner.
 type Config struct {
 	// Sampling is the controller activation period S. The paper warns
 	// against S = P (asynchronous sampling makes job-wise adaptation
@@ -105,41 +111,62 @@ type Snapshot struct {
 	Requested simtime.Duration // budget requested from the supervisor
 	Granted   simtime.Duration // budget actually applied
 	Bandwidth float64          // granted / period
-	Detected  float64          // last analyser verdict in Hz (0 = none)
-	Events    int              // events inside the analyser window
+	Detected  float64          // last analyser verdict in Hz (0 = none; New only)
+	Events    int              // events inside the analyser window (New only)
 }
 
-// AutoTuner is the per-task controller of Figure 3.
-type AutoTuner struct {
+// Tuner is the task controller of Figure 3. Built by New it manages
+// one task in a CBS server of its own; built by NewShared it manages
+// the threads of one application in a shared server, scheduled inside
+// it by fixed priority, with one analyser window per thread and one
+// feedback law sizing the shared budget.
+type Tuner struct {
 	cfg    Config
+	name   string // of the server and the supervisor client
 	sd     *sched.Scheduler
 	sup    *supervisor.Supervisor
 	client *supervisor.Client
 	tracer *ktrace.Buffer
-	task   *sched.Task
+	tasks  []*sched.Task
 	server *sched.Server
 
-	window *spectrum.Window
-	ctrl   feedback.Controller
+	windows []*spectrum.Window // one per task; nil without rate detection
 
-	period      simtime.Duration
-	detected    float64
-	snapshots   []Snapshot
-	running     bool
-	stopped     bool
-	tickFn      func()
-	tickEv      sim.Timer
-	tickAt      simtime.Time
-	holdLastW   simtime.Duration // consumed-time sensor during the hold phase
-	holdLastExh int              // exhaustion counter during the hold phase
-	holdGrowths int              // budget growths spent during the hold phase
+	// shared selects how the period is learned: per-thread verdicts
+	// frozen at the smallest period (NewShared) or per-task hysteresis
+	// (New).
+	shared bool
+	// locked is set once a period has been learned: a New tuner's
+	// first detection, a NewShared tuner's frozen verdicts. Until then
+	// the loop holds the budget.
+	locked   bool
+	period   simtime.Duration
+	detected float64
 
-	// Detection hysteresis: a period change is applied only after the
-	// analyser repeats it, so one noisy verdict (common under heavy
-	// contention, when a dilated trace briefly favours a harmonic)
-	// cannot flap the reservation period and reset the controller.
+	// Detection hysteresis of a New tuner: a period change is applied
+	// only after the analyser repeats it, so one noisy verdict (common
+	// under heavy contention, when a dilated trace briefly favours a
+	// harmonic) cannot flap the reservation period and reset the
+	// controller.
 	pendingPeriod simtime.Duration
 	pendingCount  int
+
+	// verdicts are a NewShared tuner's per-thread period estimates, one
+	// per task, until they are stable enough to freeze. Once the shared
+	// budget starts slicing jobs across server periods, the trace shows
+	// the *server's* grid, so the verdicts must be taken from the
+	// generous hold phase and then locked.
+	verdicts []threadVerdict
+
+	holdLastExh int // exhaustion counter during the hold phase
+	holdGrowths int // budget growths spent during the hold phase
+
+	snapshots []Snapshot
+	running   bool
+	stopped   bool
+	tickFn    func()
+	tickEv    sim.Timer
+	tickAt    simtime.Time
 
 	// OnTick, if non-nil, observes every activation. It belongs to
 	// the end user; embedding layers must use BusTick.
@@ -151,7 +178,14 @@ type AutoTuner struct {
 	BusTick func(Snapshot)
 }
 
-// Validate checks the invariants New and NewMulti enforce on a
+// threadVerdict is one thread's period estimate (0 = none yet) and the
+// consecutive ticks it has stayed within the period tolerance.
+type threadVerdict struct {
+	period simtime.Duration
+	stable int
+}
+
+// Validate checks the invariants New and NewShared enforce on a
 // configuration, letting callers fail before committing resources.
 func (c Config) Validate() error {
 	if c.Sampling <= 0 || c.Horizon <= 0 {
@@ -164,13 +198,53 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// New creates an AutoTuner managing the given task: it builds the
-// task's CBS server, attaches the task, points the tracer's PID filter
-// at it and registers with the supervisor (which may be nil for
+// New creates a Tuner managing the given task: it builds the task's
+// CBS server, attaches the task, points the tracer's PID filter at it
+// and registers with the supervisor (which may be nil for
 // unsupervised operation). The task must not be attached to a server
 // already.
 func New(sd *sched.Scheduler, sup *supervisor.Supervisor, tracer *ktrace.Buffer,
-	task *sched.Task, cfg Config) (*AutoTuner, error) {
+	task *sched.Task, cfg Config) (*Tuner, error) {
+
+	return newTuner(sd, sup, tracer, "tuner:", []*sched.Task{task}, []int{0}, cfg)
+}
+
+// NewShared creates a Tuner managing the threads of a multi-threaded
+// application in one shared server; prios[i] is the fixed priority of
+// tasks[i] inside it (lower value = higher priority; rate-monotonic
+// assignment is the sensible choice). The tasks must not be attached
+// to servers already.
+//
+// This implements the paper's Sec. 6 future-work item ("optimal ways
+// to deal with multi-threaded applications") with the design its
+// Sec. 3.2 analysis suggests: the reservation period is set to the
+// smallest detected thread period (the rate-monotonic-dominant one),
+// and the budget follows the aggregate consumed-time sensor. As
+// Figure 2 predicts, this configuration pays a bandwidth premium over
+// per-thread reservations — quantified in this package's tests.
+func NewShared(sd *sched.Scheduler, sup *supervisor.Supervisor, tracer *ktrace.Buffer,
+	tasks []*sched.Task, prios []int, cfg Config) (*Tuner, error) {
+
+	if len(tasks) == 0 {
+		return nil, fmt.Errorf("core: NewShared needs at least one task")
+	}
+	if len(prios) != len(tasks) {
+		return nil, fmt.Errorf("core: %d priorities for %d tasks", len(prios), len(tasks))
+	}
+	t, err := newTuner(sd, sup, tracer, "multituner:", tasks, prios, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t.shared = true
+	t.verdicts = make([]threadVerdict, len(tasks))
+	return t, nil
+}
+
+// newTuner applies the configuration defaults, registers with the
+// supervisor and attaches the tasks to a new server named prefix plus
+// the first task's name.
+func newTuner(sd *sched.Scheduler, sup *supervisor.Supervisor, tracer *ktrace.Buffer,
+	prefix string, tasks []*sched.Task, prios []int, cfg Config) (*Tuner, error) {
 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -184,31 +258,33 @@ func New(sd *sched.Scheduler, sup *supervisor.Supervisor, tracer *ktrace.Buffer,
 	if cfg.PeriodTolerance <= 0 {
 		cfg.PeriodTolerance = 0.10
 	}
-	a := &AutoTuner{
+	t := &Tuner{
 		cfg:    cfg,
+		name:   prefix + tasks[0].Name(),
 		sd:     sd,
 		sup:    sup,
 		tracer: tracer,
-		task:   task,
-		ctrl:   cfg.Controller,
+		tasks:  tasks,
 		period: cfg.InitialPeriod,
 	}
 	// Register with the supervisor before creating the server: a
 	// rejected registration must not leave an orphan reservation on
 	// the scheduler.
 	if sup != nil {
-		client, ok := sup.Register("tuner:"+task.Name(), cfg.MinBandwidth)
+		client, ok := sup.Register(t.name, cfg.MinBandwidth)
 		if !ok {
-			return nil, fmt.Errorf("core: supervisor rejected registration of %s", task.Name())
+			return nil, fmt.Errorf("core: supervisor rejected registration of %s", tasks[0].Name())
 		}
-		a.client = client
+		t.client = client
 	}
-	a.server = sd.NewServer("tuner:"+task.Name(), cfg.InitialBudget, cfg.InitialPeriod, cfg.Mode)
-	task.AttachTo(a.server, 0)
-	if cfg.RateDetection {
-		a.window = spectrum.NewWindow(cfg.Band, cfg.Horizon)
+	t.server = sd.NewServer(t.name, cfg.InitialBudget, cfg.InitialPeriod, cfg.Mode)
+	for i, task := range tasks {
+		task.AttachTo(t.server, prios[i])
+		if cfg.RateDetection {
+			t.windows = append(t.windows, spectrum.NewWindow(cfg.Band, cfg.Horizon))
+		}
 	}
-	return a, nil
+	return t, nil
 }
 
 // Rehome points the tuner at a new core after its managed server has
@@ -216,136 +292,126 @@ func New(sd *sched.Scheduler, sup *supervisor.Supervisor, tracer *ktrace.Buffer,
 // with the new core's supervisor under the configured bandwidth floor,
 // releases the old core's claim, and re-submits the current
 // reservation so the new supervisor's admission accounts for it
-// (applying any compression the new core's contention forces). The
-// controller history, period estimate and analyser window all survive
-// — the application did not change, only where it runs. Rehome fails
-// without side effects when the new supervisor rejects the
-// registration; the caller is expected to migrate the server back.
-func (a *AutoTuner) Rehome(newSched *sched.Scheduler, newSup *supervisor.Supervisor) error {
-	client, err := rehomeClient(a.server, "tuner:"+a.task.Name(), a.task.Name(),
-		a.cfg.MinBandwidth, newSched, newSup, a.sup, a.client)
-	if err != nil {
-		return err
-	}
-	moveTick(a.sd.Engine(), newSched.Engine(), &a.tickEv, a.tickAt, a.tickFn)
-	a.sd, a.sup, a.client = newSched, newSup, client
-	return nil
-}
-
-// moveTick carries a tuner's pending activation across engine lanes: on
-// a machine whose cores run on separate sim.Engine lanes, the tuner's
-// self-rescheduling tick lives on the lane of the core it manages, so a
-// cross-core Rehome must cancel it there and re-arm it — at the same
-// instant — on the destination. On a shared-engine machine the two
-// engines are identical and this is a no-op.
-func moveTick(oldEng, newEng *sim.Engine, ev *sim.Timer, at simtime.Time, fn func()) {
-	if oldEng == newEng || !ev.Pending() {
-		return
-	}
-	oldEng.Cancel(*ev)
-	*ev = newEng.At(at, fn)
-}
-
-// SetTracer repoints the tuner at another kernel trace buffer. On a
-// per-core-tracer machine a migration moves the managed task's syscall
-// stream to the destination core's buffer; the tuner must download its
-// evidence from there.
-func (a *AutoTuner) SetTracer(b *ktrace.Buffer) { a.tracer = b }
-
-// rehomeClient is the supervisor-claim half of a tuner migration,
-// shared by AutoTuner.Rehome and MultiTuner.Rehome: register with the
-// new supervisor first (a rejection leaves the old claim untouched),
-// release the old claim, and re-submit the server's current
-// reservation so the new supervisor's admission accounts for it. The
-// returned client replaces the tuner's old one.
-func rehomeClient(server *sched.Server, clientName, taskName string, minBandwidth float64,
-	newSched *sched.Scheduler, newSup *supervisor.Supervisor,
-	oldSup *supervisor.Supervisor, oldClient *supervisor.Client) (*supervisor.Client, error) {
-
+// (applying any compression the new core's contention forces). On a
+// machine whose cores run on separate engine lanes, the pending
+// activation moves to the new core's lane at the same instant. The
+// controller history, period estimates and analyser windows all
+// survive — the application did not change, only where it runs.
+// Rehome fails without side effects when the new supervisor rejects
+// the registration; the caller is expected to migrate the server back.
+func (t *Tuner) Rehome(newSched *sched.Scheduler, newSup *supervisor.Supervisor) error {
 	if newSched == nil {
-		return nil, fmt.Errorf("core: Rehome to a nil scheduler")
+		return fmt.Errorf("core: Rehome to a nil scheduler")
 	}
-	if !newSched.Owns(server) {
-		return nil, fmt.Errorf("core: Rehome of %s before its server moved", taskName)
+	if !newSched.Owns(t.server) {
+		return fmt.Errorf("core: Rehome of %s before its server moved", t.tasks[0].Name())
 	}
 	var client *supervisor.Client
 	if newSup != nil {
-		c, ok := newSup.Register(clientName, minBandwidth)
+		c, ok := newSup.Register(t.name, t.cfg.MinBandwidth)
 		if !ok {
-			return nil, fmt.Errorf("core: new supervisor rejected registration of %s", taskName)
+			return fmt.Errorf("core: new supervisor rejected registration of %s", t.tasks[0].Name())
 		}
 		client = c
 	}
-	if oldClient != nil {
-		oldClient.Release()
-		oldSup.Unregister(oldClient)
+	t.releaseClaim()
+	t.sup, t.client = newSup, client
+	t.apply(t.server.Budget(), t.server.Period())
+	if oldEng, newEng := t.sd.Engine(), newSched.Engine(); oldEng != newEng && t.tickEv.Pending() {
+		oldEng.Cancel(t.tickEv)
+		t.tickEv = newEng.At(t.tickAt, t.tickFn)
 	}
-	if client != nil {
-		granted := client.Request(server.Budget(), server.Period())
-		if granted <= 0 {
-			granted = simtime.Microsecond
-		}
-		if granted != server.Budget() {
-			server.SetParams(granted, server.Period())
-		}
-	}
-	return client, nil
+	t.sd = newSched
+	return nil
 }
 
-// Task returns the managed task.
-func (a *AutoTuner) Task() *sched.Task { return a.task }
+// releaseClaim gives the tuner's supervisor claim back.
+func (t *Tuner) releaseClaim() {
+	if t.client != nil {
+		t.client.Release()
+		t.sup.Unregister(t.client)
+		t.client = nil
+	}
+}
+
+// SetTracer repoints the tuner at another kernel trace buffer. On a
+// per-core-tracer machine a migration moves the managed tasks' syscall
+// streams to the destination core's buffer; the tuner must download
+// its evidence from there.
+func (t *Tuner) SetTracer(b *ktrace.Buffer) { t.tracer = b }
+
+// Task returns the managed task (a NewShared tuner's first one).
+func (t *Tuner) Task() *sched.Task { return t.tasks[0] }
 
 // Server returns the managed CBS server.
-func (a *AutoTuner) Server() *sched.Server { return a.server }
+func (t *Tuner) Server() *sched.Server { return t.server }
 
-// Period returns the current period estimate.
-func (a *AutoTuner) Period() simtime.Duration { return a.period }
+// Period returns the current reservation period: the task's period
+// estimate, or a NewShared tuner's smallest thread period.
+func (t *Tuner) Period() simtime.Duration { return t.period }
 
-// DetectedFrequency returns the analyser's last verdict in Hz
-// (0 before the first confident detection).
-func (a *AutoTuner) DetectedFrequency() float64 { return a.detected }
+// DetectedFrequency returns the analyser's last verdict in Hz (0
+// before the first confident detection, and always for a NewShared
+// tuner, whose verdicts are per thread).
+func (t *Tuner) DetectedFrequency() float64 { return t.detected }
+
+// ThreadPeriods returns a NewShared tuner's per-thread period verdicts
+// by PID (empty for a New tuner).
+func (t *Tuner) ThreadPeriods() map[int]simtime.Duration {
+	out := make(map[int]simtime.Duration, len(t.verdicts))
+	for i, v := range t.verdicts {
+		if v.period != 0 {
+			out[t.tasks[i].PID()] = v.period
+		}
+	}
+	return out
+}
+
+// Locked reports whether the tuner has learned a period: a New tuner's
+// first detection, or a NewShared tuner's frozen per-thread verdicts.
+func (t *Tuner) Locked() bool { return t.locked }
 
 // Snapshots returns the activation history.
-func (a *AutoTuner) Snapshots() []Snapshot { return a.snapshots }
+func (t *Tuner) Snapshots() []Snapshot { return t.snapshots }
 
 // Start schedules the periodic controller activations. It must be
 // called once, before running the engine.
-func (a *AutoTuner) Start() {
-	if a.running {
-		panic("core: AutoTuner started twice")
+func (t *Tuner) Start() {
+	if t.running {
+		panic("core: Tuner started twice")
 	}
-	a.running = true
-	a.stopped = false
-	a.tickFn = func() {
-		if a.stopped {
+	t.running = true
+	t.stopped = false
+	t.tickFn = func() {
+		if t.stopped {
 			return
 		}
-		a.tick()
-		a.armTick()
+		t.tick()
+		t.armTick()
 	}
-	a.armTick()
+	t.armTick()
 }
 
 // armTick schedules the next activation one sampling period from now on
 // the managed scheduler's current engine, remembering the instant so a
 // cross-lane Rehome can re-arm it on the destination lane.
-func (a *AutoTuner) armTick() {
-	eng := a.sd.Engine()
-	a.tickAt = eng.Now().Add(a.cfg.Sampling)
-	a.tickEv = eng.At(a.tickAt, a.tickFn)
+func (t *Tuner) armTick() {
+	eng := t.sd.Engine()
+	t.tickAt = eng.Now().Add(t.cfg.Sampling)
+	t.tickEv = eng.At(t.tickAt, t.tickFn)
 }
 
-// Stop cancels future activations. The task keeps running in its
+// Stop cancels future activations. The tasks keep running in their
 // server with the last applied reservation and the supervisor claim
 // stays in place (the bandwidth is still consumed); the system simply
 // stops adapting. Stop is idempotent and the tuner can be started
 // again later.
-func (a *AutoTuner) Stop() {
-	if !a.running || a.stopped {
+func (t *Tuner) Stop() {
+	if !t.running || t.stopped {
 		return
 	}
-	a.stopped = true
-	a.running = false
+	t.stopped = true
+	t.running = false
 }
 
 // Retire stops the tuner for good and releases its supervisor claim,
@@ -353,20 +419,16 @@ func (a *AutoTuner) Stop() {
 // the core. Used on teardown (selftune.System.Despawn); unlike after a
 // plain Stop, a retired tuner must not be started again — it no longer
 // holds a claim to request through. Idempotent.
-func (a *AutoTuner) Retire() {
-	a.Stop()
-	if a.client != nil {
-		a.client.Release()
-		a.sup.Unregister(a.client)
-		a.client = nil
-	}
+func (t *Tuner) Retire() {
+	t.Stop()
+	t.releaseClaim()
 }
 
 // tick is one activation of the task controller: Figure 3's loop body.
-func (a *AutoTuner) tick() {
-	now := a.sd.Engine().Now()
+func (t *Tuner) tick() {
+	now := t.sd.Engine().Now()
 
-	// Bootstrap guard: while no period has been detected yet, a server
+	// Bootstrap guard: while no period has been learned yet, a server
 	// that exhausted its budget during the sampling interval has been
 	// dilating the application, and the trace collected meanwhile
 	// shows the *server's* quantisation rather than the application's
@@ -375,140 +437,187 @@ func (a *AutoTuner) tick() {
 	// (e.g. when the supervisor caps the budget under contention) the
 	// tuner accepts the imperfect evidence rather than holding forever.
 	const maxHoldGrowths = 10
-	if a.window != nil && a.detected == 0 && a.holdGrowths < maxHoldGrowths {
-		st := a.server.Stats()
-		exhausted := st.Exhaustions > a.holdLastExh
-		a.holdLastExh = st.Exhaustions
-		a.holdLastW = st.Consumed
+	if t.windows != nil && !t.locked && t.holdGrowths < maxHoldGrowths {
+		exhaustions := t.server.Stats().Exhaustions
+		exhausted := exhaustions > t.holdLastExh
+		t.holdLastExh = exhaustions
 		if exhausted {
-			a.holdGrowths++
-			if a.tracer != nil {
-				a.tracer.DrainPID(a.task.PID())
+			t.holdGrowths++
+			for i, task := range t.tasks {
+				if t.tracer != nil {
+					t.tracer.DrainPID(task.PID())
+				}
+				t.windows[i].Reset()
 			}
-			a.window.Reset()
-			req := simtime.Duration(1.5 * float64(a.server.Budget()))
-			if req > a.server.Period() {
-				req = a.server.Period()
-			}
-			a.applyHold(now, req)
+			clear(t.verdicts)
+			t.actuate(now, min(simtime.Duration(1.5*float64(t.server.Budget())), t.server.Period()))
 			return
 		}
 	}
 
 	// 1-2. Download the batch of traced timestamps and update the
 	// period estimate.
-	if a.window != nil && a.tracer != nil {
-		events := a.tracer.DrainPID(a.task.PID())
-		a.window.Observe(now, ktrace.Timestamps(events))
-		if a.window.Events() >= a.cfg.MinEvents {
-			det := spectrum.Detect(a.window.Spectrum(), a.cfg.Detect)
-			if det.Periodic && det.Frequency > 0 {
-				newP := simtime.FromHertz(det.Frequency)
-				switch {
-				case a.detected == 0 || relDiff(newP, a.period) <= a.cfg.PeriodTolerance:
-					// First lock, or a refinement of the current one:
-					// apply directly.
-					a.detected = det.Frequency
-					a.period = newP
-					a.pendingCount = 0
-				case a.pendingPeriod != 0 && relDiff(newP, a.pendingPeriod) <= a.cfg.PeriodTolerance:
-					// The same new period again: one more vote.
-					a.pendingCount++
-					a.pendingPeriod = newP
-					if a.pendingCount >= 2 {
-						// The change is real: per-period scalings of the
-						// controller history are invalid.
-						a.ctrl.Reset()
-						a.detected = det.Frequency
-						a.period = newP
-						a.pendingCount = 0
-						a.pendingPeriod = 0
-					}
-				default:
-					a.pendingPeriod = newP
-					a.pendingCount = 0
-				}
-			}
+	if t.windows != nil && t.tracer != nil {
+		if !t.shared {
+			t.learnPeriod(now)
+		} else if !t.locked {
+			t.learnThreadPeriods(now)
 		}
 	}
 
 	// With rate detection enabled, the feedback law is held back until
-	// the analyser has produced a first period estimate: the law
-	// rescales consumption by the period, so acting on the initial
-	// guess can shrink the budget, dilate the application's bursts and
-	// imprint the wrong period onto the very trace the analyser is
-	// about to read.
-	if a.window != nil && a.detected == 0 {
-		a.applyHold(now, a.server.Budget())
+	// a period has been learned: the law rescales consumption by the
+	// period, so acting on the initial guess can shrink the budget,
+	// dilate the application's bursts and imprint the wrong period
+	// onto the very trace the analyser is about to read.
+	if t.windows != nil && !t.locked {
+		t.actuate(now, t.server.Budget())
 		return
 	}
 
 	// 3. Sample the scheduler state and run the feedback law.
-	srvStats := a.server.Stats()
-	req := a.ctrl.Tick(feedback.Sample{
+	st := t.server.Stats()
+	req := t.cfg.Controller.Tick(feedback.Sample{
 		Now:         now,
-		Consumed:    srvStats.Consumed,
-		Exhaustions: srvStats.Exhaustions,
-		Period:      a.period,
-		Sampling:    a.cfg.Sampling,
-		Budget:      a.server.Budget(),
+		Consumed:    st.Consumed,
+		Exhaustions: st.Exhaustions,
+		Period:      t.period,
+		Sampling:    t.cfg.Sampling,
+		Budget:      t.server.Budget(),
 	})
-	if req > a.period {
-		req = a.period
+	if req > t.period {
+		req = t.period
 	}
 	if req <= 0 {
 		req = simtime.Microsecond
 	}
-
-	// 4. Submit to the supervisor and actuate.
-	granted := req
-	if a.client != nil {
-		granted = a.client.Request(req, a.period)
-		if granted <= 0 {
-			granted = simtime.Microsecond
-		}
-	}
-	if granted != a.server.Budget() || a.period != a.server.Period() {
-		a.server.SetParams(granted, a.period)
-	}
-	a.recordSnapshot(now, req, granted)
+	t.actuate(now, req)
 }
 
-// applyHold actuates a hold-phase request (possibly just the current
-// budget) through the supervisor and records the snapshot.
-func (a *AutoTuner) applyHold(now simtime.Time, req simtime.Duration) {
-	granted := req
-	if a.client != nil {
-		granted = a.client.Request(req, a.server.Period())
-		if granted <= 0 {
-			granted = simtime.Microsecond
-		}
+// detect downloads task i's traced timestamps into its analyser window
+// and returns the window's verdict in Hz, if the window holds enough
+// events and the verdict is periodic.
+func (t *Tuner) detect(now simtime.Time, i int) (float64, bool) {
+	w := t.windows[i]
+	w.Observe(now, ktrace.Timestamps(t.tracer.DrainPID(t.tasks[i].PID())))
+	if w.Events() < t.cfg.MinEvents {
+		return 0, false
 	}
-	if granted != a.server.Budget() {
-		a.server.SetParams(granted, a.server.Period())
-	}
-	a.recordSnapshot(now, req, granted)
+	det := spectrum.Detect(w.Spectrum(), t.cfg.Detect)
+	return det.Frequency, det.Periodic && det.Frequency > 0
 }
 
-func (a *AutoTuner) recordSnapshot(now simtime.Time, req, granted simtime.Duration) {
+// learnPeriod is a New tuner's period step: the first lock and any
+// refinement of it apply at once, a different period only once the
+// analyser has repeated it.
+func (t *Tuner) learnPeriod(now simtime.Time) {
+	f, ok := t.detect(now, 0)
+	if !ok {
+		return
+	}
+	newP := simtime.FromHertz(f)
+	switch {
+	case !t.locked || relDiff(newP, t.period) <= t.cfg.PeriodTolerance:
+		t.locked = true
+		t.detected = f
+		t.period = newP
+		t.pendingCount = 0
+	case t.pendingPeriod != 0 && relDiff(newP, t.pendingPeriod) <= t.cfg.PeriodTolerance:
+		// The same new period again: one more vote.
+		t.pendingCount++
+		t.pendingPeriod = newP
+		if t.pendingCount >= 2 {
+			// The change is real: per-period scalings of the
+			// controller history are invalid.
+			t.cfg.Controller.Reset()
+			t.detected = f
+			t.period = newP
+			t.pendingCount = 0
+			t.pendingPeriod = 0
+		}
+	default:
+		t.pendingPeriod = newP
+		t.pendingCount = 0
+	}
+}
+
+// learnThreadPeriods is a NewShared tuner's period step, which runs
+// only until the verdicts freeze: after the budget tightens, slower
+// threads' jobs get sliced across server periods and their traces
+// would re-imprint the server grid. The verdicts freeze, and the
+// reservation period becomes the smallest of them, once every
+// thread's estimate has stayed within the period tolerance for two
+// consecutive ticks.
+func (t *Tuner) learnThreadPeriods(now simtime.Time) {
+	for i := range t.tasks {
+		f, ok := t.detect(now, i)
+		if !ok {
+			continue
+		}
+		p := simtime.FromHertz(f)
+		v := &t.verdicts[i]
+		if v.period != 0 {
+			if relDiff(p, v.period) <= t.cfg.PeriodTolerance {
+				v.stable++
+			} else {
+				v.stable = 0
+			}
+		}
+		v.period = p
+	}
+	minP := simtime.Duration(0)
+	for _, v := range t.verdicts {
+		if v.period == 0 || v.stable < 2 {
+			return
+		}
+		if minP == 0 || v.period < minP {
+			minP = v.period
+		}
+	}
+	t.period = minP
+	t.locked = true
+	t.cfg.Controller.Reset()
+}
+
+// actuate is step 4: it submits the request at the current period to
+// the supervisor, applies the grant to the server and records the
+// activation.
+func (t *Tuner) actuate(now simtime.Time, req simtime.Duration) {
+	granted := t.apply(req, t.period)
 	snap := Snapshot{
 		At:        now,
-		Period:    a.period,
+		Period:    t.period,
 		Requested: req,
 		Granted:   granted,
-		Bandwidth: a.server.Bandwidth(),
-		Detected:  a.detected,
+		Bandwidth: t.server.Bandwidth(),
+		Detected:  t.detected,
 	}
-	if a.window != nil {
-		snap.Events = a.window.Events()
+	if t.windows != nil && !t.shared {
+		snap.Events = t.windows[0].Events()
 	}
-	a.snapshots = append(a.snapshots, snap)
-	if a.BusTick != nil {
-		a.BusTick(snap)
+	t.snapshots = append(t.snapshots, snap)
+	if t.BusTick != nil {
+		t.BusTick(snap)
 	}
-	if a.OnTick != nil {
-		a.OnTick(snap)
+	if t.OnTick != nil {
+		t.OnTick(snap)
 	}
+}
+
+// apply submits the reservation (req, period) to the supervisor, when
+// there is one, sets the server to the grant and returns it.
+func (t *Tuner) apply(req, period simtime.Duration) simtime.Duration {
+	granted := req
+	if t.client != nil {
+		granted = t.client.Request(req, period)
+		if granted <= 0 {
+			granted = simtime.Microsecond
+		}
+	}
+	if granted != t.server.Budget() || period != t.server.Period() {
+		t.server.SetParams(granted, period)
+	}
+	return granted
 }
 
 func relDiff(a, b simtime.Duration) float64 {

@@ -269,6 +269,48 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestZeroConfigFieldsTakeTheDefaults checks that both constructors
+// apply the same configuration defaults: a config whose
+// PeriodTolerance and MinEvents are zero runs exactly like
+// DefaultConfig, for one task and for a shared reservation.
+func TestZeroConfigFieldsTakeTheDefaults(t *testing.T) {
+	zero := core.DefaultConfig()
+	zero.PeriodTolerance = 0
+	zero.MinEvents = 0
+	for _, shared := range []bool{false, true} {
+		run := func(cfg core.Config) []core.Snapshot {
+			rg := newRig(25)
+			audio, video := twoThreadApp(rg)
+			var tuner *core.Tuner
+			var err error
+			if shared {
+				tuner, err = core.NewShared(rg.sd, rg.sup, rg.tracer,
+					[]*sched.Task{audio.Task(), video.Task()}, []int{0, 1}, cfg)
+			} else {
+				tuner, err = core.New(rg.sd, rg.sup, rg.tracer, video.Task(), cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuner.Start()
+			audio.Start(0)
+			video.Start(0)
+			rg.eng.RunUntil(simtime.Time(4 * simtime.Second))
+			return tuner.Snapshots()
+		}
+		want, got := run(core.DefaultConfig()), run(zero)
+		if len(got) != len(want) {
+			t.Fatalf("shared=%v: %d activations, want %d", shared, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("shared=%v: activation %d diverged from DefaultConfig:\n  got  %+v\n  want %+v",
+					shared, i+1, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestDoubleStartPanics(t *testing.T) {
 	rg := newRig(8)
 	p := rg.newVideoPlayer(0.2)

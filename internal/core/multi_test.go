@@ -40,7 +40,7 @@ func twoThreadApp(rg *rig) (audio, video *workload.Player) {
 func TestMultiTunerDetectsBothThreads(t *testing.T) {
 	rg := newRig(21)
 	audio, video := twoThreadApp(rg)
-	tuner, err := core.NewMulti(rg.sd, rg.sup, rg.tracer,
+	tuner, err := core.NewShared(rg.sd, rg.sup, rg.tracer,
 		[]*sched.Task{audio.Task(), video.Task()}, []int{0, 1}, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestMultiTunerDetectsBothThreads(t *testing.T) {
 func TestMultiTunerServesBothThreads(t *testing.T) {
 	rg := newRig(22)
 	audio, video := twoThreadApp(rg)
-	tuner, err := core.NewMulti(rg.sd, rg.sup, rg.tracer,
+	tuner, err := core.NewShared(rg.sd, rg.sup, rg.tracer,
 		[]*sched.Task{audio.Task(), video.Task()}, []int{0, 1}, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestMultiTunerBandwidthComparableToPerThread(t *testing.T) {
 	shared := func() float64 {
 		rg := newRig(23)
 		audio, video := twoThreadApp(rg)
-		tuner, err := core.NewMulti(rg.sd, rg.sup, rg.tracer,
+		tuner, err := core.NewShared(rg.sd, rg.sup, rg.tracer,
 			[]*sched.Task{audio.Task(), video.Task()}, []int{0, 1}, core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -151,10 +151,10 @@ func TestMultiTunerBandwidthComparableToPerThread(t *testing.T) {
 func TestMultiTunerValidation(t *testing.T) {
 	rg := newRig(24)
 	audio, _ := twoThreadApp(rg)
-	if _, err := core.NewMulti(rg.sd, rg.sup, rg.tracer, nil, nil, core.DefaultConfig()); err == nil {
+	if _, err := core.NewShared(rg.sd, rg.sup, rg.tracer, nil, nil, core.DefaultConfig()); err == nil {
 		t.Error("empty task list accepted")
 	}
-	if _, err := core.NewMulti(rg.sd, rg.sup, rg.tracer,
+	if _, err := core.NewShared(rg.sd, rg.sup, rg.tracer,
 		[]*sched.Task{audio.Task()}, []int{0, 1}, core.DefaultConfig()); err == nil {
 		t.Error("mismatched priorities accepted")
 	}

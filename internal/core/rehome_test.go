@@ -56,14 +56,14 @@ func TestRehomeMovesSupervisorClaim(t *testing.T) {
 	}
 }
 
-// TestMultiTunerRehomeMovesSupervisorClaim mirrors the AutoTuner test
-// for the shared-reservation tuner: the whole multi-threaded
-// application migrates as one unit (one server, several tasks) and
-// the MultiTuner re-registers on the destination.
+// TestMultiTunerRehomeMovesSupervisorClaim mirrors the test above for
+// a NewShared tuner: the whole multi-threaded application migrates as
+// one unit (one server, several tasks) and the tuner re-registers on
+// the destination.
 func TestMultiTunerRehomeMovesSupervisorClaim(t *testing.T) {
 	rg := newRig(23)
 	audio, video := twoThreadApp(rg)
-	tuner, err := core.NewMulti(rg.sd, rg.sup, rg.tracer,
+	tuner, err := core.NewShared(rg.sd, rg.sup, rg.tracer,
 		[]*sched.Task{audio.Task(), video.Task()}, []int{0, 1}, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -14,14 +14,14 @@ import (
 )
 
 // feedbackRun executes the paper's Sec. 5.4/5.5 scenario: a 25 fps
-// video player managed by an AutoTuner, optionally next to a periodic
+// video player managed by a Tuner, optionally next to a periodic
 // real-time background load, for `frames` frames. The drivers run on
 // the public registry API — the same spawn/tune path every example
 // and cmd binary takes — instead of hand-assembled internals.
 type feedbackRun struct {
 	sys    *selftune.System
 	player *workload.Player
-	tuner  *core.AutoTuner
+	tuner  *core.Tuner
 	period simtime.Duration // the player's true frame period
 }
 

@@ -128,7 +128,7 @@ func TestSixTunedPlayersOnTwoCores(t *testing.T) {
 
 	type placedApp struct {
 		player *workload.Player
-		tuner  *core.AutoTuner
+		tuner  *core.Tuner
 		core   int
 	}
 	apps := make([]placedApp, 0, 6)

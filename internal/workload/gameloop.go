@@ -92,7 +92,7 @@ func NewGameLoop(sd *sched.Scheduler, r *rng.Source, cfg GameLoopConfig) *GameLo
 // Name returns the loop's configured name.
 func (g *GameLoop) Name() string { return g.cfg.Name }
 
-// Task returns the underlying scheduler task (the unit an AutoTuner
+// Task returns the underlying scheduler task (the unit a Tuner
 // manages).
 func (g *GameLoop) Task() *sched.Task { return g.task }
 

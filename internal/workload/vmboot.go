@@ -115,7 +115,7 @@ func NewVMBoot(sd *sched.Scheduler, r *rng.Source, cfg VMBootConfig) *VMBoot {
 // Name returns the VM's configured name.
 func (v *VMBoot) Name() string { return v.cfg.Name }
 
-// Task returns the underlying scheduler task (the unit an AutoTuner
+// Task returns the underlying scheduler task (the unit a Tuner
 // manages).
 func (v *VMBoot) Task() *sched.Task { return v.task }
 

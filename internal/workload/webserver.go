@@ -96,7 +96,7 @@ func NewWebServer(sd *sched.Scheduler, r *rng.Source, cfg WebServerConfig) *WebS
 // Name returns the server's configured name.
 func (s *WebServer) Name() string { return s.cfg.Name }
 
-// Task returns the underlying scheduler task (the unit an AutoTuner
+// Task returns the underlying scheduler task (the unit a Tuner
 // manages).
 func (s *WebServer) Task() *sched.Task { return s.task }
 

@@ -14,9 +14,9 @@ package selftune
 // re-registered on arrival, rejections rolled back).
 //
 // A migration unit is the set of CBS servers and tasks that must
-// change cores together: a tuned workload (one server, rehomed via
-// AutoTuner.Rehome), a TuneShared group (one shared server carrying
-// every member task, rehomed via MultiTuner.Rehome), an untuned
+// change cores together: a tuned workload (one server), a TuneShared
+// group (one shared server carrying every member task), both with a
+// tuner to rehome (core.Tuner.Rehome), an untuned
 // multi-reservation load like "rtload" (all its servers, nothing to
 // rehome), or an unreserved request server (its bare best-effort
 // task). Every workload kind is migratable once it has substance on
@@ -370,19 +370,16 @@ func PlanAdmission(snap Snapshot) []Move {
 
 // --- Mechanism: units, snapshots, execution -------------------------
 
-// sharedGroup ties the handles of one TuneShared application to the
-// MultiTuner managing their shared reservation; the group migrates as
-// one unit.
+// sharedGroup ties the handles of one TuneShared application, which
+// share one tuner and its reservation; the group migrates as one unit.
 type sharedGroup struct {
 	handles []*Handle
-	tuner   *MultiTuner
-	core    int
 	seenGen uint64 // last units() enumeration that visited the group
 }
 
 // migUnit is the live counterpart of a snapshot Unit: the sched.Group
-// to move, the handles whose cores to update, and — through its shared
-// group or its single handle — the tuner to rehome.
+// to move, the handles whose cores to update and the tuner to rehome,
+// if any.
 type migUnit struct {
 	name    string
 	kind    string
@@ -390,7 +387,7 @@ type migUnit struct {
 	hint    float64
 	group   sched.Group
 	handles []*Handle
-	shared  *sharedGroup
+	tuner   *Tuner
 }
 
 // unitFor builds the live migration unit containing h: its shared
@@ -406,10 +403,10 @@ func (s *System) sharedUnit(g *sharedGroup) *migUnit {
 	u := &migUnit{
 		name:    g.handles[0].Name(),
 		kind:    "shared",
-		core:    g.core,
-		group:   sched.Group{Servers: []*sched.Server{g.tuner.Server()}},
+		core:    g.handles[0].core,
+		group:   sched.Group{Servers: []*sched.Server{g.handles[0].tuner.Server()}},
 		handles: g.handles,
-		shared:  g,
+		tuner:   g.handles[0].tuner,
 	}
 	for _, h := range g.handles {
 		u.hint += h.hint
@@ -424,6 +421,7 @@ func (s *System) handleUnit(h *Handle) *migUnit {
 		core:    h.core,
 		hint:    h.hint,
 		handles: []*Handle{h},
+		tuner:   h.tuner,
 	}
 	if h.tuner != nil {
 		u.group.Servers = []*sched.Server{h.tuner.Server()}
@@ -453,21 +451,13 @@ func (s *System) handleUnit(h *Handle) *migUnit {
 // captured the previous core, is rebuilt so TunerTickEvents report
 // where the workload now runs.
 func (u *migUnit) rehome(dst *System, to int) error {
-	sd, sup := dst.machine.Core(to), dst.machine.Supervisor(to)
-	switch {
-	case u.shared != nil:
-		t := u.shared.tuner
-		if err := t.Rehome(sd, sup); err != nil {
-			return err
-		}
-		t.BusTick = dst.tickPublisher(to, t.Tasks()[0].Name())
-	case u.handles[0].tuner != nil:
-		t := u.handles[0].tuner
-		if err := t.Rehome(sd, sup); err != nil {
-			return err
-		}
-		t.BusTick = dst.tickPublisher(to, t.Task().Name())
+	if u.tuner == nil {
+		return nil
 	}
+	if err := u.tuner.Rehome(dst.machine.Core(to), dst.machine.Supervisor(to)); err != nil {
+		return err
+	}
+	u.tuner.BusTick = dst.tickPublisher(to, u.tuner.Task().Name())
 	return nil
 }
 
@@ -503,11 +493,8 @@ func carryLane(u *migUnit, src *System, from int, dst *System, to int) {
 	for _, t := range u.group.Tasks {
 		dstBuf.Inject(srcBuf.DrainPID(t.PID()))
 	}
-	switch {
-	case u.shared != nil:
-		u.shared.tuner.SetTracer(dstBuf)
-	case u.handles[0].tuner != nil:
-		u.handles[0].tuner.SetTracer(dstBuf)
+	if u.tuner != nil {
+		u.tuner.SetTracer(dstBuf)
 	}
 }
 
@@ -731,9 +718,6 @@ func (s *System) finishMove(u *migUnit, to int, reason string) {
 	u.core = to
 	for _, h := range u.handles {
 		h.core = to
-	}
-	if u.shared != nil {
-		u.shared.core = to
 	}
 	s.migrated++
 	s.publish(Event{

@@ -438,7 +438,7 @@ func TestUntunedRtloadMigrates(t *testing.T) {
 
 // TestTuneSharedGroupMigrates is the other half of the acceptance
 // scenario: a shared-reservation group moves as one unit — every
-// member handle changes core, the MultiTuner rehomes its supervisor
+// member handle changes core, the shared tuner rehomes its supervisor
 // claim, and migrating *any* member moves the whole group.
 func TestTuneSharedGroupMigrates(t *testing.T) {
 	sys, err := selftune.NewSystem(selftune.WithSeed(9), selftune.WithCPUs(2))
@@ -461,8 +461,8 @@ func TestTuneSharedGroupMigrates(t *testing.T) {
 	if !a.Migratable() || !v.Migratable() {
 		t.Fatal("shared-group members not migratable")
 	}
-	if a.Shared() != tuner || v.Shared() != tuner {
-		t.Error("Shared() does not return the group's MultiTuner")
+	if a.Tuner() != tuner || v.Tuner() != tuner {
+		t.Error("Tuner() does not return the group's tuner")
 	}
 	a.Start(0)
 	v.Start(0)
@@ -501,7 +501,7 @@ func TestTuneSharedGroupMigrates(t *testing.T) {
 	busyBefore := sys.Core(1).Scheduler().BusyTime()
 	sys.Run(2 * selftune.Second)
 	if got := len(tuner.Snapshots()); got <= ticksBefore {
-		t.Error("MultiTuner stopped ticking after migration")
+		t.Error("shared tuner stopped ticking after migration")
 	}
 	if got := sys.Core(1).Scheduler().BusyTime(); got <= busyBefore {
 		t.Error("destination core never ran the migrated group")

@@ -1,7 +1,7 @@
 package cluster
 
 // The autoscaler is the paper's adaptive-reservation loop lifted to
-// cluster scope: where an AutoTuner grows a task's CBS budget when the
+// cluster scope: where a Tuner grows a task's CBS budget when the
 // budget keeps exhausting and shrinks it when slack accumulates, the
 // autoscaler grows a realm's fleet reservation when its front-end
 // queue keeps backing up and shrinks it when the reservation runs

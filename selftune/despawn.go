@@ -8,7 +8,7 @@ import "fmt"
 
 // Despawn tears down a spawned workload: it quiesces the workload's
 // generator (via its Stop method, when it has one), retires any
-// attached AutoTuner (releasing its supervisor claim), detaches the
+// attached Tuner (releasing its supervisor claim), detaches the
 // workload's servers and tasks from its core's scheduler, and returns
 // the placement bandwidth hint to the machine's admission account.
 //

@@ -75,11 +75,7 @@ func sharedScenario(t *testing.T, opts ...Option) string {
 	defer sys.Close()
 
 	var log strings.Builder
-	sys.Subscribe(ObserverFunc(func(e Event) {
-		fmt.Fprintf(&log, "%v at=%d core=%d from=%d src=%s wl=%s lat=%d miss=%v n=%d loads=%v snap=%+v\n",
-			e.Kind, e.At, e.Core, e.From, e.Source, e.Workload,
-			e.Latency, e.Missed, e.Count, e.Loads, e.Snapshot)
-	}))
+	sys.Subscribe(eventLogger(&log))
 
 	threads := []PlayerConfig{
 		{
@@ -113,7 +109,7 @@ func sharedScenario(t *testing.T, opts ...Option) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handles := app
+	handles := append([]*Handle(nil), app...)
 	for i := 0; i < 3; i++ {
 		h, err := sys.Spawn("video", SpawnName(fmt.Sprintf("vid%d", i)), SpawnUtil(0.15),
 			OnCore(0), Tuned(DefaultTunerConfig()))

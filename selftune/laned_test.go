@@ -26,11 +26,7 @@ func lanedScenario(t *testing.T, opts ...Option) (string, uint64) {
 	defer sys.Close()
 
 	var log strings.Builder
-	sys.Subscribe(ObserverFunc(func(e Event) {
-		fmt.Fprintf(&log, "%v at=%d core=%d from=%d src=%s wl=%s lat=%d miss=%v n=%d loads=%v snap=%+v\n",
-			e.Kind, e.At, e.Core, e.From, e.Source, e.Workload,
-			e.Latency, e.Missed, e.Count, e.Loads, e.Snapshot)
-	}))
+	sys.Subscribe(eventLogger(&log))
 
 	// Pin everything onto cores 0-1 so the balancer has real
 	// de-consolidation to do: the run must cross lanes, not just run
@@ -59,6 +55,15 @@ func lanedScenario(t *testing.T, opts ...Option) (string, uint64) {
 		t.Fatal("scenario never migrated: the cross-lane path was not exercised")
 	}
 	return log.String(), sys.Steps()
+}
+
+// eventLogger records every observer event as one line of text.
+func eventLogger(log *strings.Builder) Observer {
+	return ObserverFunc(func(e Event) {
+		fmt.Fprintf(log, "%v at=%d core=%d from=%d src=%s wl=%s lat=%d miss=%v n=%d loads=%v snap=%+v\n",
+			e.Kind, e.At, e.Core, e.From, e.Source, e.Workload,
+			e.Latency, e.Missed, e.Count, e.Loads, e.Snapshot)
+	})
 }
 
 // TestCoreParallelismDeterminism is the laned-mode contract: a seeded

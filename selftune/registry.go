@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/rng"
 	"repro/internal/workload"
 )
@@ -20,7 +21,7 @@ type Workload interface {
 }
 
 // Tunable is implemented by workloads whose activity runs in a single
-// schedulable task, the unit an AutoTuner can manage.
+// schedulable task, the unit a Tuner can manage.
 type Tunable interface {
 	Task() *Task
 }
@@ -77,8 +78,8 @@ type SpawnSpec struct {
 	// Core pins placement to a specific core; -1 (the default) lets
 	// smp.Machine.Place choose worst-fit.
 	Core int
-	// Tuner, when non-nil, attaches an AutoTuner with this
-	// configuration to the spawned workload's task.
+	// Tuner, when non-nil, attaches a Tuner with this configuration
+	// to the spawned workload's task.
 	Tuner *TunerConfig
 }
 
@@ -165,7 +166,7 @@ func OnCore(i int) SpawnOption {
 	}
 }
 
-// Tuned attaches an AutoTuner with the given configuration to the
+// Tuned attaches a Tuner with the given configuration to the
 // spawned workload. The workload must be Tunable (single-task).
 func Tuned(cfg TunerConfig) SpawnOption {
 	return func(sp *SpawnSpec) error {
@@ -238,7 +239,7 @@ type Handle struct {
 	hint   float64 // placement bandwidth charged for this instance
 	ctx    *spawnCtx
 	w      Workload
-	tuner  *AutoTuner
+	tuner  *Tuner       // its own (Tuned) or its TuneShared group's
 	shared *sharedGroup // non-nil when part of a TuneShared group
 }
 
@@ -261,26 +262,16 @@ func (h *Handle) Player() *Player {
 	return p
 }
 
-// Tuner returns the attached AutoTuner, or nil when the instance was
-// spawned untuned.
-func (h *Handle) Tuner() *AutoTuner { return h.tuner }
-
-// Shared returns the MultiTuner managing the handle's shared
-// reservation group, or nil when the handle is not part of one
-// (TuneShared creates the group).
-func (h *Handle) Shared() *MultiTuner {
-	if h.shared == nil {
-		return nil
-	}
-	return h.shared.tuner
-}
+// Tuner returns the tuner managing the handle: its own (Tuned), its
+// shared group's (TuneShared), or nil when the instance is untuned.
+func (h *Handle) Tuner() *Tuner { return h.tuner }
 
 // Start begins the workload's activity at the given instant.
 func (h *Handle) Start(at Time) { h.w.Start(at) }
 
 // Spawn creates a workload of the named registered kind, places it on
 // a core (worst-fit over bandwidth hints unless OnCore pins it), and
-// optionally attaches an AutoTuner:
+// optionally attaches a Tuner:
 //
 //	h, err := sys.Spawn("video",
 //		selftune.SpawnName("mplayer"),
@@ -369,13 +360,15 @@ func (s *System) Spawn(kind string, opts ...SpawnOption) (*Handle, error) {
 		if !ok {
 			return fail(fmt.Errorf("kind %q has no single task to tune", kind))
 		}
-		tuner, err := s.attachTuner(coreIdx, tn.Task(), *spec.Tuner)
+		tuner, err := core.New(s.machine.Core(coreIdx), s.machine.Supervisor(coreIdx),
+			s.tracers[coreIdx], tn.Task(), *spec.Tuner)
 		if err != nil {
 			// The workload never starts: unregister its task so the
 			// failed spawn leaves no orphan on the scheduler either.
 			s.machine.Core(coreIdx).RemoveTask(tn.Task())
 			return fail(err)
 		}
+		s.startTuner(coreIdx, tuner)
 		h.tuner = tuner
 	}
 	s.handles = append(s.handles, h)

@@ -67,12 +67,11 @@ type (
 	Tracer = ktrace.Buffer
 	// Supervisor enforces a core's bandwidth bound.
 	Supervisor = supervisor.Supervisor
-	// AutoTuner is the per-task self-tuning controller.
-	AutoTuner = core.AutoTuner
-	// MultiTuner manages a multi-threaded application in one shared
-	// reservation.
-	MultiTuner = core.MultiTuner
-	// TunerConfig parameterises an AutoTuner.
+	// Tuner is the self-tuning controller of one workload (Tuned) or
+	// of the threads of one application sharing a reservation
+	// (TuneShared).
+	Tuner = core.Tuner
+	// TunerConfig parameterises a Tuner.
 	TunerConfig = core.Config
 	// TunerSnapshot is one controller activation record.
 	TunerSnapshot = core.Snapshot

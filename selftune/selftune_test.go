@@ -120,7 +120,7 @@ func TestTuneShared(t *testing.T) {
 	if len(tuner.ThreadPeriods()) != 2 {
 		t.Errorf("thread periods: %v", tuner.ThreadPeriods())
 	}
-	if !tuner.Frozen() {
+	if !tuner.Locked() {
 		t.Error("multi tuner never froze its verdicts")
 	}
 	// Error path: mismatched priorities.

@@ -48,7 +48,6 @@ type System struct {
 	migrated int // units moved across cores
 
 	handles  []*Handle
-	groups   []*sharedGroup
 	spawnSeq int
 
 	// Reused hot-path buffers: the load sampler's per-core sample, the
@@ -302,7 +301,7 @@ func (s *System) Close() {
 // Handles returns every workload spawned so far, in spawn order.
 func (s *System) Handles() []*Handle { return s.handles }
 
-// tickPublisher returns the OnTick hook that routes a tuner's
+// tickPublisher returns the BusTick hook that routes a tuner's
 // activation snapshots onto the observer bus. The hook is rebuilt
 // whenever the tuner rehomes, so coreIdx is always the tuner's current
 // core.
@@ -346,27 +345,21 @@ func requestPublisher(ctx *spawnCtx, kind, source string) RequestObserver {
 	}
 }
 
-// attachTuner builds an AutoTuner for task on the given core, wires
-// its snapshots into the observer bus and starts it.
-func (s *System) attachTuner(coreIdx int, task *Task, cfg TunerConfig) (*AutoTuner, error) {
-	tuner, err := core.New(s.machine.Core(coreIdx), s.machine.Supervisor(coreIdx),
-		s.tracers[coreIdx], task, cfg)
-	if err != nil {
-		return nil, err
-	}
-	tuner.BusTick = s.tickPublisher(coreIdx, task.Name())
+// startTuner wires a new tuner on the given core into the observer
+// bus and starts it.
+func (s *System) startTuner(coreIdx int, tuner *Tuner) {
+	tuner.BusTick = s.tickPublisher(coreIdx, tuner.Task().Name())
 	tuner.Start()
-	return tuner, nil
 }
 
 // TuneShared places the tasks of several player-backed handles — the
 // threads of one application — into a single shared reservation with
 // the given fixed priorities (lower value = higher priority;
 // rate-monotonic assignment is the sensible default) and manages it
-// with a MultiTuner. All handles must live on the same core. The
-// handles become one shared group: they migrate together, as one
-// unit, with the MultiTuner rehoming on arrival.
-func (s *System) TuneShared(handles []*Handle, prios []int, cfg TunerConfig) (*MultiTuner, error) {
+// with one Tuner (core.NewShared). All handles must live on the same
+// core. The handles become one shared group: they migrate together,
+// as one unit, with the tuner rehoming on arrival.
+func (s *System) TuneShared(handles []*Handle, prios []int, cfg TunerConfig) (*Tuner, error) {
 	if len(handles) == 0 {
 		return nil, fmt.Errorf("selftune: TuneShared needs at least one handle")
 	}
@@ -379,7 +372,7 @@ func (s *System) TuneShared(handles []*Handle, prios []int, cfg TunerConfig) (*M
 		if h.core != coreIdx {
 			return nil, fmt.Errorf("selftune: TuneShared across cores %d and %d", coreIdx, h.core)
 		}
-		if h.tuner != nil || h.shared != nil {
+		if h.tuner != nil {
 			return nil, fmt.Errorf("selftune: workload %q is already tuned", h.Name())
 		}
 		tn, ok := h.w.(Tunable)
@@ -389,32 +382,16 @@ func (s *System) TuneShared(handles []*Handle, prios []int, cfg TunerConfig) (*M
 		}
 		tasks[i] = tn.Task()
 	}
-	tuner, err := s.attachMultiTuner(coreIdx, tasks, prios, cfg)
-	if err != nil {
-		return nil, err
-	}
-	grp := &sharedGroup{
-		handles: append([]*Handle(nil), handles...),
-		tuner:   tuner,
-		core:    coreIdx,
-	}
-	for _, h := range handles {
-		h.shared = grp
-	}
-	s.groups = append(s.groups, grp)
-	return tuner, nil
-}
-
-// attachMultiTuner builds a MultiTuner for the tasks on the given
-// core, wires its snapshots into the observer bus and starts it.
-func (s *System) attachMultiTuner(coreIdx int, tasks []*sched.Task, prios []int, cfg TunerConfig) (*MultiTuner, error) {
-	tuner, err := core.NewMulti(s.machine.Core(coreIdx), s.machine.Supervisor(coreIdx),
+	tuner, err := core.NewShared(s.machine.Core(coreIdx), s.machine.Supervisor(coreIdx),
 		s.tracers[coreIdx], tasks, prios, cfg)
 	if err != nil {
 		return nil, err
 	}
-	tuner.BusTick = s.tickPublisher(coreIdx, tasks[0].Name())
-	tuner.Start()
+	s.startTuner(coreIdx, tuner)
+	grp := &sharedGroup{handles: append([]*Handle(nil), handles...)}
+	for _, h := range handles {
+		h.tuner, h.shared = tuner, grp
+	}
 	return tuner, nil
 }
 

@@ -4,8 +4,8 @@ package selftune
 // (sched.Detach/Adopt carrying CBS budget/deadline/throttle state,
 // workload.LaneMover carrying self-timers and syscall sinks,
 // ktrace.Buffer.Inject carrying undownloaded evidence,
-// core.AutoTuner.Rehome carrying the sampling tick and supervisor
-// claim) extended across System boundaries. Transfer moves one spawned
+// core.Tuner.Rehome carrying the sampling tick and supervisor claim)
+// extended across System boundaries. Transfer moves one spawned
 // workload from this System to another at the same simulated instant,
 // admission-checked and all-or-nothing: on any error the source
 // machine is exactly as it was.
@@ -52,9 +52,9 @@ func (h *Handle) LiveMovable() bool {
 // the destination engine and its syscall sink repoints at the
 // destination tracer (workload.LaneMover); the tasks' undownloaded
 // syscall evidence transfers between tracers (ktrace.Buffer.Inject);
-// an attached AutoTuner rehomes to the destination core's scheduler
-// and supervisor with its sampling tick carried across
-// (core.AutoTuner.Rehome) and downloads from the destination tracer
+// an attached Tuner rehomes to the destination core's scheduler and
+// supervisor with its sampling tick carried across
+// (core.Tuner.Rehome) and downloads from the destination tracer
 // from now on. Request and tuner events publish on dst's observer bus
 // after the move.
 //
@@ -119,7 +119,7 @@ func (s *System) Transfer(h *Handle, dst *System) (int, error) {
 	// before releasing the source claim, so a rejection here leaves it
 	// intact on the source — undo the physical move and report. The
 	// sampling tick re-arms on the destination engine at its preserved
-	// instant (core.moveTick).
+	// instant (core.Tuner.Rehome).
 	if err := u.rehome(dst, dstCore); err != nil {
 		if rb := dst.machine.Core(dstCore).DetachAll(u.group); rb != nil {
 			panic(fmt.Sprintf("selftune: Transfer stranded %q: %v after %v", h.Name(), rb, err))

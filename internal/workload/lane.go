@@ -62,9 +62,12 @@ func (lt *laneTimers) after(d simtime.Duration, fn func()) {
 
 // move re-arms every pending timer on dst and makes it the current
 // lane. Both engines must rest at the same instant (a fence), so every
-// pending slot is strictly in the future on dst too. On a single-lane
-// machine (dst == current engine) it is a no-op, preserving the exact
-// event sequence of the shared-engine configuration.
+// pending slot is strictly in the future on dst too. A fired slot's
+// handle is cleared: it points into the old lane's event storage,
+// which that lane recycles concurrently with dst after the fence, so
+// at must never read it there. On a single-lane machine (dst ==
+// current engine) it is a no-op, preserving the exact event sequence
+// of the shared-engine configuration.
 func (lt *laneTimers) move(dst *sim.Engine) {
 	if dst == lt.eng {
 		return
@@ -74,6 +77,8 @@ func (lt *laneTimers) move(dst *sim.Engine) {
 		if s.ev.Pending() {
 			lt.eng.Cancel(s.ev)
 			s.ev = dst.At(s.at, s.fn)
+		} else {
+			s.ev = sim.Timer{}
 		}
 	}
 	lt.eng = dst

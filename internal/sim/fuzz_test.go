@@ -13,7 +13,7 @@ import (
 // events must fire in (when, scheduling-order) order, same-instant
 // events FIFO, a reschedule moves an event to the back of its new
 // instant, and a cancel — including a cancel through a stale handle
-// whose storage the pool has since recycled — never disturbs the
+// whose storage the free list has since recycled — never disturbs the
 // order of the survivors.
 func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 5, 0, 3, 3, 2, 0, 5, 1, 0, 2, 9, 3, 255})

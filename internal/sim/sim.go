@@ -7,8 +7,8 @@
 // same instant execute in scheduling order (FIFO), which keeps runs
 // deterministic.
 //
-// Event storage is pooled: the moment an event fires or is cancelled
-// its storage returns to a per-engine pool for reuse. Callers
+// Event storage is recycled: the moment an event fires or is cancelled
+// its storage returns to a per-engine free list for reuse. Callers
 // therefore never hold events directly — At and After return an
 // opaque, generation-tagged Timer handle that goes stale when its
 // event is done, so a retained handle can never reach into storage
@@ -17,7 +17,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/simtime"
 )
@@ -34,7 +33,7 @@ type Timer struct {
 // Pending reports whether the timer's event is still scheduled.
 func (t Timer) Pending() bool { return t.ev != nil && t.ev.gen == t.gen }
 
-// event is pooled storage for one scheduled callback.
+// event is recycled storage for one scheduled callback.
 type event struct {
 	when  simtime.Time
 	seq   uint64
@@ -49,19 +48,17 @@ type Engine struct {
 	queue  []*event // min-heap ordered by (when, seq)
 	seq    uint64
 	nsteps uint64
-	// pool recycles event storage. It is per-engine, not global:
-	// timers never cross engines, so a stale handle's generation read
-	// can never race another engine reusing the same storage when
-	// many engines run on concurrent goroutines.
-	pool sync.Pool
+	// free holds retired event storage for reuse. It is a plain slice,
+	// not a sync.Pool: one goroutine drives an engine at a time, and
+	// the garbage collector never empties it. It is per-engine, not
+	// global: timers never cross engines, so a stale handle's
+	// generation read can never race another engine reusing the same
+	// storage when many engines run on concurrent goroutines.
+	free []*event
 }
 
 // New returns an engine with the clock at the simulation origin.
-func New() *Engine {
-	e := &Engine{}
-	e.pool.New = func() any { return &event{index: -1} }
-	return e
-}
+func New() *Engine { return &Engine{} }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() simtime.Time { return e.now }
@@ -78,7 +75,12 @@ func (e *Engine) At(t simtime.Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	ev := e.pool.Get().(*event)
+	var ev *event
+	if n := len(e.free) - 1; n >= 0 {
+		ev, e.free = e.free[n], e.free[:n]
+	} else {
+		ev = &event{index: -1}
+	}
 	ev.when = t
 	ev.seq = e.seq
 	ev.fn = fn
@@ -95,12 +97,12 @@ func (e *Engine) After(d simtime.Duration, fn func()) Timer {
 	return e.At(e.now.Add(d), fn)
 }
 
-// release retires an event's storage to the pool. The generation bump
-// is what invalidates every Timer still pointing at it.
+// release retires an event's storage to the free list. The generation
+// bump is what invalidates every Timer still pointing at it.
 func (e *Engine) release(ev *event) {
 	ev.gen++
 	ev.fn = nil
-	e.pool.Put(ev)
+	e.free = append(e.free, ev)
 }
 
 // Cancel removes a pending event. A stale handle — the event already

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/simtime"
@@ -313,5 +314,37 @@ func TestManyEventsStress(t *testing.T) {
 	e.Run()
 	if fired != n {
 		t.Errorf("fired %d of %d", fired, n)
+	}
+}
+
+// TestWarmCycleAllocatesNothing drives every engine entry point — At,
+// After, Reschedule, Cancel and Step — through one warm cycle, with
+// two garbage collections in it. Event storage is recycled through the
+// engine's own free list, which a collection does not empty, so the
+// cycle allocates nothing however often the collector runs in between.
+func TestWarmCycleAllocatesNothing(t *testing.T) {
+	e := New()
+	fired := 0
+	fn := func() { fired++ }
+	cycle := func() {
+		a := e.At(e.Now().Add(3), fn)
+		b := e.After(5, fn)
+		c := e.After(9, fn)
+		e.Reschedule(a, e.Now().Add(7))
+		e.Cancel(b)
+		runtime.GC()
+		runtime.GC()
+		for e.Step() {
+		}
+		if c.Pending() {
+			t.Fatal("event still pending after the queue drained")
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a warm At/After/Reschedule/Cancel/Step cycle allocates %v times, want 0", n)
+	}
+	if fired != 2*102 {
+		t.Errorf("fired %d callbacks, want %d", fired, 2*102)
 	}
 }

@@ -117,11 +117,11 @@ func (l *Log) Count(kind EventKind) int {
 	return n
 }
 
-// trace appends a formatted entry to the scheduler log, if enabled.
+// trace appends a formatted entry to the scheduler log. Callers check
+// sd.log != nil first: the arguments are boxed into the variadic slice
+// before the call, so an unguarded call would allocate on every
+// scheduling event even with logging off.
 func (sd *Scheduler) trace(kind EventKind, t *Task, format string, args ...any) {
-	if sd.log == nil {
-		return
-	}
 	e := LogEntry{At: sd.now(), Kind: kind}
 	if t != nil {
 		e.Task = t.name

@@ -79,7 +79,9 @@ func (sd *Scheduler) Detach(srv *Server) error {
 		t.sched = nil
 	}
 	srv.sched = nil
-	sd.trace(EvParamChange, nil, "srv=%s detached q=%v d=%v", srv.name, srv.q, srv.d)
+	if sd.log != nil {
+		sd.trace(EvParamChange, nil, "srv=%s detached q=%v d=%v", srv.name, srv.q, srv.d)
+	}
 	// The old core moves on to its next-best entity.
 	sd.dispatch()
 	return nil
@@ -104,9 +106,9 @@ func (sd *Scheduler) DetachTask(t *Task) error {
 	}
 	sd.suspend()
 	if t.beQueued {
-		for i, x := range sd.beQ {
+		for i, x := range sd.beQ.items() {
 			if x == t {
-				sd.beQ = append(sd.beQ[:i], sd.beQ[i+1:]...)
+				sd.beQ.remove(i)
 				break
 			}
 		}
@@ -122,7 +124,9 @@ func (sd *Scheduler) DetachTask(t *Task) error {
 		sd.lastTask = nil
 	}
 	t.sched = nil
-	sd.trace(EvParamChange, nil, "task=%s detached backlog=%d", t.name, len(t.pending))
+	if sd.log != nil {
+		sd.trace(EvParamChange, nil, "task=%s detached backlog=%d", t.name, t.Backlog())
+	}
 	sd.dispatch()
 	return nil
 }
@@ -144,7 +148,9 @@ func (sd *Scheduler) AdoptTask(t *Task) error {
 	if t.runnable() {
 		sd.beWake(t)
 	}
-	sd.trace(EvParamChange, nil, "task=%s adopted backlog=%d", t.name, len(t.pending))
+	if sd.log != nil {
+		sd.trace(EvParamChange, nil, "task=%s adopted backlog=%d", t.name, t.Backlog())
+	}
 	sd.dispatch()
 	return nil
 }
@@ -298,10 +304,7 @@ func (sd *Scheduler) Adopt(srv *Server) error {
 			when = now.Add(srv.period)
 			srv.d = when
 		}
-		srv.replenishEv = sd.engine.At(when, func() {
-			srv.replenishEv = sim.Timer{}
-			srv.replenish()
-		})
+		srv.replenishEv = sd.engine.At(when, srv.replenishFn)
 	case srvReady:
 		if srv.runnableTask() != nil {
 			sd.edfPush(srv)
@@ -309,7 +312,9 @@ func (sd *Scheduler) Adopt(srv *Server) error {
 			srv.state = srvIdle
 		}
 	}
-	sd.trace(EvParamChange, nil, "srv=%s adopted q=%v d=%v", srv.name, srv.q, srv.d)
+	if sd.log != nil {
+		sd.trace(EvParamChange, nil, "srv=%s adopted q=%v d=%v", srv.name, srv.q, srv.d)
+	}
 	sd.dispatch()
 	return nil
 }

@@ -25,7 +25,9 @@ type Config struct {
 	// BEQuantum is the round-robin quantum of the best-effort class.
 	// Zero selects the default of 10ms.
 	BEQuantum simtime.Duration
-	// LogCapacity bounds the scheduler event log; zero disables logging.
+	// LogCapacity bounds the scheduler event log; zero disables
+	// logging. A disabled log costs nothing: no entry is formatted, so
+	// the job path allocates nothing for it.
 	LogCapacity int
 	// PIDBase is the first PID this scheduler hands out; zero selects
 	// 1000. Schedulers sharing one syscall tracer (the cores of an
@@ -49,7 +51,7 @@ type Scheduler struct {
 	servers []*Server
 	tasks   []*Task
 	edf     serverHeap
-	beQ     []*Task
+	beQ     fifo[*Task] // best-effort round-robin queue
 
 	runServer *Server
 	runTask   *Task
@@ -167,6 +169,10 @@ func (sd *Scheduler) NewServer(name string, budget, period simtime.Duration, mod
 		period:    period,
 		heapIndex: -1,
 	}
+	s.replenishFn = func() {
+		s.replenishEv = sim.Timer{}
+		s.replenish()
+	}
 	sd.nextSrvID++
 	sd.servers = append(sd.servers, s)
 	return s
@@ -186,7 +192,7 @@ func (sd *Scheduler) NewTask(name string) *Task {
 // false (leaving the task registered) otherwise. This is the undo for
 // NewTask on construction paths that fail after creating the task.
 func (sd *Scheduler) RemoveTask(t *Task) bool {
-	if t == nil || t.sched != sd || t.server != nil || len(t.pending) > 0 || t.beQueued || sd.runTask == t {
+	if t == nil || t.sched != sd || t.server != nil || t.runnable() || t.beQueued || sd.runTask == t {
 		return false
 	}
 	for i, x := range sd.tasks {
@@ -257,7 +263,7 @@ func (sd *Scheduler) beWake(t *Task) {
 		return
 	}
 	t.beQueued = true
-	sd.beQ = append(sd.beQ, t)
+	sd.beQ.push(t)
 }
 
 // dispatch is the single scheduling point: it settles the accounting
@@ -312,7 +318,7 @@ func (sd *Scheduler) suspendLocked() {
 	sd.runTask = nil
 	sd.runServer = nil
 
-	j := t.pending[0]
+	j := t.pending.front()
 	if elapsed > 0 {
 		j.done += elapsed
 		t.stats.Consumed += elapsed
@@ -348,7 +354,7 @@ func (sd *Scheduler) suspendLocked() {
 	} else if t.runnable() {
 		// Best-effort round robin: back of the queue.
 		t.beQueued = true
-		sd.beQ = append(sd.beQ, t)
+		sd.beQ.push(t)
 	}
 }
 
@@ -371,9 +377,8 @@ func (sd *Scheduler) pickAndRun() {
 		sd.start(srv, t, nowt)
 		return
 	}
-	for len(sd.beQ) > 0 {
-		t := sd.beQ[0]
-		sd.beQ = sd.beQ[1:]
+	for sd.beQ.len() > 0 {
+		t := sd.beQ.pop()
 		t.beQueued = false
 		if !t.runnable() {
 			continue
@@ -385,7 +390,7 @@ func (sd *Scheduler) pickAndRun() {
 }
 
 func (sd *Scheduler) start(srv *Server, t *Task, nowt simtime.Time) {
-	j := t.pending[0]
+	j := t.pending.front()
 	if !t.started {
 		t.started = true
 		if t.OnJobStart != nil {
@@ -420,7 +425,9 @@ func (sd *Scheduler) start(srv *Server, t *Task, nowt simtime.Time) {
 	}
 	if t != sd.lastTask {
 		sd.ctxSwitches++
-		sd.trace(EvDispatch, t, "slice=%v", slice)
+		if sd.log != nil {
+			sd.trace(EvDispatch, t, "slice=%v", slice)
+		}
 		sd.lastTask = t
 	}
 	sd.runServer = srv
@@ -541,7 +548,7 @@ func (sd *Scheduler) Validate() error {
 		}
 	}
 	for _, t := range sd.tasks {
-		for _, j := range t.pending {
+		for _, j := range t.pending.items() {
 			if j.done > j.Total {
 				return fmt.Errorf("task %v job overran demand: done=%v total=%v", t, j.done, j.Total)
 			}

@@ -72,7 +72,8 @@ type Server struct {
 	tasks []*Task
 
 	replenishEv sim.Timer
-	heapIndex   int // position in the EDF ready heap, -1 if absent
+	replenishFn func() // replenishment callback, allocated once
+	heapIndex   int    // position in the EDF ready heap, -1 if absent
 
 	stats          ServerStats
 	throttledSince simtime.Time
@@ -159,7 +160,9 @@ func (s *Server) SetParams(budget, period simtime.Duration) {
 	if s.q > budget {
 		s.q = budget
 	}
-	s.sched.trace(EvParamChange, nil, "srv=%s Q=%v T=%v", s.name, budget, period)
+	if s.sched.log != nil {
+		s.sched.trace(EvParamChange, nil, "srv=%s Q=%v T=%v", s.name, budget, period)
+	}
 	if s.state == srvThrottled && s.q > 0 {
 		s.unthrottle()
 	} else if s.state == srvThrottled && s.replenishEv.Pending() {
@@ -196,7 +199,9 @@ func (s *Server) taskWoke(now simtime.Time) {
 		s.q = s.budget
 		s.d = now.Add(s.period)
 		s.stats.Replenishments++
-		s.sched.trace(EvReplenish, nil, "srv=%s wakeup q=%v d=%v", s.name, s.q, s.d)
+		if s.sched.log != nil {
+			s.sched.trace(EvReplenish, nil, "srv=%s wakeup q=%v d=%v", s.name, s.q, s.d)
+		}
 	}
 	if s.q == 0 {
 		s.throttle(now)
@@ -204,7 +209,9 @@ func (s *Server) taskWoke(now simtime.Time) {
 	}
 	s.state = srvReady
 	s.sched.edfPush(s)
-	s.sched.trace(EvWakeup, nil, "srv=%s d=%v q=%v", s.name, s.d, s.q)
+	if s.sched.log != nil {
+		s.sched.trace(EvWakeup, nil, "srv=%s d=%v q=%v", s.name, s.d, s.q)
+	}
 }
 
 // pairSafe reports whether reusing (q, d) at instant now respects the
@@ -218,7 +225,9 @@ func (s *Server) pairSafe(now simtime.Time) bool {
 // exhaust handles budget depletion while work is still pending.
 func (s *Server) exhaust(now simtime.Time) {
 	s.stats.Exhaustions++
-	s.sched.trace(EvExhaust, nil, "srv=%s d=%v", s.name, s.d)
+	if s.sched.log != nil {
+		s.sched.trace(EvExhaust, nil, "srv=%s d=%v", s.name, s.d)
+	}
 	if s.sched.exhaustBus != nil {
 		s.sched.exhaustBus(s, now)
 	}
@@ -256,11 +265,10 @@ func (s *Server) throttle(now simtime.Time) {
 		when = now.Add(s.period)
 		s.d = when
 	}
-	s.sched.trace(EvThrottle, nil, "srv=%s until=%v", s.name, when)
-	s.replenishEv = s.sched.engine.At(when, func() {
-		s.replenishEv = sim.Timer{}
-		s.replenish()
-	})
+	if s.sched.log != nil {
+		s.sched.trace(EvThrottle, nil, "srv=%s until=%v", s.name, when)
+	}
+	s.replenishEv = s.sched.engine.At(when, s.replenishFn)
 }
 
 // replenish fires at the deadline of a throttled hard server.
@@ -270,7 +278,9 @@ func (s *Server) replenish() {
 	s.q = s.budget
 	s.d = s.d.Add(s.period)
 	s.stats.Replenishments++
-	s.sched.trace(EvReplenish, nil, "srv=%s q=%v d=%v", s.name, s.q, s.d)
+	if s.sched.log != nil {
+		s.sched.trace(EvReplenish, nil, "srv=%s q=%v d=%v", s.name, s.q, s.d)
+	}
 	if s.runnableTask() != nil {
 		s.state = srvReady
 		s.sched.edfPush(s)

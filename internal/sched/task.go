@@ -159,7 +159,7 @@ type Task struct {
 	server *Server
 	prio   int // fixed priority inside a server; lower value = higher priority
 
-	pending []*Job // FIFO backlog, pending[0] is the current job
+	pending fifo[*Job] // backlog; the front is the current job
 	stats   TaskStats
 
 	// OnJobComplete, if non-nil, is invoked when a job finishes.
@@ -198,17 +198,17 @@ func (t *Task) Priority() int { return t.prio }
 
 // Backlog returns the number of unfinished jobs (including the one in
 // service).
-func (t *Task) Backlog() int { return len(t.pending) }
+func (t *Task) Backlog() int { return t.pending.len() }
 
 // CurrentJob returns the job in service, or nil.
 func (t *Task) CurrentJob() *Job {
-	if len(t.pending) == 0 {
+	if !t.runnable() {
 		return nil
 	}
-	return t.pending[0]
+	return t.pending.front()
 }
 
-func (t *Task) runnable() bool { return len(t.pending) > 0 }
+func (t *Task) runnable() bool { return t.pending.len() > 0 }
 
 // Release hands a new job to the task. It must be called from within
 // the simulation (typically from a timer event); the job's Release
@@ -216,10 +216,12 @@ func (t *Task) runnable() bool { return len(t.pending) > 0 }
 func (t *Task) Release(j *Job) {
 	now := t.sched.now()
 	j.Release = now
-	t.pending = append(t.pending, j)
+	t.pending.push(j)
 	t.stats.Released++
-	t.sched.trace(EvJobRelease, t, "demand=%v", j.Total)
-	if len(t.pending) == 1 {
+	if t.sched.log != nil {
+		t.sched.trace(EvJobRelease, t, "demand=%v", j.Total)
+	}
+	if t.pending.len() == 1 {
 		t.started = false
 		if hook := t.sched.transitionHook; hook != nil {
 			hook(t, true, now)
@@ -242,9 +244,8 @@ func (t *Task) String() string {
 // completeCurrent finalises the job in service. Caller must have
 // verified j.done == j.Total.
 func (t *Task) completeCurrent(now simtime.Time) {
-	j := t.pending[0]
+	j := t.pending.pop()
 	j.Finish = now
-	t.pending = t.pending[1:]
 	t.started = false
 	t.stats.Completed++
 	if j.Deadline != simtime.Never && now.After(j.Deadline) {
@@ -253,8 +254,10 @@ func (t *Task) completeCurrent(now simtime.Time) {
 			t.stats.MaxTardy = tardy
 		}
 	}
-	t.sched.trace(EvJobComplete, t, "resp=%v", j.ResponseTime())
-	if len(t.pending) == 0 {
+	if t.sched.log != nil {
+		t.sched.trace(EvJobComplete, t, "resp=%v", j.ResponseTime())
+	}
+	if !t.runnable() {
 		if hook := t.sched.transitionHook; hook != nil {
 			hook(t, false, now)
 		}

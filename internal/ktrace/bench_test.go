@@ -26,3 +26,20 @@ func BenchmarkDrainPID(b *testing.B) {
 		buf.Inject(buf.DrainPID(1 + i%pids))
 	}
 }
+
+// BenchmarkSyscall is the tracer's record path: one traced system call
+// into a ring that has already grown to the default capacity of 64k
+// events, so every record wraps and overwrites the oldest event. It
+// allocates nothing, and CI gates its allocs/op.
+func BenchmarkSyscall(b *testing.B) {
+	const capacity, pids = 1 << 16, 24
+	buf := NewBuffer(QTrace, capacity)
+	for i := 0; i < capacity; i++ {
+		buf.Syscall(simtime.Time(i), 1+i%pids, 1)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Syscall(simtime.Time(capacity+i), 1+i%pids, 1)
+	}
+}

@@ -1,8 +1,12 @@
 // Package ktrace reproduces the paper's kernel-level system-call
-// tracer (Sec. 4.1): a statically allocated circular buffer that
-// records a timestamp for each system call issued by a selected set of
-// processes, plus a "character device" interface through which the
-// user-space controller downloads batches of timestamps.
+// tracer (Sec. 4.1): a bounded circular buffer that records a timestamp
+// for each system call issued by a selected set of processes, plus a
+// "character device" interface through which the user-space controller
+// downloads batches of timestamps. The paper's buffer is statically
+// allocated; this one wraps and drops exactly as a fixed ring of the
+// same capacity would, but grows its storage on demand up to that
+// capacity, so a simulation holding thousands of tracers pays for the
+// events they buffer rather than for the rings' capacity.
 //
 // The four tracers compared in Table 1 are modelled by the per-event
 // CPU overhead they charge to the traced application:
@@ -85,10 +89,11 @@ type Event struct {
 type Buffer struct {
 	kind Kind
 
-	ring    []Event
-	head    int // next write position
-	count   int // valid entries
-	dropped int
+	ring     []Event // doubles on demand up to capacity; never shrinks
+	capacity int
+	head     int // next write position
+	count    int // valid entries
+	dropped  int
 
 	pidFilter map[int]bool // nil = trace all PIDs
 	nrFilter  map[int]bool // nil = trace all syscalls
@@ -97,13 +102,41 @@ type Buffer struct {
 	discarded int // filtered out
 }
 
-// NewBuffer returns a tracer of the given kind with the given ring
-// capacity (the paper's statically allocated circular buffer).
+// minRing is the first allocation of a ring, in events.
+const minRing = 64
+
+// NewBuffer returns a tracer of the given kind whose ring holds up to
+// capacity events (the paper's statically allocated circular buffer).
+// The ring starts empty and doubles as events arrive; once it reaches
+// capacity, a new event overwrites the oldest.
 func NewBuffer(kind Kind, capacity int) *Buffer {
 	if capacity <= 0 {
 		panic("ktrace: buffer capacity must be positive")
 	}
-	return &Buffer{kind: kind, ring: make([]Event, capacity)}
+	return &Buffer{kind: kind, capacity: capacity}
+}
+
+// push appends one event to the ring: it grows a full ring that is
+// still below capacity, and otherwise overwrites the oldest event of a
+// full ring, counting it as dropped.
+func (b *Buffer) push(e Event) {
+	if b.count == len(b.ring) && len(b.ring) < b.capacity {
+		// A full ring's oldest event sits at head: unwrap from there.
+		ring := make([]Event, min(max(2*len(b.ring), minRing), b.capacity))
+		n := copy(ring, b.ring[b.head:])
+		copy(ring[n:], b.ring[:b.head])
+		b.ring, b.head = ring, b.count
+	}
+	b.ring[b.head] = e
+	if b.head++; b.head == len(b.ring) {
+		b.head = 0
+	}
+	if b.count < len(b.ring) {
+		b.count++
+	} else {
+		b.dropped++
+	}
+	b.recorded++
 }
 
 // Kind returns the tracer kind.
@@ -155,14 +188,7 @@ func (b *Buffer) Syscall(now simtime.Time, pid, nr int) simtime.Duration {
 		}
 		return 0
 	}
-	b.ring[b.head] = Event{At: now, PID: pid, Nr: nr}
-	b.head = (b.head + 1) % len(b.ring)
-	if b.count < len(b.ring) {
-		b.count++
-	} else {
-		b.dropped++
-	}
-	b.recorded++
+	b.push(Event{At: now, PID: pid, Nr: nr})
 	return b.kind.PerEventOverhead()
 }
 
@@ -248,17 +274,11 @@ func (b *Buffer) DrainPID(pid int) []Event {
 // undownloaded evidence from its old core's tracer into the new one,
 // so a per-core-tracer machine loses no analyser input across a
 // migration. Filters do not apply: the events passed them at record
-// time.
+// time. Injected events still count in Recorded, so evidence carried
+// across a move counts on both tracers.
 func (b *Buffer) Inject(events []Event) {
 	for _, e := range events {
-		b.ring[b.head] = e
-		b.head = (b.head + 1) % len(b.ring)
-		if b.count < len(b.ring) {
-			b.count++
-		} else {
-			b.dropped++
-		}
-		b.recorded++
+		b.push(e)
 	}
 }
 

@@ -309,3 +309,137 @@ func TestQuickDrainPreservesChronology(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fixedRing is the tracer ring allocated whole up front: the reference
+// a lazily grown Buffer must match event for event, drop for drop.
+type fixedRing struct {
+	ring                           []Event
+	head, count, dropped, recorded int
+}
+
+func (r *fixedRing) push(e Event) {
+	r.ring[r.head] = e
+	r.head = (r.head + 1) % len(r.ring)
+	if r.count < len(r.ring) {
+		r.count++
+	} else {
+		r.dropped++
+	}
+	r.recorded++
+}
+
+func (r *fixedRing) snapshot() []Event {
+	var out []Event
+	for i := 0; i < r.count; i++ {
+		out = append(out, r.ring[(r.head-r.count+i+len(r.ring))%len(r.ring)])
+	}
+	return out
+}
+
+// drainPID removes and returns pid's events, keeping the rest in order.
+func (r *fixedRing) drainPID(pid int) []Event {
+	var mine, rest []Event
+	for _, e := range r.snapshot() {
+		if pid < 0 || e.PID == pid {
+			mine = append(mine, e)
+		} else {
+			rest = append(rest, e)
+		}
+	}
+	r.count = 0
+	for _, e := range rest {
+		r.ring[r.head] = e
+		r.head = (r.head + 1) % len(r.ring)
+		r.count++
+	}
+	return mine
+}
+
+// TestLazyRingMatchesFixedRing drives a Buffer and a fixedRing of the
+// same capacity through random Syscall, recordOnly, Inject, Drain and
+// DrainPID sequences, on capacities around the first allocation so the
+// ring grows, reaches capacity, wraps and drops, and compares the
+// observable state after every step. The Buffer's storage must double
+// from minRing, stop at capacity and never shrink.
+func TestLazyRingMatchesFixedRing(t *testing.T) {
+	r := rand.New(rand.NewPCG(6, 7))
+	for seq := 0; seq < 100; seq++ {
+		capacity := 1 + r.IntN(5*minRing)
+		got, want := NewBuffer(QTrace, capacity), &fixedRing{ring: make([]Event, capacity)}
+		got.FilterPIDs(1, 2, 3, 4)
+		now := simtime.Time(0)
+		size := 0 // the ring's length after the previous step
+		for step := 0; step < 600; step++ {
+			var op string
+			var gotOut, wantOut []Event
+			now += simtime.Time(1 + r.IntN(1000))
+			pid, nr := 1+r.IntN(5), r.IntN(3) // PID 5 is filtered out
+			switch k := r.IntN(20); {
+			case k < 8:
+				op = "Syscall"
+				got.Syscall(now, pid, nr)
+				if pid != 5 {
+					want.push(Event{At: now, PID: pid, Nr: nr})
+				}
+			case k < 14:
+				op = "recordOnly"
+				got.recordOnly(now, pid, nr)
+				if pid != 5 {
+					want.push(Event{At: now, PID: pid, Nr: nr})
+				}
+			case k < 16:
+				op = fmt.Sprintf("DrainPID(%d)", pid)
+				gotOut, wantOut = got.DrainPID(pid), want.drainPID(pid)
+			case k < 17:
+				op = "Drain"
+				gotOut, wantOut = got.Drain(), want.drainPID(-1)
+				if len(gotOut) == 0 {
+					gotOut = nil
+				}
+			default:
+				op = "Inject"
+				batch := make([]Event, r.IntN(capacity/2+2))
+				for i := range batch {
+					now += simtime.Time(1 + r.IntN(1000))
+					batch[i] = Event{At: now, PID: 1 + r.IntN(5), Nr: r.IntN(3)}
+				}
+				got.Inject(batch)
+				for _, e := range batch {
+					want.push(e)
+				}
+			}
+			if !slices.Equal(gotOut, wantOut) || !slices.Equal(got.Snapshot(), want.snapshot()) ||
+				got.Len() != want.count || got.Dropped() != want.dropped || got.Recorded() != want.recorded {
+				t.Fatalf("capacity %d, step %d, %s: returned %v, buffered %v (len %d, dropped %d, recorded %d); "+
+					"fixed ring returned %v, buffered %v (len %d, dropped %d, recorded %d)",
+					capacity, step, op, gotOut, got.Snapshot(), got.Len(), got.Dropped(), got.Recorded(),
+					wantOut, want.snapshot(), want.count, want.dropped, want.recorded)
+			}
+			n := len(got.ring)
+			doubled := n >= minRing && n&(n-1) == 0 // minRing times a power of two
+			if n < size || n > capacity || (n != 0 && n != capacity && !doubled) {
+				t.Fatalf("capacity %d, step %d, %s: ring went from %d to %d events", capacity, step, op, size, n)
+			}
+			size = n
+		}
+	}
+}
+
+// TestRingGrowsOnDemand checks that a new tracer allocates no ring and
+// that a ring holds at most twice its peak occupancy below capacity.
+func TestRingGrowsOnDemand(t *testing.T) {
+	b := NewBuffer(QTrace, 1<<16)
+	if len(b.ring) != 0 {
+		t.Fatalf("fresh buffer holds a ring of %d events, want 0", len(b.ring))
+	}
+	for i := int64(0); i < 100; i++ {
+		b.Syscall(ev(i, 1, 1))
+	}
+	b.Drain()
+	for i := int64(0); i < 100; i++ {
+		b.Syscall(ev(100+i, 1, 1))
+	}
+	if len(b.ring) != 2*minRing {
+		t.Errorf("ring of %d events after two rounds of 100, want %d", len(b.ring), 2*minRing)
+	}
+}

@@ -49,12 +49,5 @@ func (b *Buffer) recordOnly(now simtime.Time, pid, nr int) {
 		b.discarded++
 		return
 	}
-	b.ring[b.head] = Event{At: now, PID: pid, Nr: nr}
-	b.head = (b.head + 1) % len(b.ring)
-	if b.count < len(b.ring) {
-		b.count++
-	} else {
-		b.dropped++
-	}
-	b.recorded++
+	b.push(Event{At: now, PID: pid, Nr: nr})
 }

@@ -106,9 +106,9 @@ type Buffer struct {
 const minRing = 64
 
 // NewBuffer returns a tracer of the given kind whose ring holds up to
-// capacity events (the paper's statically allocated circular buffer).
-// The ring starts empty and doubles as events arrive; once it reaches
-// capacity, a new event overwrites the oldest.
+// capacity events, the size of the paper's statically allocated
+// buffer. The ring starts empty and doubles as events arrive; once it
+// reaches capacity, a new event overwrites the oldest.
 func NewBuffer(kind Kind, capacity int) *Buffer {
 	if capacity <= 0 {
 		panic("ktrace: buffer capacity must be positive")

@@ -32,9 +32,11 @@ func BenchmarkPeriodicSecond(b *testing.B) {
 // pooling on (Config.RecycleJobs): every completed job's storage goes
 // back to the pool the moment its completion callback has run, so the
 // steady-state job churn — eight reservations releasing ~100 jobs per
-// simulated second each — stops allocating Job structs. The allocs/op
-// drop against BenchmarkPeriodicSecond is the pooling win, and CI
-// gates this benchmark's allocs/op against its own baseline.
+// simulated second each — stops allocating Job structs. The rest of
+// the job path allocates nothing once warm (TestJobPathAllocatesNothing),
+// so what allocs/op remains is building each iteration's engine,
+// scheduler, servers and tasks. CI gates this benchmark's allocs/op
+// against its own baseline.
 func BenchmarkPeriodicSecondRecycled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

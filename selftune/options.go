@@ -76,7 +76,8 @@ func WithULub(u float64) Option {
 
 // WithTracerCapacity sets the syscall ring size: of the one ring all
 // cores share, or of each core's own ring on a laned machine
-// (WithCoreParallelism).
+// (WithCoreParallelism). A ring allocates as events arrive, doubling
+// up to this capacity, so an unused ring costs nothing.
 func WithTracerCapacity(n int) Option {
 	return func(o *options) error {
 		if n <= 0 {

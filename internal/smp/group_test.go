@@ -50,8 +50,8 @@ func TestMigrateGroupConservesBandwidth(t *testing.T) {
 		loadSumBefore += l
 	}
 
-	if err := m.MigrateGroup(g, 0, 2, 0.3); err != nil {
-		t.Fatalf("MigrateGroup: %v", err)
+	if err := smp.MoveGroup(g, m, 0, m, 2, 0.3, nil); err != nil {
+		t.Fatalf("MoveGroup: %v", err)
 	}
 	if got := totalMachineBandwidth(m); math.Abs(got-before) > 1e-12 {
 		t.Errorf("total reserved bandwidth changed: %.6f -> %.6f", before, got)
@@ -90,7 +90,7 @@ func TestMigrateGroupAllOrNothing(t *testing.T) {
 	}
 	loadsBefore := m.Loads()
 
-	if err := m.MigrateGroup(g, 0, 1, 0.6); err == nil {
+	if err := smp.MoveGroup(g, m, 0, m, 1, 0.6, nil); err == nil {
 		t.Fatal("partial-fit group migration accepted")
 	}
 	loadsAfter := m.Loads()
@@ -112,7 +112,7 @@ func TestMigrateGroupAllOrNothing(t *testing.T) {
 	// The same unit fits once the blocker shrinks; rollback must not
 	// have corrupted the accounts.
 	m.Release(1, 0.4)
-	if err := m.MigrateGroup(g, 0, 1, 0.6); err != nil {
+	if err := smp.MoveGroup(g, m, 0, m, 1, 0.6, nil); err != nil {
 		t.Fatalf("group migration after freeing room: %v", err)
 	}
 }

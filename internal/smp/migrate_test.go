@@ -1,7 +1,9 @@
 package smp_test
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -41,7 +43,7 @@ func TestMigrateToFullCoreRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := m.Loads()
-	if err := m.MigrateGroup(single(srv), 0, 1, 0.3); err == nil {
+	if err := smp.MoveGroup(single(srv), m, 0, m, 1, 0.3, nil); err == nil {
 		t.Fatal("migration to a full core accepted")
 	}
 	// Rejection must leave the machine untouched: same loads, server
@@ -58,16 +60,119 @@ func TestMigrateToFullCoreRejected(t *testing.T) {
 	if m.Migrations() != 0 {
 		t.Errorf("Migrations() = %d after rejection", m.Migrations())
 	}
-	// A rollback (ForceMigrateGroup) bypasses the admission check: a state
-	// that was legal moments ago must be restorable.
-	if err := m.ForceMigrateGroup(single(srv), 0, 1, 0.3); err != nil {
-		t.Fatalf("ForceMigrateGroup: %v", err)
+}
+
+// errRefused is the commit refusal of the MoveGroup tests.
+var errRefused = errors.New("refused")
+
+// twoMachines builds a 2-core source and a 2-core destination machine
+// on engines of their own, in disjoint PID ranges: a 0.3-hint unit
+// whose server reserves 0.4 on source core 0, and a 0.1 hint already
+// held by destination core 1.
+func twoMachines(t *testing.T) (src, dst *smp.Machine, srv *sched.Server) {
+	t.Helper()
+	src = smp.New([]*sim.Engine{sim.New(), sim.New()}, 1, 0)
+	dst = smp.New([]*sim.Engine{sim.New(), sim.New()}, 1, 1_000_000_000)
+	if err := src.Reserve(0, 0.3); err != nil {
+		t.Fatal(err)
 	}
-	if !m.Core(1).Owns(srv) {
-		t.Error("server did not move under ForceMigrateGroup")
+	srv = src.Core(0).NewServer("mover", 40*simtime.Millisecond, 100*simtime.Millisecond, sched.HardCBS)
+	src.Core(0).NewTask("mover").AttachTo(srv, 0)
+	if err := dst.Reserve(1, 0.1); err != nil {
+		t.Fatal(err)
 	}
-	if got := m.Load(1); math.Abs(got-1.1) > 1e-9 {
-		t.Errorf("core 1 load %.3f after forced move, want 1.1", got)
+	return src, dst, srv
+}
+
+// TestMoveGroupBetweenMachines: the destination carries the full
+// admission charge while commit runs, the source keeps its hint until
+// the move settles, and afterwards only the hint stays charged on the
+// destination. A move to another machine counts as no migration of
+// either machine.
+func TestMoveGroupBetweenMachines(t *testing.T) {
+	src, dst, srv := twoMachines(t)
+	var dstDuring, srcDuring float64
+	commit := func() error {
+		dstDuring, srcDuring = dst.Load(1), src.Load(0)
+		return nil
+	}
+	if err := smp.MoveGroup(single(srv), src, 0, dst, 1, 0.3, commit); err != nil {
+		t.Fatalf("MoveGroup: %v", err)
+	}
+	if math.Abs(dstDuring-0.5) > 1e-9 {
+		t.Errorf("destination load %v while commit ran, want the 0.1 hint plus the 0.4 charge", dstDuring)
+	}
+	if math.Abs(srcDuring-0.3) > 1e-9 {
+		t.Errorf("source load %v while commit ran, want its 0.3 hint", srcDuring)
+	}
+	if !dst.Core(1).Owns(srv) {
+		t.Error("server not owned by the destination")
+	}
+	if got := src.Load(0); got != 0 {
+		t.Errorf("source load %v after the move, want 0", got)
+	}
+	// With the server gone again, the destination's load is its hint
+	// account: the held 0.1 plus the unit's 0.3, not its 0.4 charge.
+	if err := dst.Core(1).DetachAll(single(srv)); err != nil {
+		t.Fatal(err)
+	}
+	if got := dst.Load(1); math.Abs(got-0.4) > 1e-9 {
+		t.Errorf("destination hint account %v after the move, want 0.4", got)
+	}
+	for name, m := range map[string]*smp.Machine{"source": src, "destination": dst} {
+		if m.Migrations() != 0 || m.CrossNodeMigrations() != 0 {
+			t.Errorf("%s counted %d migrations (%d cross-node) for a move to another machine",
+				name, m.Migrations(), m.CrossNodeMigrations())
+		}
+	}
+}
+
+// TestMoveGroupRefusedCommitChangesNothing: a commit that refuses puts
+// the unit back on its core, and both machines' loads are bit for bit
+// what they were.
+func TestMoveGroupRefusedCommitChangesNothing(t *testing.T) {
+	src, dst, srv := twoMachines(t)
+	srcLoads, dstLoads := src.Loads(), dst.Loads()
+	err := smp.MoveGroup(single(srv), src, 0, dst, 1, 0.3, func() error { return errRefused })
+	if !errors.Is(err, errRefused) {
+		t.Fatalf("MoveGroup error %v, want the commit's refusal", err)
+	}
+	if !src.Core(0).Owns(srv) || dst.Core(1).Owns(srv) {
+		t.Error("server did not return to source core 0")
+	}
+	if got := src.Loads(); !slices.Equal(got, srcLoads) {
+		t.Errorf("source loads %v after refused move, want %v", got, srcLoads)
+	}
+	if got := dst.Loads(); !slices.Equal(got, dstLoads) {
+		t.Errorf("destination loads %v after refused move, want %v", got, dstLoads)
+	}
+}
+
+// TestMoveGroupCountsOnlyCompletedMoves: within one machine, a move
+// whose commit refuses counts neither as a migration nor as a
+// cross-node one; the same move committed counts once each.
+func TestMoveGroupCountsOnlyCompletedMoves(t *testing.T) {
+	m := newMachine(sim.New(), 4)
+	if err := m.SetTopology(smp.Uniform(4, 2)); err != nil {
+		t.Fatal(err)
+	}
+	srv := reservedServer(t, m, 0, "mover", 0.3)
+	loads := m.Loads()
+	if err := smp.MoveGroup(single(srv), m, 0, m, 2, 0.3, func() error { return errRefused }); err == nil {
+		t.Fatal("refused commit reported success")
+	}
+	if m.Migrations() != 0 || m.CrossNodeMigrations() != 0 {
+		t.Errorf("refused move counted: %d migrations, %d cross-node", m.Migrations(), m.CrossNodeMigrations())
+	}
+	if got := m.Loads(); !slices.Equal(got, loads) {
+		t.Errorf("loads %v after refused move, want %v", got, loads)
+	}
+	if err := smp.MoveGroup(single(srv), m, 0, m, 2, 0.3, func() error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if m.Migrations() != 1 || m.CrossNodeMigrations() != 1 {
+		t.Errorf("committed move counted %d migrations, %d cross-node, want 1 and 1",
+			m.Migrations(), m.CrossNodeMigrations())
 	}
 }
 
@@ -89,7 +194,7 @@ func TestMigrateValidation(t *testing.T) {
 		{"foreign server", foreign, 0, 1},
 	}
 	for _, tc := range cases {
-		if err := m.MigrateGroup(single(tc.srv), tc.from, tc.to, 0.2); err == nil {
+		if err := smp.MoveGroup(single(tc.srv), m, tc.from, m, tc.to, 0.2, nil); err == nil {
 			t.Errorf("%s: migration accepted", tc.name)
 		}
 	}
@@ -132,7 +237,7 @@ func TestMigrateConservesBandwidth(t *testing.T) {
 		{srvs[0], 2, 1, 0.40},
 	}
 	for i, mv := range moves {
-		if err := m.MigrateGroup(single(mv.srv), mv.from, mv.to, mv.hint); err != nil {
+		if err := smp.MoveGroup(single(mv.srv), m, mv.from, m, mv.to, mv.hint, nil); err != nil {
 			t.Fatalf("move %d: %v", i, err)
 		}
 		if got := total(); math.Abs(got-wantTotal) > 1e-9 {

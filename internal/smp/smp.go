@@ -7,12 +7,14 @@
 // headroom for the feedback loops to adapt into.
 //
 // On top of the partitioned baseline the machine supports migration:
-// MigrateGroup atomically releases a migration unit (CBS servers with
-// their tasks, bare tasks, and its placement hint) from one core and
-// re-places it on another, using the sched package's DetachAll/AdoptAll
-// to carry the budget/deadline state across. The paper calls the cooperation between load balancing and
-// adaptive reservations "an open research issue"; the policies built
-// on this mechanism live in the selftune balancer.
+// MoveGroup moves a migration unit (CBS servers with their tasks, bare
+// tasks, and its placement hint) from one core to another — of the
+// same machine, or of another machine at the same simulated instant —
+// as one all-or-nothing transaction, using the sched package's
+// DetachAll/AdoptAll to carry the budget/deadline state across. The
+// paper calls the cooperation between load balancing and adaptive
+// reservations "an open research issue"; the policies built on this
+// mechanism live in the selftune balancer.
 //
 // Concurrency: the placement accounts are mutex-guarded, so
 // interleaved Place/Reserve/Release calls never corrupt each other or
@@ -40,6 +42,7 @@ type Machine struct {
 
 	mu         sync.Mutex
 	placed     []float64 // bandwidth hints accepted per core
+	inflight   []float64 // admission charges of moves not yet settled, per core
 	migrations int
 	crossNode  int // migrations that crossed a topology domain
 
@@ -54,7 +57,7 @@ type Machine struct {
 // events across cores interleave in global (when, seq) order on one
 // goroutine. A laned machine passes one engine per core, and the lanes
 // advance concurrently between causality fences (sim.EngineGroup);
-// cross-core operations (MigrateGroup, LoadsInto) are then only legal
+// cross-core operations (MoveGroup, LoadsInto) are then only legal
 // while every lane rests at the same fence instant. Migration carries a
 // reservation's timers across lanes: sched.Detach/Adopt cancel and
 // re-arm on each scheduler's own engine, which is exactly lane-correct
@@ -73,7 +76,7 @@ func New(engines []*sim.Engine, ulub float64, pidOffset int) *Machine {
 		panic("smp: need at least one core")
 	}
 	n := len(engines)
-	m := &Machine{placed: make([]float64, n), domainOf: make([]int, n)}
+	m := &Machine{placed: make([]float64, n), inflight: make([]float64, n), domainOf: make([]int, n)}
 	for i, eng := range engines {
 		if eng == nil {
 			panic(fmt.Sprintf("smp: core %d has a nil engine", i))
@@ -104,11 +107,29 @@ func (m *Machine) Supervisor(i int) *supervisor.Supervisor { return m.sups[i] }
 // reserved bandwidth, so placement stays meaningful after the tuners
 // have adapted away from their hints.
 func (m *Machine) Place(bandwidth float64) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	core, err := m.fit(bandwidth)
+	if err == nil {
+		m.placed[core] += bandwidth
+	}
+	return core, err
+}
+
+// Fit returns the core Place would pick for the given bandwidth,
+// without charging it: callers that charge through MoveGroup choose
+// their destination core with it.
+func (m *Machine) Fit(bandwidth float64) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.fit(bandwidth)
+}
+
+// fit is the worst-fit scan of Place and Fit, with m.mu held.
+func (m *Machine) fit(bandwidth float64) (int, error) {
 	if bandwidth <= 0 || bandwidth > 1 {
 		return 0, fmt.Errorf("smp: bandwidth hint %v out of (0,1]", bandwidth)
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	best, bestLoad := -1, 2.0
 	for i := range m.cores {
 		load := m.load(i)
@@ -119,7 +140,6 @@ func (m *Machine) Place(bandwidth float64) (int, error) {
 	if best < 0 {
 		return 0, fmt.Errorf("smp: no core fits %.3f (loads %v)", bandwidth, m.loads())
 	}
-	m.placed[best] += bandwidth
 	return best, nil
 }
 
@@ -147,128 +167,135 @@ func (m *Machine) Reserve(core int, bandwidth float64) error {
 // the application materialised. Out-of-range arguments are ignored;
 // the hint account never goes negative.
 func (m *Machine) Release(core int, bandwidth float64) {
-	if core < 0 || core >= len(m.cores) || bandwidth <= 0 {
+	if core < 0 || core >= len(m.cores) {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.release(core, bandwidth)
+}
+
+// release is Release for an in-range core, with m.mu held.
+func (m *Machine) release(core int, bandwidth float64) {
+	if bandwidth <= 0 {
+		return
+	}
 	m.placed[core] -= bandwidth
 	if m.placed[core] < 0 {
 		m.placed[core] = 0
 	}
 }
 
-// MigrateGroup atomically moves a whole migration unit — a set of CBS
-// servers (each with its attached tasks) plus bare best-effort tasks —
-// from core `from` to core `to`, together with `hint` of
-// placement-account bandwidth. Admission is batch and all-or-nothing:
-// the unit arrives with the larger of its aggregate hint and its
-// summed reserved bandwidth, that total must fit under the target
-// supervisor's bound in one check, and on any error the machine is
-// left exactly as it was — either every member moves or none does.
-// This is what lets a multi-reservation background load or a
-// shared-reservation application change cores as one unit.
-func (m *Machine) MigrateGroup(g sched.Group, from, to int, hint float64) error {
-	return m.migrateGroup(g, from, to, hint, true)
-}
+// Charge is what moving a migration unit is admission-checked
+// against: the larger of its placement hint and its servers' summed
+// reserved bandwidth.
+func Charge(hint, reserved float64) float64 { return max(hint, reserved) }
 
-// ForceMigrateGroup moves a group like MigrateGroup but skips the
-// target admission check. It exists for rollback paths that restore a
-// unit to a core it just vacated: a state that was legal moments ago
-// must be restorable even if the accounts shifted meanwhile, and
-// re-running admission there could strand the reservations.
-func (m *Machine) ForceMigrateGroup(g sched.Group, from, to int, hint float64) error {
-	return m.migrateGroup(g, from, to, hint, false)
-}
-
-func (m *Machine) migrateGroup(g sched.Group, from, to int, hint float64, admit bool) error {
-	if from < 0 || from >= len(m.cores) || to < 0 || to >= len(m.cores) {
-		return fmt.Errorf("smp: migrate cores %d -> %d out of [0,%d)", from, to, len(m.cores))
+// MoveGroup moves a whole migration unit — a set of CBS servers (each
+// with its attached tasks) plus bare best-effort tasks — from core
+// `from` of src to core `to` of dst, together with `hint` of
+// placement-account bandwidth. dst may be src (a move between one
+// machine's cores) or another machine resting at the same simulated
+// instant (a live cross-machine move).
+//
+// It is one all-or-nothing transaction. Admission is checked and the
+// destination charged in one step: the unit's Charge must fit under
+// the destination supervisor's bound, and it stays on the
+// destination's load as an in-flight charge until the move settles.
+// The unit then detaches from its core and adopts onto the
+// destination with its CBS state (sched.DetachAll/AdoptAll), and
+// commit runs — the caller's last step that may refuse, such as
+// re-registering a tuner with the destination supervisor. On success
+// the in-flight charge folds into the destination's hint account, the
+// source core gives up the hint and only the hint stays charged on the
+// destination. On any refusal the unit goes back to its core and the
+// in-flight charge is dropped, so both machines are exactly as they
+// were. A nil commit never refuses.
+func MoveGroup(g sched.Group, src *Machine, from int, dst *Machine, to int, hint float64, commit func() error) error {
+	if from < 0 || from >= len(src.cores) || to < 0 || to >= len(dst.cores) {
+		return fmt.Errorf("smp: migrate from core %d of %d to core %d of %d: out of range",
+			from, len(src.cores), to, len(dst.cores))
 	}
-	if from == to {
+	if src == dst && from == to {
 		return fmt.Errorf("smp: migrate within core %d", from)
 	}
 	if g.Empty() {
 		return fmt.Errorf("smp: migrate of an empty group")
 	}
 	for _, srv := range g.Servers {
-		if srv == nil || !m.cores[from].Owns(srv) {
+		if srv == nil || !src.cores[from].Owns(srv) {
 			return fmt.Errorf("smp: migrating server not owned by core %d", from)
 		}
 	}
-	if hint < 0 {
-		hint = 0
+	hint = max(hint, 0)
+	charge := Charge(hint, g.Bandwidth())
+	// Check admission and charge the destination in one critical
+	// section, so an interleaved Place cannot fill the just-checked
+	// room. The charge is in flight — kept apart from the hint account
+	// — so dropping it restores the account bit for bit.
+	dst.mu.Lock()
+	if load := dst.load(to); load+charge > dst.sups[to].ULub()+1e-9 {
+		dst.mu.Unlock()
+		return fmt.Errorf("smp: core %d at load %.3f cannot fit %.3f migrating from core %d",
+			to, load, charge, from)
 	}
-	charge := hint
-	if bw := g.Bandwidth(); bw > charge {
-		charge = bw
-	}
-	// Check admission and charge the target in one critical section:
-	// the full admission charge lands on the target's account up front
-	// — the reserved-bandwidth half only materialises at AdoptAll — so
-	// an interleaved Place cannot fill the just-checked room; the
-	// charge shrinks back to the lasting hint once the unit has
-	// arrived.
-	m.mu.Lock()
-	if admit {
-		if load := m.load(to); load+charge > m.sups[to].ULub()+1e-9 {
-			m.mu.Unlock()
-			return fmt.Errorf("smp: core %d at load %.3f cannot fit %.3f migrating from core %d",
-				to, load, charge, from)
+	dst.inflight[to] += charge
+	dst.mu.Unlock()
+
+	err := src.cores[from].DetachAll(g)
+	if err == nil {
+		if err = dst.cores[to].AdoptAll(g); err == nil && commit != nil {
+			if err = commit(); err != nil {
+				// Neither undo step can fail: the group moved whole,
+				// and it returns to the core it left this instant.
+				if rb := dst.cores[to].DetachAll(g); rb != nil {
+					panic(fmt.Sprintf("smp: migration stranded group: %v after %v", rb, err))
+				}
+			}
+		}
+		if err != nil {
+			if rb := src.cores[from].AdoptAll(g); rb != nil {
+				panic(fmt.Sprintf("smp: migration stranded group: %v after %v", rb, err))
+			}
 		}
 	}
-	m.moveHint(from, to, hint)
-	m.placed[to] += charge - hint
-	m.mu.Unlock()
-	undoCharge := func() {
-		m.mu.Lock()
-		m.placed[to] -= charge - hint
-		m.moveHint(to, from, hint)
-		m.mu.Unlock()
-	}
-	if err := m.cores[from].DetachAll(g); err != nil {
-		undoCharge()
+	if err != nil {
+		dst.mu.Lock()
+		dst.inflight[to] -= charge
+		dst.mu.Unlock()
 		return fmt.Errorf("smp: migrate group: %w", err)
 	}
-	if err := m.cores[to].AdoptAll(g); err != nil {
-		// Unreachable in practice (the group was just detached and the
-		// simulation is single-goroutine); put it back rather than
-		// strand the reservations.
-		if rb := m.cores[from].AdoptAll(g); rb != nil {
-			panic(fmt.Sprintf("smp: migration stranded group: %v after %v", rb, err))
-		}
-		undoCharge()
-		return fmt.Errorf("smp: migrate group: %w", err)
-	}
-	m.mu.Lock()
-	m.placed[to] -= charge - hint
-	if m.placed[to] < 0 {
-		m.placed[to] = 0
-	}
-	m.migrations++
-	if m.domainAt(from) != m.domainAt(to) {
-		m.crossNode++
-	}
-	m.mu.Unlock()
+	settle(src, from, dst, to, hint, charge)
 	return nil
 }
 
-// moveHint transfers placement-account bandwidth between cores. The
-// caller must hold m.mu.
-func (m *Machine) moveHint(from, to int, hint float64) {
-	if hint <= 0 {
-		return
+// settle books a move that committed: the in-flight charge folds into
+// the destination's hint account, the admission overcharge above the
+// hint leaves it again, and the hint leaves the source core. A move
+// between one machine's cores counts as a migration. Folding the
+// charge and releasing the overcharge, rather than adding the hint,
+// keeps every committed move's ledger bits those of the Place-then-
+// Release arithmetic live transfers have always used.
+func settle(src *Machine, from int, dst *Machine, to int, hint, charge float64) {
+	dst.mu.Lock()
+	dst.inflight[to] -= charge
+	dst.placed[to] += charge
+	dst.release(to, charge-hint)
+	dst.mu.Unlock()
+	src.mu.Lock()
+	src.release(from, hint)
+	if src == dst {
+		src.migrations++
+		if src.domainAt(from) != src.domainAt(to) {
+			src.crossNode++
+		}
 	}
-	m.placed[from] -= hint
-	if m.placed[from] < 0 {
-		m.placed[from] = 0
-	}
-	m.placed[to] += hint
+	src.mu.Unlock()
 }
 
-// Migrations returns the number of successful group migrations (a
-// rolled-back migration counts each direction; selftune's
-// System.Migrations counts workload moves instead).
+// Migrations returns the number of completed group moves between this
+// machine's cores (a refused move and a move to another machine do not
+// count; selftune's System.Migrations counts workload moves instead).
 func (m *Machine) Migrations() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -276,11 +303,12 @@ func (m *Machine) Migrations() int {
 }
 
 // load returns the effective load of core i: the larger of the hint
-// account and the actually reserved bandwidth.
+// account (with any in-flight move charge) and the actually reserved
+// bandwidth.
 func (m *Machine) load(i int) float64 {
 	reserved := m.cores[i].TotalReservedBandwidth()
-	if m.placed[i] > reserved {
-		return m.placed[i]
+	if placed := m.placed[i] + m.inflight[i]; placed > reserved {
+		return placed
 	}
 	return reserved
 }

@@ -120,7 +120,7 @@ func migrateOne(t *testing.T, m *Machine, from, to int) {
 		t.Fatal(err)
 	}
 	srv := m.Core(from).NewServer("srv", 10_000_000, 100_000_000, sched.HardCBS)
-	if err := m.MigrateGroup(sched.Group{Servers: []*sched.Server{srv}}, from, to, 0.3); err != nil {
+	if err := MoveGroup(sched.Group{Servers: []*sched.Server{srv}}, m, from, m, to, 0.3, nil); err != nil {
 		t.Fatal(err)
 	}
 }

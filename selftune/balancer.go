@@ -39,6 +39,7 @@ import (
 	"sort"
 
 	"repro/internal/sched"
+	"repro/internal/smp"
 	"repro/internal/workload"
 )
 
@@ -549,10 +550,6 @@ func (s *System) snapshot(reason string, pendingHint float64, units []*migUnit) 
 	s.snapLoads, s.snapReserved, s.snapULub = snap.Loads, snap.Reserved, snap.ULub
 	for i, u := range units {
 		reserved := u.group.Bandwidth()
-		charge := u.hint
-		if reserved > charge {
-			charge = reserved
-		}
 		snap.Units[i] = Unit{
 			ID:         i,
 			Name:       u.name,
@@ -560,7 +557,7 @@ func (s *System) snapshot(reason string, pendingHint float64, units []*migUnit) 
 			Core:       u.core,
 			Hint:       u.hint,
 			Reserved:   reserved,
-			Charge:     charge,
+			Charge:     smp.Charge(u.hint, reserved),
 			Servers:    len(u.group.Servers),
 			Tasks:      len(u.group.Tasks),
 			Migratable: !u.group.Empty(),
@@ -685,41 +682,14 @@ type plannedMove struct {
 	reason string
 }
 
-// move migrates one unit to core `to` of this System — the one move
-// protocol behind Migrate and the balancer's batches. The unit's
-// reservations move admission-checked (MigrateGroup) and its tuner
-// re-registers with the destination supervisor; a rejection there
-// moves the reservations back and returns the error, leaving the
-// machine as it was. Then the lane-bound state follows (carryLane) and
-// the bookkeeping updates (finishMove).
+// move migrates one unit to core `to` of this System (moveUnit) and
+// publishes the MigrationEvent — the move behind Migrate and the
+// balancer's batches.
 func (s *System) move(u *migUnit, to int, reason string) error {
 	from := u.core
-	if err := s.machine.MigrateGroup(u.group, from, to, u.hint); err != nil {
+	if err := s.moveUnit(u, s, to); err != nil {
 		return err
 	}
-	if err := u.rehome(s, to); err != nil {
-		// Undo the physical move without re-running admission: the
-		// origin core was legal a moment ago and must take the
-		// reservation back even if its accounts shifted meanwhile.
-		if rb := s.machine.ForceMigrateGroup(u.group, to, from, u.hint); rb != nil {
-			panic(fmt.Sprintf("selftune: migration of %q stranded: %v after %v", u.name, rb, err))
-		}
-		return err
-	}
-	carryLane(u, s, from, s, to)
-	s.finishMove(u, to, reason)
-	return nil
-}
-
-// finishMove updates the bookkeeping after a unit's physical move and
-// rehome succeeded, and publishes the MigrationEvent.
-func (s *System) finishMove(u *migUnit, to int, reason string) {
-	from := u.core
-	u.core = to
-	for _, h := range u.handles {
-		h.core = to
-	}
-	s.migrated++
 	s.publish(Event{
 		Kind:   MigrationEvent,
 		At:     s.engine.Now(),
@@ -728,6 +698,29 @@ func (s *System) finishMove(u *migUnit, to int, reason string) {
 		Source: u.name,
 		Reason: reason,
 	})
+	return nil
+}
+
+// moveUnit moves one unit from its core of s to core `to` of dst — the
+// one transaction behind Migrate, the balancer's batches and Transfer.
+// The unit's reservations move admission-checked and its tuner
+// re-registers with the destination supervisor as the transaction's
+// commit (smp.MoveGroup); a refusal leaves both machines as they were.
+// Then the lane-bound state follows (carryLane) and the unit's handles
+// record their new core.
+func (s *System) moveUnit(u *migUnit, dst *System, to int) error {
+	from := u.core
+	if err := smp.MoveGroup(u.group, s.machine, from, dst.machine, to, u.hint,
+		func() error { return u.rehome(dst, to) }); err != nil {
+		return err
+	}
+	carryLane(u, s, from, dst, to)
+	u.core = to
+	for _, h := range u.handles {
+		h.core = to
+	}
+	dst.migrated++
+	return nil
 }
 
 // Migratable reports whether the handle can move between cores: it
@@ -765,10 +758,11 @@ func (s *System) Migrate(h *Handle, to int) error {
 	return s.move(u, to, "manual")
 }
 
-// Migrations returns the number of units moved across cores so far
-// (by any policy, admission passes and manual Migrate calls). A
-// migration rolled back because the destination supervisor rejected
-// the tuner does not count; a group counts once.
+// Migrations returns the number of units moved onto this System's
+// cores so far (by any policy, admission passes, manual Migrate calls
+// and Transfers received). A move refused at any step — for example
+// because the destination supervisor rejected the tuner — does not
+// count; a group counts once.
 func (s *System) Migrations() int { return s.migrated }
 
 // Balancer returns the System's balancing policy, or nil when

@@ -51,12 +51,17 @@ func (s *System) Despawn(h *Handle) error {
 		}
 	}
 	s.machine.Release(h.core, h.hint)
+	s.forget(h)
+	h.sys = nil
+	return nil
+}
+
+// forget drops h from the System's handle list.
+func (s *System) forget(h *Handle) {
 	for i, live := range s.handles {
 		if live == h {
 			s.handles = append(s.handles[:i], s.handles[i+1:]...)
-			break
+			return
 		}
 	}
-	h.sys = nil
-	return nil
 }

@@ -55,13 +55,18 @@ func spawnFloored(t *testing.T, sys *selftune.System, name string) *selftune.Han
 
 // TestMigrateRejectedBySupervisorChangesNothing: when the destination
 // supervisor rejects a tuner's registration, Migrate reports it and
-// the machine is as before — the server's core, the per-core loads,
-// the migration count and every tracer's contents.
+// the machine is as before — the server's core, the per-core loads
+// (bit for bit, on a destination that already holds a hint), the
+// migration counts and every tracer's contents.
 func TestMigrateRejectedBySupervisorChangesNothing(t *testing.T) {
 	for _, mode := range moveModes {
 		t.Run(mode.name, func(t *testing.T) {
 			sys := newMoveSystem(t, mode.opts)
 			h := spawnFloored(t, sys, "vid")
+			if _, err := sys.Spawn("noise", selftune.SpawnName("held"), selftune.OnCore(1),
+				selftune.SpawnHint(0.1)); err != nil {
+				t.Fatal(err)
+			}
 			// Stop between two 200ms tuner downloads, so the ring holds
 			// undownloaded evidence a botched rollback could move.
 			sys.Run(2*selftune.Second + 100*selftune.Millisecond)
@@ -85,6 +90,9 @@ func TestMigrateRejectedBySupervisorChangesNothing(t *testing.T) {
 			}
 			if got := sys.Migrations(); got != 0 {
 				t.Errorf("Migrations() = %d after rejected Migrate, want 0", got)
+			}
+			if got := sys.Machine().Migrations(); got != 0 {
+				t.Errorf("Machine().Migrations() = %d after rejected Migrate, want 0", got)
 			}
 			for i, want := range traces {
 				if got := sys.CoreTracer(i).Snapshot(); !slices.Equal(got, want) {

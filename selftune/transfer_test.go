@@ -1,25 +1,32 @@
 package selftune_test
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/ktrace"
 	"repro/selftune"
 )
 
 // twoMachines builds two independent Systems playing the two machines
 // of a fleet: disjoint PID spaces (WithPIDOffset) so per-PID tracer
-// drains never mix, same config otherwise.
-func twoMachines(t *testing.T) (*selftune.System, *selftune.System) {
+// drains never mix, same config otherwise. mode (a moveModes shape)
+// applies to both.
+func twoMachines(t *testing.T, mode ...selftune.Option) (*selftune.System, *selftune.System) {
 	t.Helper()
-	a, err := selftune.NewSystem(selftune.WithSeed(1), selftune.WithCPUs(2))
+	a, err := selftune.NewSystem(append([]selftune.Option{
+		selftune.WithSeed(1), selftune.WithCPUs(2)}, mode...)...)
 	if err != nil {
 		t.Fatalf("machine A: %v", err)
 	}
-	b, err := selftune.NewSystem(selftune.WithSeed(2), selftune.WithCPUs(2),
-		selftune.WithPIDOffset(1_000_000_000))
+	t.Cleanup(a.Close)
+	b, err := selftune.NewSystem(append([]selftune.Option{
+		selftune.WithSeed(2), selftune.WithCPUs(2),
+		selftune.WithPIDOffset(1_000_000_000)}, mode...)...)
 	if err != nil {
 		t.Fatalf("machine B: %v", err)
 	}
+	t.Cleanup(b.Close)
 	return a, b
 }
 
@@ -268,5 +275,94 @@ func TestTransferSharedGroupRefused(t *testing.T) {
 		if _, err := a.Transfer(h, b); err == nil {
 			t.Errorf("Transfer moved shared-group member %d", i)
 		}
+	}
+}
+
+// TestTransferRejectedBySupervisorChangesNothing: when every
+// destination supervisor rejects the tuner, Transfer reports it and
+// both machines are as before — the per-core loads bit for bit (the
+// destination cores already hold hints), the handle lists, the
+// server's owner, every tracer's contents and the migration counts —
+// and the workload keeps running on the source.
+func TestTransferRejectedBySupervisorChangesNothing(t *testing.T) {
+	for _, mode := range moveModes {
+		t.Run(mode.name, func(t *testing.T) {
+			a, b := twoMachines(t, mode.opts...)
+			cfg := selftune.DefaultTunerConfig()
+			cfg.MinBandwidth = 0.2
+			h, err := a.Spawn("video", selftune.SpawnName("vid"), selftune.OnCore(0),
+				selftune.SpawnHint(0.4), selftune.SpawnUtil(0.2), selftune.Tuned(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Start(0)
+			for i := 0; i < b.CPUs(); i++ {
+				if _, err := b.Spawn("noise", selftune.OnCore(i), selftune.SpawnHint(0.3)); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := b.Core(i).Supervisor().Register("hog", 0.9); !ok {
+					t.Fatalf("core %d supervisor refused the 0.9 floor", i)
+				}
+			}
+			// Stop between two 200ms tuner downloads, so the source ring
+			// holds undownloaded evidence a botched rollback could move.
+			a.Run(2*selftune.Second + 100*selftune.Millisecond)
+			b.Run(2*selftune.Second + 100*selftune.Millisecond)
+
+			systems := []*selftune.System{a, b}
+			var loads [][]float64
+			var handles [][]*selftune.Handle
+			var traces [][]ktrace.Event
+			for _, sys := range systems {
+				loads = append(loads, sys.Machine().Loads())
+				handles = append(handles, slices.Clone(sys.Handles()))
+				for i := 0; i < sys.CPUs(); i++ {
+					traces = append(traces, sys.CoreTracer(i).Snapshot())
+				}
+			}
+			if len(traces[0]) == 0 {
+				t.Fatal("source tracer holds no evidence to protect")
+			}
+			srv := h.Tuner().Server()
+			frames := h.Player().Frames()
+
+			if _, err := a.Transfer(h, b); err == nil {
+				t.Fatal("Transfer accepted a tuner every destination supervisor rejects")
+			}
+			if got := h.Core().Index; got != 0 {
+				t.Errorf("handle on core %d after rejected Transfer, want 0", got)
+			}
+			if !a.Core(0).Scheduler().Owns(srv) {
+				t.Error("server left source core 0 despite the rejection")
+			}
+			k := 0
+			for m, sys := range systems {
+				if got := sys.Machine().Loads(); !slices.Equal(got, loads[m]) {
+					t.Errorf("machine %d loads %v after rejected Transfer, want %v", m, got, loads[m])
+				}
+				if got := sys.Handles(); !slices.Equal(got, handles[m]) {
+					t.Errorf("machine %d handles %v after rejected Transfer, want %v", m, got, handles[m])
+				}
+				if got := sys.Migrations(); got != 0 {
+					t.Errorf("machine %d Migrations() = %d after rejected Transfer, want 0", m, got)
+				}
+				if got := sys.Machine().Migrations(); got != 0 {
+					t.Errorf("machine %d Machine().Migrations() = %d after rejected Transfer, want 0", m, got)
+				}
+				for i := 0; i < sys.CPUs(); i++ {
+					if got := sys.CoreTracer(i).Snapshot(); !slices.Equal(got, traces[k]) {
+						t.Errorf("machine %d core %d tracer changed across rejected Transfer: %d -> %d events",
+							m, i, len(traces[k]), len(got))
+					}
+					k++
+				}
+			}
+
+			a.Run(1 * selftune.Second)
+			b.Run(1 * selftune.Second)
+			if got := h.Player().Frames(); got <= frames {
+				t.Errorf("workload stalled on the source after rejected Transfer: %d frames, had %d", got, frames)
+			}
+		})
 	}
 }

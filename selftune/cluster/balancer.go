@@ -2,15 +2,15 @@ package cluster
 
 // The fleet balancer reuses the machine-level Balancer seam one level
 // up: a policy plans over an immutable FleetSnapshot and returns
-// Placements, and the Cluster executes them. A Placement is live by
-// default: the job's CBS server — tasks, remaining budget, absolute
-// deadline, throttle state, undownloaded syscall evidence, tuner
-// sampling tick — transfers from source machine to destination at the
-// same simulated instant (selftune.System.Transfer), falling back to
-// despawn/respawn only for jobs that cannot carry their state
+// Placements, and the Cluster executes them. A Placement is live
+// whenever the job can carry its state: the job's CBS server — tasks,
+// remaining budget, absolute deadline, throttle state, undownloaded
+// syscall evidence, tuner sampling tick — transfers from source
+// machine to destination at the same simulated instant
+// (selftune.System.Transfer). Jobs that cannot carry their state
 // (unstarted coarse-modelled jobs, kinds without lane-movable timers)
-// or when the policy asks for MoveRespawn explicitly. Within a
-// machine, the per-machine selftune.Balancer still performs
+// and transfers the destination refuses fall back to despawn/respawn.
+// Within a machine, the per-machine selftune.Balancer still performs
 // state-carrying migrations between cores.
 
 import (
@@ -53,48 +53,12 @@ type FleetSnapshot struct {
 	Jobs []JobStat
 }
 
-// MoveMode selects how a planned Placement is executed.
-type MoveMode int
-
-const (
-	// MoveLive — the zero value, so plain Placement{Job, To} literals
-	// keep their historical meaning — carries the job's CBS server
-	// state across machines (selftune.System.Transfer): tasks,
-	// remaining budget, absolute deadline, throttle state, syscall
-	// evidence and tuner tick all arrive intact. Jobs that cannot
-	// carry state (not live-movable) fall back to respawn
-	// automatically.
-	MoveLive MoveMode = iota
-	// MoveRespawn despawns the job on its source machine and respawns
-	// it fresh on the destination, discarding accumulated state — the
-	// pre-live executor behaviour, still right for policies that want
-	// a clean restart.
-	MoveRespawn
-)
-
-// String returns the mode's name.
-func (m MoveMode) String() string {
-	switch m {
-	case MoveLive:
-		return "live"
-	case MoveRespawn:
-		return "respawn"
-	default:
-		return "unknown"
-	}
-}
-
 // Placement is one planned re-placement: job Job moves to machine To.
-// The zero values of Mode and Reason keep the historical semantics —
-// existing policies that return Placement{Job: id, To: m} compile and
-// behave unchanged (live-first with automatic respawn fallback).
+// The executor live-migrates every job that can carry its state and
+// respawns the rest (see Cluster.rebalance).
 type Placement struct {
 	Job int
 	To  int
-	// Mode selects the move mechanism: MoveLive (default) or
-	// MoveRespawn. The executor records which mode actually ran on the
-	// published MigrationEvent (a live request may fall back).
-	Mode MoveMode
 	// Reason annotates the published MigrationEvent: FleetWorstFit
 	// emits "drain-hot", BalanceSLOAware "slo-steal". Empty falls back
 	// to "fleet".

@@ -865,16 +865,16 @@ func (c *Cluster) spawn(machine int, r *Realm, spec int, name string, hint float
 // call), and the per-destination batch counts reuse a slice instead
 // of a per-tick map.
 //
-// Execution is live-first: a MoveLive placement whose job can carry
-// its state (LiveMovable, destination inside the detail window)
-// Transfers the running workload — CBS budget, deadline, throttle
-// state, syscall evidence, tuner tick — to the destination machine at
-// this tick's fence; everything else falls back to despawn/respawn.
+// Execution is live-first: a placement whose job can carry its state
+// (LiveMovable, destination inside the detail window) Transfers the
+// running workload — CBS budget, deadline, throttle state, syscall
+// evidence, tuner tick — to the destination machine at this tick's
+// fence; everything else falls back to despawn/respawn.
 // The executor runs serially in the control phase, with every machine
 // engine (and every core lane) resting at c.now, and walks the plan
 // in order — so live moves are byte-identical at every
 // WithParallelism/WithCoreParallelism level. The published
-// MigrationEvent records which mode actually ran (Event.Live).
+// MigrationEvent records whether the move carried its state (Event.Live).
 func (c *Cluster) rebalance() {
 	c.snapshotInto(&c.snapBuf)
 	plan := c.opt.fleetBal.Plan(c.snapBuf)
@@ -901,14 +901,14 @@ func (c *Cluster) rebalance() {
 		}
 		from := j.machine
 		live := false
-		if p.Mode == MoveLive && p.To < c.opt.detail && j.handle.LiveMovable() {
+		if p.To < c.opt.detail && j.handle.LiveMovable() {
 			// The hint ledger follows the handle inside Transfer's
 			// machine accounts; the cluster ledger below.
 			if _, err := c.machines[from].Transfer(j.handle, c.machines[p.To]); err == nil {
 				live = true
 			}
 			// A failed Transfer (per-core fragmentation, supervisor
-			// rejection) left the source untouched: fall back to
+			// rejection) left both machines untouched: fall back to
 			// respawn like any non-live-movable job.
 		}
 		if !live {

@@ -234,9 +234,6 @@ func TestSLOAwarePlans(t *testing.T) {
 		if p.Reason != "slo-steal" {
 			t.Fatalf("placement reason %q, want \"slo-steal\"", p.Reason)
 		}
-		if p.Mode != MoveLive {
-			t.Fatalf("placement mode %v, want MoveLive", p.Mode)
-		}
 	}
 
 	// A healthy fleet plans nothing, however skewed the loads.

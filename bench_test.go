@@ -331,8 +331,7 @@ func parallelFleet(b *testing.B, parallel int) *cluster.Cluster {
 // speed. After the timed run, the identical scenario replays serially
 // over the same horizon; speedup_x is the ratio of the two
 // throughputs. CI gates it higher-is-better against the previous run;
-// its absolute value depends on the runner's core count (the committed
-// BENCH_CLUSTER.json point is 0.93, below 1).
+// its absolute value depends on the runner's core count.
 func BenchmarkClusterParallelTicks(b *testing.B) {
 	const (
 		warmup = 2 * selftune.Second // fill the fleet with residents first
@@ -412,8 +411,7 @@ func coreParallelMachine(b *testing.B, workers int) *selftune.System {
 // single-engine path over the same horizon. speedup_x is the
 // throughput ratio. The sharding is meant to pay even on a small
 // runner — 64 shallow per-lane heaps against one 64x-denser heap on
-// every sift — but the committed BENCH_CLUSTER.json point is 0.92,
-// slightly below 1.
+// every sift; each run's value is a single sample.
 func BenchmarkCoreParallelMachine(b *testing.B) {
 	const (
 		warmup = 1 * selftune.Second

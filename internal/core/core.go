@@ -288,17 +288,17 @@ func newTuner(sd *sched.Scheduler, sup *supervisor.Supervisor, tracer *ktrace.Bu
 }
 
 // Rehome points the tuner at a new core after its managed server has
-// been migrated there (smp.Machine.Migrate): it registers a client
-// with the new core's supervisor under the configured bandwidth floor,
-// releases the old core's claim, and re-submits the current
-// reservation so the new supervisor's admission accounts for it
-// (applying any compression the new core's contention forces). On a
+// moved there (as the commit of sched.Scheduler.MoveAll): it registers
+// a client with the new core's supervisor under the configured
+// bandwidth floor, releases the old core's claim, and re-submits the
+// current reservation so the new supervisor's admission accounts for
+// it (applying any compression the new core's contention forces). On a
 // machine whose cores run on separate engine lanes, the pending
 // activation moves to the new core's lane at the same instant. The
 // controller history, period estimates and analyser windows all
 // survive — the application did not change, only where it runs.
 // Rehome fails without side effects when the new supervisor rejects
-// the registration; the caller is expected to migrate the server back.
+// the registration, and MoveAll then moves the server back.
 func (t *Tuner) Rehome(newSched *sched.Scheduler, newSup *supervisor.Supervisor) error {
 	if newSched == nil {
 		return fmt.Errorf("core: Rehome to a nil scheduler")

@@ -27,17 +27,12 @@ func TestRehomeMovesSupervisorClaim(t *testing.T) {
 		t.Fatal("no bandwidth claimed on the old supervisor")
 	}
 
-	// Move the server to a fresh core, then rehome the tuner.
+	// Move the server to a fresh core, rehoming the tuner as the commit.
 	newSd := sched.New(sched.Config{Engine: rg.eng, PIDBase: 1_001_000})
 	newSup := supervisor.New(1)
-	if err := rg.sd.Detach(tuner.Server()); err != nil {
-		t.Fatal(err)
-	}
-	if err := newSd.Adopt(tuner.Server()); err != nil {
-		t.Fatal(err)
-	}
-	if err := tuner.Rehome(newSd, newSup); err != nil {
-		t.Fatalf("Rehome: %v", err)
+	g := sched.Group{Servers: []*sched.Server{tuner.Server()}}
+	if err := rg.sd.MoveAll(g, newSd, func() error { return tuner.Rehome(newSd, newSup) }); err != nil {
+		t.Fatalf("MoveAll with Rehome: %v", err)
 	}
 	if got := rg.sup.TotalGranted(); got != 0 {
 		t.Errorf("old supervisor still holds %.3f after Rehome", got)
@@ -82,14 +77,8 @@ func TestMultiTunerRehomeMovesSupervisorClaim(t *testing.T) {
 		t.Fatal("Rehome before the server moved succeeded")
 	}
 	g := sched.Group{Servers: []*sched.Server{tuner.Server()}}
-	if err := rg.sd.DetachAll(g); err != nil {
-		t.Fatal(err)
-	}
-	if err := newSd.AdoptAll(g); err != nil {
-		t.Fatal(err)
-	}
-	if err := tuner.Rehome(newSd, newSup); err != nil {
-		t.Fatalf("Rehome: %v", err)
+	if err := rg.sd.MoveAll(g, newSd, func() error { return tuner.Rehome(newSd, newSup) }); err != nil {
+		t.Fatalf("MoveAll with Rehome: %v", err)
 	}
 	if got := rg.sup.TotalGranted(); got != 0 {
 		t.Errorf("old supervisor still holds %.3f after Rehome", got)
@@ -122,24 +111,20 @@ func TestRehomeRejectionLeavesOldClaim(t *testing.T) {
 	if _, ok := crowded.Register("squatter", 0.01); !ok {
 		t.Fatal("setup: squatter rejected")
 	}
-	if err := rg.sd.Detach(tuner.Server()); err != nil {
-		t.Fatal(err)
+	claimed := rg.sup.TotalGranted()
+	g := sched.Group{Servers: []*sched.Server{tuner.Server()}}
+	if err := rg.sd.MoveAll(g, newSd, func() error { return tuner.Rehome(newSd, crowded) }); err == nil {
+		t.Fatal("move with Rehome onto a saturated supervisor succeeded")
 	}
-	if err := newSd.Adopt(tuner.Server()); err != nil {
-		t.Fatal(err)
+	// The refusal moved the server back, and the old claim survives.
+	if !rg.sd.Owns(tuner.Server()) {
+		t.Fatal("refused move left the server off its old core")
 	}
-	if err := tuner.Rehome(newSd, crowded); err == nil {
-		t.Fatal("Rehome onto a saturated supervisor succeeded")
+	if got := rg.sup.TotalGranted(); got != claimed {
+		t.Errorf("old supervisor holds %.3f after the refused move, want %.3f", got, claimed)
 	}
-	// Old registration still in place: a request through it still works.
-	if err := tuner.Rehome(rg.sd, rg.sup); err == nil {
-		t.Error("Rehome back while server is elsewhere succeeded")
-	}
-	if err := newSd.Detach(tuner.Server()); err != nil {
-		t.Fatal(err)
-	}
-	if err := rg.sd.Adopt(tuner.Server()); err != nil {
-		t.Fatal(err)
+	if err := tuner.Rehome(newSd, supervisor.New(1)); err == nil {
+		t.Error("Rehome while the server is still home succeeded")
 	}
 	if err := tuner.Rehome(rg.sd, rg.sup); err != nil {
 		t.Fatalf("Rehome home again: %v", err)

@@ -1,8 +1,12 @@
 package sched_test
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/simtime"
 )
@@ -31,17 +35,17 @@ func TestGroupMigrationCarriesEveryMember(t *testing.T) {
 	q1, d1 := s1.RemainingBudget(), s1.Deadline()
 	consumedBefore := bare.Stats().Consumed
 
-	if err := a.DetachAll(g); err != nil {
-		t.Fatalf("DetachAll: %v", err)
+	arrived := func() error {
+		if !b.Owns(s1) || !b.Owns(s2) || !slices.Contains(b.Tasks(), bare) {
+			t.Error("commit ran before every member arrived on the new core")
+		}
+		return nil
 	}
-	if !s1.Detached() || !s2.Detached() {
-		t.Fatal("servers not detached")
+	if err := a.MoveAll(g, b, arrived); err != nil {
+		t.Fatalf("MoveAll: %v", err)
 	}
-	if err := b.AdoptAll(g); err != nil {
-		t.Fatalf("AdoptAll: %v", err)
-	}
-	if !b.Owns(s1) || !b.Owns(s2) {
-		t.Fatal("servers not owned by the new core")
+	if !b.Owns(s1) || !b.Owns(s2) || a.Owns(s1) || a.Owns(s2) {
+		t.Fatal("servers not owned by the new core alone")
 	}
 	if got := g.Bandwidth(); got != bwBefore {
 		t.Errorf("group bandwidth changed across migration: %v -> %v", bwBefore, got)
@@ -107,32 +111,44 @@ func TestDetachAllValidatesBeforeMutating(t *testing.T) {
 	}
 }
 
-// TestAdoptAllValidatesBeforeMutating mirrors the detach side: one
-// still-owned member aborts the whole adopt.
-func TestAdoptAllValidatesBeforeMutating(t *testing.T) {
-	_, a, b := twoCores(t)
+// TestMoveAllValidatesBeforeMutating mirrors the detach side: one
+// foreign or duplicated member, or a dispatch in progress on either
+// scheduler, aborts the whole move before anything leaves.
+func TestMoveAllValidatesBeforeMutating(t *testing.T) {
+	eng, a, b := twoCores(t)
 	s1 := a.NewServer("s1", 10*ms, 100*ms, sched.HardCBS)
-	s2 := a.NewServer("s2", 10*ms, 100*ms, sched.HardCBS)
-	if err := a.Detach(s1); err != nil {
-		t.Fatal(err)
+	foreign := b.NewServer("foreign", 10*ms, 100*ms, sched.HardCBS)
+	if err := a.MoveAll(sched.Group{Servers: []*sched.Server{s1, foreign}}, b, nil); err == nil {
+		t.Fatal("MoveAll with a foreign server succeeded")
 	}
-	// s2 still owned by a: AdoptAll must refuse the pair and leave s1
-	// detached for a retry.
-	if err := b.AdoptAll(sched.Group{Servers: []*sched.Server{s1, s2}}); err == nil {
-		t.Fatal("AdoptAll with a still-owned server succeeded")
+	if !a.Owns(s1) {
+		t.Error("valid member moved by a failed MoveAll")
 	}
-	if !s1.Detached() {
-		t.Error("failed AdoptAll consumed the detached server")
+	if err := a.MoveAll(sched.Group{Servers: []*sched.Server{s1, s1}}, b, nil); err == nil {
+		t.Error("MoveAll accepted a duplicated server")
 	}
-	// A detached server listed twice must error, not double-adopt.
-	if err := b.AdoptAll(sched.Group{Servers: []*sched.Server{s1, s1}}); err == nil {
-		t.Error("AdoptAll accepted a duplicated server")
+	// Job completion callbacks run inside dispatch: a move started
+	// there, from either scheduler's dispatch, must be refused.
+	var fromA, intoB error
+	hookA, hookB := a.NewTask("hookA"), b.NewTask("hookB")
+	hookA.OnJobComplete = func(*sched.Job, simtime.Time) { fromA = a.MoveAll(single(s1), b, nil) }
+	hookB.OnJobComplete = func(*sched.Job, simtime.Time) { intoB = a.MoveAll(single(s1), b, nil) }
+	eng.At(0, func() {
+		hookA.Release(sched.NewJob(0, ms, simtime.Never))
+		hookB.Release(sched.NewJob(0, ms, simtime.Never))
+	})
+	eng.RunUntil(simtime.Time(10 * ms))
+	if fromA == nil || intoB == nil {
+		t.Errorf("MoveAll inside dispatch: from a %v, into b %v; want both refused", fromA, intoB)
 	}
-	if err := b.AdoptAll(sched.Group{Servers: []*sched.Server{s1}}); err != nil {
-		t.Fatalf("AdoptAll after fixing the group: %v", err)
+	if !a.Owns(s1) {
+		t.Fatal("a move refused inside dispatch moved the server")
+	}
+	if err := a.MoveAll(single(s1), b, nil); err != nil {
+		t.Fatalf("MoveAll after fixing the group: %v", err)
 	}
 	if !b.Owns(s1) {
-		t.Error("server not adopted")
+		t.Error("server not moved")
 	}
 }
 
@@ -146,11 +162,7 @@ func TestBareTaskMigrationMidSlice(t *testing.T) {
 	})
 	var migErr error
 	eng.At(simtime.Time(13*ms), func() {
-		if err := a.DetachTask(task); err != nil {
-			migErr = err
-			return
-		}
-		migErr = b.AdoptTask(task)
+		migErr = a.MoveAll(sched.Group{Tasks: []*sched.Task{task}}, b, nil)
 	})
 	eng.RunUntil(simtime.Time(simtime.Second))
 	if migErr != nil {
@@ -167,35 +179,160 @@ func TestBareTaskMigrationMidSlice(t *testing.T) {
 	}
 }
 
-// TestDetachTaskErrors covers the bare-task error surface.
-func TestDetachTaskErrors(t *testing.T) {
-	_, a, b := twoCores(t)
-	srv := a.NewServer("s", 10*ms, 100*ms, sched.HardCBS)
-	attached := a.NewTask("attached")
-	attached.AttachTo(srv, 0)
-	if err := a.DetachTask(attached); err == nil {
-		t.Error("DetachTask of a server-attached task succeeded")
+// TestMoveAllRandomRefusals moves a random group at a random instant
+// between two schedulers sharing one engine, with a commit that
+// refuses half the time. A refusal must return the commit's error and
+// leave both schedulers' server and task lists as they were, so their
+// reserved bandwidth sums to the same float; an accepted move must put
+// every member on the destination. Either way every member keeps its
+// CBS state, PID, backlog and server. Every parameter is a whole
+// number of milliseconds and every move falls half-way between two,
+// so no slice ends, job completes or replenishment fires at the move
+// instant itself.
+func TestMoveAllRandomRefusals(t *testing.T) {
+	errRefused := errors.New("refused")
+	refusals := 0
+	for seed := uint64(1); seed <= 300; seed++ {
+		r := rng.New(seed)
+		eng, a, b := twoCores(t)
+		var srvs []*sched.Server
+		for i, n := 0, 1+r.Intn(4); i < n; i++ {
+			on := a
+			if i > 0 && r.Bool(0.3) {
+				on = b
+			}
+			period := simtime.Duration(5+r.Intn(96)) * ms
+			mode := sched.HardCBS
+			if r.Bool(0.5) {
+				mode = sched.SoftCBS
+			}
+			srv := on.NewServer(fmt.Sprintf("s%d", i), simtime.Duration(1+r.Int63n(int64(period/ms)-1))*ms, period, mode)
+			for k, n := 0, 1+r.Intn(2); k < n; k++ {
+				task := on.NewTask(fmt.Sprintf("s%d.%d", i, k))
+				task.AttachTo(srv, k)
+				startPeriodic(eng, task, simtime.Duration(1+r.Intn(5))*ms,
+					simtime.Duration(10+r.Intn(91))*ms, simtime.Time(r.Intn(20))*simtime.Time(ms))
+			}
+			srvs = append(srvs, srv)
+		}
+		var bare []*sched.Task
+		for i, n := 0, r.Intn(3); i < n; i++ {
+			on := a
+			if r.Bool(0.3) {
+				on = b
+			}
+			task := on.NewTask(fmt.Sprintf("be%d", i))
+			for k, n := 0, 1+r.Intn(3); k < n; k++ {
+				demand := simtime.Duration(5+r.Intn(50)) * ms
+				eng.At(0, func() { task.Release(sched.NewJob(0, demand, simtime.Never)) })
+			}
+			bare = append(bare, task)
+		}
+		var g sched.Group
+		for _, srv := range srvs {
+			if a.Owns(srv) && r.Bool(0.5) {
+				g.Servers = append(g.Servers, srv)
+			}
+		}
+		for _, task := range bare {
+			if slices.Contains(a.Tasks(), task) && r.Bool(0.5) {
+				g.Tasks = append(g.Tasks, task)
+			}
+		}
+		if g.Empty() {
+			g.Servers = srvs[:1]
+		}
+		members := slices.Clone(g.Tasks)
+		for _, srv := range g.Servers {
+			members = append(members, srv.Tasks()...)
+		}
+		refuse := r.Bool(0.5)
+		at := simtime.Time(1+r.Intn(199))*simtime.Time(ms) + simtime.Time(ms/2)
+
+		eng.At(at, func() {
+			type srvState struct {
+				d  simtime.Time
+				q  simtime.Duration
+				bw float64
+			}
+			type taskState struct {
+				pid, backlog int
+				srv          *sched.Server
+			}
+			srvBefore := map[*sched.Server]srvState{}
+			for _, srv := range g.Servers {
+				srvBefore[srv] = srvState{srv.Deadline(), srv.RemainingBudget(), srv.Bandwidth()}
+			}
+			taskBefore := map[*sched.Task]taskState{}
+			for _, task := range members {
+				taskBefore[task] = taskState{task.PID(), task.Backlog(), task.Server()}
+			}
+			aSrv, aTasks, aBW := slices.Clone(a.Servers()), slices.Clone(a.Tasks()), a.TotalReservedBandwidth()
+			bSrv, bTasks, bBW := slices.Clone(b.Servers()), slices.Clone(b.Tasks()), b.TotalReservedBandwidth()
+
+			err := a.MoveAll(g, b, func() error {
+				if refuse {
+					return errRefused
+				}
+				return nil
+			})
+			home, away := a, b
+			if refuse {
+				refusals++
+				if !errors.Is(err, errRefused) {
+					t.Fatalf("seed %d: MoveAll error %v, want the commit's refusal", seed, err)
+				}
+				for _, c := range []struct {
+					name      string
+					sd        *sched.Scheduler
+					srvs      []*sched.Server
+					tasks     []*sched.Task
+					bandwidth float64
+				}{{"source", a, aSrv, aTasks, aBW}, {"destination", b, bSrv, bTasks, bBW}} {
+					if !slices.Equal(c.sd.Servers(), c.srvs) || !slices.Equal(c.sd.Tasks(), c.tasks) {
+						t.Fatalf("seed %d: refused move changed the %s's servers or tasks", seed, c.name)
+					}
+					if got := c.sd.TotalReservedBandwidth(); got != c.bandwidth {
+						t.Fatalf("seed %d: refused move changed the %s's reserved bandwidth %v -> %v",
+							seed, c.name, c.bandwidth, got)
+					}
+				}
+			} else {
+				if err != nil {
+					t.Fatalf("seed %d: MoveAll: %v", seed, err)
+				}
+				home, away = b, a
+			}
+			for srv, was := range srvBefore {
+				if !home.Owns(srv) || away.Owns(srv) {
+					t.Fatalf("seed %d: server %s on the wrong scheduler (refused %v)", seed, srv.Name(), refuse)
+				}
+				if now := (srvState{srv.Deadline(), srv.RemainingBudget(), srv.Bandwidth()}); now != was {
+					t.Fatalf("seed %d: server %s state %+v -> %+v", seed, srv.Name(), was, now)
+				}
+			}
+			for task, was := range taskBefore {
+				if !slices.Contains(home.Tasks(), task) || slices.Contains(away.Tasks(), task) {
+					t.Fatalf("seed %d: task %s on the wrong scheduler (refused %v)", seed, task.Name(), refuse)
+				}
+				if now := (taskState{task.PID(), task.Backlog(), task.Server()}); now != was {
+					t.Fatalf("seed %d: task %s state %+v -> %+v", seed, task.Name(), was, now)
+				}
+			}
+			for _, sd := range []*sched.Scheduler{a, b} {
+				if err := sd.Validate(); err != nil {
+					t.Fatalf("seed %d: after the move: %v", seed, err)
+				}
+			}
+		})
+		eng.RunUntil(simtime.Time(500 * ms))
+		for _, sd := range []*sched.Scheduler{a, b} {
+			if err := sd.Validate(); err != nil {
+				t.Fatalf("seed %d: at 500ms: %v", seed, err)
+			}
+		}
 	}
-	if err := a.DetachTask(nil); err == nil {
-		t.Error("DetachTask(nil) succeeded")
-	}
-	bare := a.NewTask("bare")
-	if err := b.DetachTask(bare); err == nil {
-		t.Error("DetachTask from a foreign scheduler succeeded")
-	}
-	if err := b.AdoptTask(bare); err == nil {
-		t.Error("AdoptTask of a still-owned task succeeded")
-	}
-	if err := a.DetachTask(bare); err != nil {
-		t.Fatalf("DetachTask: %v", err)
-	}
-	if err := a.DetachTask(bare); err == nil {
-		t.Error("double DetachTask succeeded")
-	}
-	if err := b.AdoptTask(nil); err == nil {
-		t.Error("AdoptTask(nil) succeeded")
-	}
-	if err := b.AdoptTask(bare); err != nil {
-		t.Fatalf("AdoptTask: %v", err)
+	if refusals < 100 {
+		t.Errorf("only %d of 300 moves refused", refusals)
 	}
 }

@@ -20,13 +20,13 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // through every path that writes to the scheduler log:
 //
 //   - a hard server whose jobs overrun their budget (exhaust, throttle,
-//     replenish), resized by SetParams and then migrated to core B while
-//     throttled (Detach, Adopt);
+//     replenish), resized by SetParams and then moved to core B while
+//     throttled (MoveAll: detach, adopt);
 //   - a soft server whose jobs overrun too (exhaust, deadline postponed);
 //   - a hard server idle long enough for the CBS wake-up rule to hand it
 //     a fresh pair (replenish at wakeup);
 //   - two best-effort hogs sharing the CPU round robin, one of which
-//     moves to core B (DetachTask, AdoptTask).
+//     moves to core B (MoveAll: detachTask, adoptTask).
 //
 // It returns both logs, core A's first.
 func logScenario(t *testing.T) string {
@@ -61,18 +61,12 @@ func logScenario(t *testing.T) string {
 
 	eng.At(simtime.Time(45*ms), func() { hard.SetParams(ms+ms/2, 10*ms) })
 	eng.At(simtime.Time(83*ms), func() {
-		if err := a.Detach(hard); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Adopt(hard); err != nil {
+		if err := a.MoveAll(single(hard), b, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	eng.At(simtime.Time(101*ms), func() {
-		if err := a.DetachTask(hogs[1]); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.AdoptTask(hogs[1]); err != nil {
+		if err := a.MoveAll(sched.Group{Tasks: []*sched.Task{hogs[1]}}, b, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -110,10 +104,10 @@ func TestSchedulerLogGolden(t *testing.T) {
 		" replenish srv=sparse wakeup q=", // Server.taskWoke, fresh pair
 		" wakeup srv=",                    // Server.taskWoke
 		" params srv=hard Q=",             // Server.SetParams
-		" params srv=hard detached ",      // Scheduler.Detach
-		" params srv=hard adopted ",       // Scheduler.Adopt
-		" params task=be1 detached ",      // Scheduler.DetachTask
-		" params task=be1 adopted ",       // Scheduler.AdoptTask
+		" params srv=hard detached ",      // Scheduler.detach
+		" params srv=hard adopted ",       // Scheduler.adopt
+		" params task=be1 detached ",      // Scheduler.detachTask
+		" params task=be1 adopted ",       // Scheduler.adoptTask
 	} {
 		if !strings.Contains(got, marker) {
 			t.Errorf("scenario log lacks %q", marker)

@@ -16,10 +16,17 @@ package sched
 // Carrying (q, d) across is the standard push-migration rule of
 // partitioned EDF: the server arrives on the new core with exactly the
 // bandwidth claim it held on the old one, so the per-core Σ Q/T bound
-// (checked by the caller, smp.Machine.Migrate) is preserved.
+// (checked by the caller, smp.MoveGroup) is preserved.
+//
+// A Group is the only thing that migrates. DetachAll takes one off its
+// scheduler for good (a departing workload) and MoveAll carries one to
+// another scheduler, and back if the caller's commit refuses. Both
+// validate the group once, up front, so the per-member steps below
+// cannot fail.
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -30,23 +37,15 @@ func (sd *Scheduler) Owns(srv *Server) bool {
 }
 
 // Detached reports whether the server currently belongs to no
-// scheduler (it has been Detached and not yet Adopted).
+// scheduler (DetachAll took it off its last one).
 func (s *Server) Detached() bool { return s.sched == nil }
 
-// Detach removes the server and its attached tasks from the
+// detach removes the server and its attached tasks from the
 // scheduler, preserving the CBS state (remaining budget, absolute
-// deadline, throttling) so Adopt can re-install it elsewhere. The
+// deadline, throttling) so adopt can re-install it elsewhere. The
 // in-progress slice is settled first, so consumed-time accounting is
-// exact up to the migration instant. Detach must be called from plain
-// simulation context (a timer event), never from inside a scheduling
-// hook: re-entering the dispatcher mid-decision is an error.
-func (sd *Scheduler) Detach(srv *Server) error {
-	if srv == nil || srv.sched != sd {
-		return fmt.Errorf("sched: Detach of a server not owned by this scheduler")
-	}
-	if sd.busy {
-		return fmt.Errorf("sched: Detach from inside dispatch")
-	}
+// exact up to the migration instant.
+func (sd *Scheduler) detach(srv *Server) {
 	// Settle the running slice. This may complete a job, exhaust the
 	// migrating server (throttling it or postponing its deadline), or
 	// idle it — all of which must happen on the old core's account.
@@ -56,7 +55,7 @@ func (sd *Scheduler) Detach(srv *Server) error {
 	}
 	if srv.replenishEv.Pending() {
 		// A throttled server keeps state srvThrottled and its deadline;
-		// Adopt re-arms the replenishment timer at the same instant.
+		// adopt re-arms the replenishment timer at the same instant.
 		sd.engine.Cancel(srv.replenishEv)
 		srv.replenishEv = sim.Timer{}
 	}
@@ -84,26 +83,15 @@ func (sd *Scheduler) Detach(srv *Server) error {
 	}
 	// The old core moves on to its next-best entity.
 	sd.dispatch()
-	return nil
 }
 
-// DetachTask removes a bare best-effort task from the scheduler so
-// another scheduler can AdoptTask it. Only unattached tasks qualify:
-// a task inside a reservation migrates with its server (Detach). The
-// task keeps its PID (per-core PID ranges are disjoint) and its job
-// backlog; an in-progress slice is settled first, so consumed-time
-// accounting is exact up to the migration instant.
-func (sd *Scheduler) DetachTask(t *Task) error {
-	if t == nil || t.sched != sd {
-		return fmt.Errorf("sched: DetachTask of a task not owned by this scheduler")
-	}
-	if t.server != nil {
-		return fmt.Errorf("sched: DetachTask of %s, which is attached to server %s (Detach the server)",
-			t.name, t.server.name)
-	}
-	if sd.busy {
-		return fmt.Errorf("sched: DetachTask from inside dispatch")
-	}
+// detachTask removes a bare best-effort task from the scheduler so
+// another scheduler can adoptTask it (a task inside a reservation
+// migrates with its server). The task keeps its PID (per-core PID
+// ranges are disjoint) and its job backlog; an in-progress slice is
+// settled first, so consumed-time accounting is exact up to the
+// migration instant.
+func (sd *Scheduler) detachTask(t *Task) {
 	sd.suspend()
 	if t.beQueued {
 		for i, x := range sd.beQ.items() {
@@ -128,21 +116,11 @@ func (sd *Scheduler) DetachTask(t *Task) error {
 		sd.trace(EvParamChange, nil, "task=%s detached backlog=%d", t.name, t.Backlog())
 	}
 	sd.dispatch()
-	return nil
 }
 
-// AdoptTask installs a detached bare task on this scheduler's
+// adoptTask installs a detached bare task on this scheduler's
 // best-effort class, re-queueing it if it has backlog.
-func (sd *Scheduler) AdoptTask(t *Task) error {
-	if t == nil {
-		return fmt.Errorf("sched: AdoptTask(nil)")
-	}
-	if t.sched != nil {
-		return fmt.Errorf("sched: AdoptTask of a task still owned by a scheduler")
-	}
-	if sd.busy {
-		return fmt.Errorf("sched: AdoptTask from inside dispatch")
-	}
+func (sd *Scheduler) adoptTask(t *Task) {
 	t.sched = sd
 	sd.tasks = append(sd.tasks, t)
 	if t.runnable() {
@@ -152,7 +130,6 @@ func (sd *Scheduler) AdoptTask(t *Task) error {
 		sd.trace(EvParamChange, nil, "task=%s adopted backlog=%d", t.name, t.Backlog())
 	}
 	sd.dispatch()
-	return nil
 }
 
 // Group is one migration unit: a set of CBS servers (each carrying its
@@ -177,115 +154,117 @@ func (g Group) Bandwidth() float64 {
 	return sum
 }
 
-// DetachAll removes every member of the group from the scheduler,
-// preserving each server's CBS state, atomically: membership is
-// validated up front, so either the whole group detaches or nothing
-// does. Like Detach, it must be called from plain simulation context.
+// DetachAll removes every member of the group from the scheduler for
+// good, preserving each server's CBS state: the group is validated up
+// front, so either the whole group detaches or nothing does. It must
+// be called from plain simulation context (a timer event), never from
+// inside a scheduling hook: re-entering the dispatcher mid-decision is
+// an error.
 func (sd *Scheduler) DetachAll(g Group) error {
+	if err := sd.checkGroup(g, "DetachAll"); err != nil {
+		return err
+	}
+	sd.detachAll(g)
+	return nil
+}
+
+// MoveAll moves the group, every server with its CBS state, from this
+// scheduler to dst and then runs commit, the caller's last step that
+// may refuse (nil never refuses). On a refusal the group moves back,
+// this scheduler's servers and tasks return to their old order, so its
+// reserved bandwidth sums to the same float, and MoveAll returns
+// commit's error. commit must not add or remove servers or tasks on
+// either scheduler. MoveAll is called like DetachAll; schedulers on
+// different engines must rest at the same instant.
+func (sd *Scheduler) MoveAll(g Group, dst *Scheduler, commit func() error) error {
+	if err := sd.checkGroup(g, "MoveAll"); err != nil {
+		return err
+	}
+	if dst.busy {
+		return fmt.Errorf("sched: MoveAll into a scheduler inside dispatch")
+	}
+	sd.undoServers = append(sd.undoServers[:0], sd.servers...)
+	sd.undoTasks = append(sd.undoTasks[:0], sd.tasks...)
+	sd.detachAll(g)
+	dst.adoptAll(g)
+	var err error
+	if commit != nil {
+		err = commit()
+	}
+	if err != nil {
+		dst.detachAll(g)
+		sd.adoptAll(g)
+		sd.servers = append(sd.servers[:0], sd.undoServers...)
+		sd.tasks = append(sd.tasks[:0], sd.undoTasks...)
+	}
+	clear(sd.undoServers)
+	clear(sd.undoTasks)
+	return err
+}
+
+// checkGroup checks that g can leave this scheduler: it is non-empty,
+// no dispatch is in progress, every member belongs to the scheduler
+// and is listed once, and every listed task is bare (a task inside a
+// reservation travels with its server).
+func (sd *Scheduler) checkGroup(g Group, op string) error {
 	if g.Empty() {
-		return fmt.Errorf("sched: DetachAll of an empty group")
+		return fmt.Errorf("sched: %s of an empty group", op)
 	}
 	if sd.busy {
-		return fmt.Errorf("sched: DetachAll from inside dispatch")
+		return fmt.Errorf("sched: %s from inside dispatch", op)
 	}
-	seenSrv := make(map[*Server]bool, len(g.Servers))
-	for _, srv := range g.Servers {
+	for i, srv := range g.Servers {
 		if srv == nil || srv.sched != sd {
-			return fmt.Errorf("sched: DetachAll includes a server not owned by this scheduler")
+			return fmt.Errorf("sched: %s includes a server not owned by this scheduler", op)
 		}
-		if seenSrv[srv] {
-			return fmt.Errorf("sched: DetachAll lists server %s twice", srv.name)
+		if slices.Contains(g.Servers[:i], srv) {
+			return fmt.Errorf("sched: %s lists server %s twice", op, srv.name)
 		}
-		seenSrv[srv] = true
 	}
-	seenTask := make(map[*Task]bool, len(g.Tasks))
-	for _, t := range g.Tasks {
+	for i, t := range g.Tasks {
 		if t == nil || t.sched != sd {
-			return fmt.Errorf("sched: DetachAll includes a task not owned by this scheduler")
+			return fmt.Errorf("sched: %s includes a task not owned by this scheduler", op)
 		}
 		if t.server != nil {
-			return fmt.Errorf("sched: DetachAll task %s is attached to server %s (list the server instead)",
-				t.name, t.server.name)
+			return fmt.Errorf("sched: %s task %s is attached to server %s (list the server instead)",
+				op, t.name, t.server.name)
 		}
-		if seenTask[t] {
-			return fmt.Errorf("sched: DetachAll lists task %s twice", t.name)
-		}
-		seenTask[t] = true
-	}
-	// Validation passed: the per-member operations below cannot fail.
-	for _, srv := range g.Servers {
-		if err := sd.Detach(srv); err != nil {
-			panic(fmt.Sprintf("sched: DetachAll failed after validation: %v", err))
-		}
-	}
-	for _, t := range g.Tasks {
-		if err := sd.DetachTask(t); err != nil {
-			panic(fmt.Sprintf("sched: DetachAll failed after validation: %v", err))
+		if slices.Contains(g.Tasks[:i], t) {
+			return fmt.Errorf("sched: %s lists task %s twice", op, t.name)
 		}
 	}
 	return nil
 }
 
-// AdoptAll installs a detached group on this scheduler, atomically:
-// membership is validated up front, so either the whole group arrives
-// or nothing does.
-func (sd *Scheduler) AdoptAll(g Group) error {
-	if g.Empty() {
-		return fmt.Errorf("sched: AdoptAll of an empty group")
-	}
-	if sd.busy {
-		return fmt.Errorf("sched: AdoptAll from inside dispatch")
-	}
-	seenSrv := make(map[*Server]bool, len(g.Servers))
+// detachAll detaches a validated group: servers first, then bare tasks.
+func (sd *Scheduler) detachAll(g Group) {
 	for _, srv := range g.Servers {
-		if srv == nil || srv.sched != nil {
-			return fmt.Errorf("sched: AdoptAll includes a server still owned by a scheduler")
-		}
-		if seenSrv[srv] {
-			return fmt.Errorf("sched: AdoptAll lists a server twice")
-		}
-		seenSrv[srv] = true
-	}
-	seenTask := make(map[*Task]bool, len(g.Tasks))
-	for _, t := range g.Tasks {
-		if t == nil || t.sched != nil {
-			return fmt.Errorf("sched: AdoptAll includes a task still owned by a scheduler")
-		}
-		if seenTask[t] {
-			return fmt.Errorf("sched: AdoptAll lists a task twice")
-		}
-		seenTask[t] = true
-	}
-	for _, srv := range g.Servers {
-		if err := sd.Adopt(srv); err != nil {
-			panic(fmt.Sprintf("sched: AdoptAll failed after validation: %v", err))
-		}
+		sd.detach(srv)
 	}
 	for _, t := range g.Tasks {
-		if err := sd.AdoptTask(t); err != nil {
-			panic(fmt.Sprintf("sched: AdoptAll failed after validation: %v", err))
-		}
+		sd.detachTask(t)
 	}
-	return nil
 }
 
-// Adopt installs a detached server (and its tasks) on this scheduler,
-// resuming it exactly where Detach left it: a ready server re-enters
+// adoptAll installs a group detachAll took off another scheduler, in
+// the same member order.
+func (sd *Scheduler) adoptAll(g Group) {
+	for _, srv := range g.Servers {
+		sd.adopt(srv)
+	}
+	for _, t := range g.Tasks {
+		sd.adoptTask(t)
+	}
+}
+
+// adopt installs a detached server (and its tasks) on this scheduler,
+// resuming it exactly where detach left it: a ready server re-enters
 // the EDF heap with its preserved (q, d) pair, a throttled one
 // replenishes at its preserved deadline, an idle one waits for the
 // next job release. The server is assigned a fresh id from this
 // scheduler's sequence (ids are per-scheduler EDF tie-breakers); tasks
 // keep their PIDs.
-func (sd *Scheduler) Adopt(srv *Server) error {
-	if srv == nil {
-		return fmt.Errorf("sched: Adopt(nil)")
-	}
-	if srv.sched != nil {
-		return fmt.Errorf("sched: Adopt of a server still owned by a scheduler")
-	}
-	if sd.busy {
-		return fmt.Errorf("sched: Adopt from inside dispatch")
-	}
+func (sd *Scheduler) adopt(srv *Server) {
 	srv.id = sd.nextSrvID
 	sd.nextSrvID++
 	srv.sched = sd
@@ -316,5 +295,4 @@ func (sd *Scheduler) Adopt(srv *Server) error {
 		sd.trace(EvParamChange, nil, "srv=%s adopted q=%v d=%v", srv.name, srv.q, srv.d)
 	}
 	sd.dispatch()
-	return nil
 }

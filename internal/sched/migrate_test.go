@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/sched"
@@ -18,6 +19,11 @@ func twoCores(t *testing.T) (*sim.Engine, *sched.Scheduler, *sched.Scheduler) {
 	return eng, a, b
 }
 
+// single is the migration unit of one server and its attached tasks.
+func single(srv *sched.Server) sched.Group {
+	return sched.Group{Servers: []*sched.Server{srv}}
+}
+
 func TestMigratePreservesBudgetAndDeadline(t *testing.T) {
 	eng, a, b := twoCores(t)
 	srv := a.NewServer("mig", 20*ms, 100*ms, sched.HardCBS)
@@ -31,20 +37,14 @@ func TestMigratePreservesBudgetAndDeadline(t *testing.T) {
 	qBefore, dBefore := srv.RemainingBudget(), srv.Deadline()
 	bwBefore := srv.Bandwidth()
 
-	if err := a.Detach(srv); err != nil {
-		t.Fatalf("Detach: %v", err)
-	}
-	if !srv.Detached() {
-		t.Fatal("server not marked detached")
+	if err := a.MoveAll(single(srv), b, nil); err != nil {
+		t.Fatalf("MoveAll: %v", err)
 	}
 	if a.Owns(srv) {
 		t.Fatal("old scheduler still owns the server")
 	}
-	if err := b.Adopt(srv); err != nil {
-		t.Fatalf("Adopt: %v", err)
-	}
 	if !b.Owns(srv) || srv.Detached() {
-		t.Fatal("new scheduler does not own the server after Adopt")
+		t.Fatal("new scheduler does not own the server after MoveAll")
 	}
 	if got := srv.RemainingBudget(); got != qBefore {
 		t.Errorf("remaining budget changed across migration: %v -> %v", qBefore, got)
@@ -92,11 +92,8 @@ func TestMigrateThrottledServerReplenishesOnNewCore(t *testing.T) {
 	if srv.Stats().Exhaustions == 0 {
 		t.Fatal("server never exhausted; test setup broken")
 	}
-	if err := a.Detach(srv); err != nil {
-		t.Fatalf("Detach: %v", err)
-	}
-	if err := b.Adopt(srv); err != nil {
-		t.Fatalf("Adopt: %v", err)
+	if err := a.MoveAll(single(srv), b, nil); err != nil {
+		t.Fatalf("MoveAll: %v", err)
 	}
 	// The job (50ms total at 5ms/100ms) finishes on the new core.
 	eng.RunUntil(simtime.Time(2 * simtime.Second))
@@ -121,13 +118,7 @@ func TestMigrateWhileRunningSettlesAccounting(t *testing.T) {
 	})
 	// Migrate mid-slice: the task is executing right now.
 	var migErr error
-	eng.At(simtime.Time(13*ms), func() {
-		if err := a.Detach(srv); err != nil {
-			migErr = err
-			return
-		}
-		migErr = b.Adopt(srv)
-	})
+	eng.At(simtime.Time(13*ms), func() { migErr = a.MoveAll(single(srv), b, nil) })
 	eng.RunUntil(simtime.Time(simtime.Second))
 	if migErr != nil {
 		t.Fatalf("migration: %v", migErr)
@@ -147,31 +138,48 @@ func TestMigrateWhileRunningSettlesAccounting(t *testing.T) {
 	}
 }
 
+// TestDetachErrors covers the error surface of both group operations:
+// every refusal leaves every member where it was.
 func TestDetachErrors(t *testing.T) {
 	_, a, b := twoCores(t)
 	srv := a.NewServer("s", 10*ms, 100*ms, sched.HardCBS)
-	if err := b.Detach(srv); err == nil {
-		t.Error("Detach from a foreign scheduler succeeded")
+	attached := a.NewTask("attached")
+	attached.AttachTo(srv, 0)
+	bare := a.NewTask("bare")
+	for name, g := range map[string]sched.Group{
+		"foreign server":         single(b.NewServer("foreign", 10*ms, 100*ms, sched.HardCBS)),
+		"nil server":             single(nil),
+		"foreign task":           {Tasks: []*sched.Task{b.NewTask("foreign")}},
+		"nil task":               {Tasks: []*sched.Task{nil}},
+		"attached task":          {Tasks: []*sched.Task{attached}},
+		"task beside its server": {Servers: []*sched.Server{srv}, Tasks: []*sched.Task{attached}},
+	} {
+		if err := a.DetachAll(g); err == nil {
+			t.Errorf("DetachAll of a group with a %s succeeded", name)
+		}
+		if err := a.MoveAll(g, b, nil); err == nil {
+			t.Errorf("MoveAll of a group with a %s succeeded", name)
+		}
 	}
-	if err := a.Detach(nil); err == nil {
-		t.Error("Detach(nil) succeeded")
+	if !a.Owns(srv) || !slices.Contains(a.Tasks(), bare) {
+		t.Fatal("a refused group operation moved a member")
 	}
-	if err := b.Adopt(srv); err == nil {
-		t.Error("Adopt of a still-attached server succeeded")
+	if err := a.MoveAll(sched.Group{Servers: []*sched.Server{srv}, Tasks: []*sched.Task{bare}}, b, nil); err != nil {
+		t.Fatalf("MoveAll: %v", err)
 	}
-	if err := a.Detach(srv); err != nil {
-		t.Fatalf("Detach: %v", err)
+	if err := a.MoveAll(single(srv), b, nil); err == nil {
+		t.Error("MoveAll of a server that already left succeeded")
 	}
-	if err := a.Detach(srv); err == nil {
-		t.Error("double Detach succeeded")
+	if err := a.DetachAll(sched.Group{Tasks: []*sched.Task{bare}}); err == nil {
+		t.Error("DetachAll of a task that already left succeeded")
 	}
-	if err := b.Adopt(nil); err == nil {
-		t.Error("Adopt(nil) succeeded")
+	if err := b.DetachAll(single(srv)); err != nil {
+		t.Fatalf("DetachAll: %v", err)
 	}
-	if err := b.Adopt(srv); err != nil {
-		t.Fatalf("Adopt: %v", err)
+	if !srv.Detached() {
+		t.Error("server not detached by DetachAll")
 	}
-	if err := b.Adopt(srv); err == nil {
-		t.Error("double Adopt succeeded")
+	if err := b.DetachAll(single(srv)); err == nil {
+		t.Error("double DetachAll succeeded")
 	}
 }

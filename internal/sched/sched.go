@@ -70,6 +70,11 @@ type Scheduler struct {
 	nextSrvID int
 	nextPID   int
 
+	// undoServers and undoTasks hold the server and task order MoveAll
+	// restores when its commit refuses.
+	undoServers []*Server
+	undoTasks   []*Task
+
 	// transitionHook, if set, observes task state transitions
 	// (blocked -> ready and ready -> blocked). It is the simulated
 	// equivalent of the ftrace sched_wakeup/sched_switch events the

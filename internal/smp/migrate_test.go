@@ -148,6 +148,35 @@ func TestMoveGroupRefusedCommitChangesNothing(t *testing.T) {
 	}
 }
 
+// TestMoveGroupRefusedKeepsReservedSum: the source core's reserved
+// bandwidth is a float sum in server order, so a refused move must put
+// the unit back in its old place, not at the end of the list. With
+// hints of 0.01 the reserved side dominates Load: 0.1+0.2+0.3 sums to
+// 0.6000000000000001, while 0.2+0.3+0.1 sums to 0.6.
+func TestMoveGroupRefusedKeepsReservedSum(t *testing.T) {
+	m := newMachine(sim.New(), 2)
+	var srvs []*sched.Server
+	for _, bw := range []float64{0.1, 0.2, 0.3} {
+		if err := m.Reserve(0, 0.01); err != nil {
+			t.Fatal(err)
+		}
+		period := 100 * simtime.Millisecond
+		srv := m.Core(0).NewServer("s", simtime.Duration(bw*float64(period)), period, sched.HardCBS)
+		m.Core(0).NewTask("s").AttachTo(srv, 0)
+		srvs = append(srvs, srv)
+	}
+	before := m.Load(0)
+	if err := smp.MoveGroup(single(srvs[0]), m, 0, m, 1, 0.01, func() error { return errRefused }); !errors.Is(err, errRefused) {
+		t.Fatalf("MoveGroup error %v, want the commit's refusal", err)
+	}
+	if got := m.Load(0); got != before {
+		t.Errorf("source load %v after refused move, want %v", got, before)
+	}
+	if got := m.Core(0).Servers(); !slices.Equal(got, srvs) {
+		t.Errorf("source servers reordered by a refused move")
+	}
+}
+
 // TestMoveGroupCountsOnlyCompletedMoves: within one machine, a move
 // whose commit refuses counts neither as a migration nor as a
 // cross-node one; the same move committed counts once each.

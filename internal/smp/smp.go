@@ -11,7 +11,7 @@
 // tasks, and its placement hint) from one core to another — of the
 // same machine, or of another machine at the same simulated instant —
 // as one all-or-nothing transaction, using the sched package's
-// DetachAll/AdoptAll to carry the budget/deadline state across. The
+// Scheduler.MoveAll to carry the budget/deadline state across. The
 // paper calls the cooperation between load balancing and adaptive
 // reservations "an open research issue"; the policies built on this
 // mechanism live in the selftune balancer.
@@ -59,9 +59,9 @@ type Machine struct {
 // advance concurrently between causality fences (sim.EngineGroup);
 // cross-core operations (MoveGroup, LoadsInto) are then only legal
 // while every lane rests at the same fence instant. Migration carries a
-// reservation's timers across lanes: sched.Detach/Adopt cancel and
-// re-arm on each scheduler's own engine, which is exactly lane-correct
-// at a fence.
+// reservation's timers across lanes: sched.Scheduler.MoveAll cancels
+// and re-arms them on each scheduler's own engine, which is exactly
+// lane-correct at a fence.
 //
 // Every core gets a disjoint PID range (the cores share — or, laned,
 // migrate trace evidence between — syscall tracers, and per-PID drains
@@ -202,15 +202,15 @@ func Charge(hint, reserved float64) float64 { return max(hint, reserved) }
 // destination charged in one step: the unit's Charge must fit under
 // the destination supervisor's bound, and it stays on the
 // destination's load as an in-flight charge until the move settles.
-// The unit then detaches from its core and adopts onto the
-// destination with its CBS state (sched.DetachAll/AdoptAll), and
-// commit runs — the caller's last step that may refuse, such as
-// re-registering a tuner with the destination supervisor. On success
-// the in-flight charge folds into the destination's hint account, the
-// source core gives up the hint and only the hint stays charged on the
-// destination. On any refusal the unit goes back to its core and the
-// in-flight charge is dropped, so both machines are exactly as they
-// were. A nil commit never refuses.
+// One sched.Scheduler.MoveAll then moves the unit to the destination
+// with its CBS state and runs commit — the caller's last step that
+// may refuse, such as re-registering a tuner with the destination
+// supervisor. On success the in-flight charge folds into the
+// destination's hint account, the source core gives up the hint and
+// only the hint stays charged on the destination. On any refusal the
+// unit goes back to its place on its core and the in-flight charge is
+// dropped, so both machines' load ledgers are exactly as they were,
+// bit for bit. A nil commit never refuses.
 func MoveGroup(g sched.Group, src *Machine, from int, dst *Machine, to int, hint float64, commit func() error) error {
 	if from < 0 || from >= len(src.cores) || to < 0 || to >= len(dst.cores) {
 		return fmt.Errorf("smp: migrate from core %d of %d to core %d of %d: out of range",
@@ -242,24 +242,7 @@ func MoveGroup(g sched.Group, src *Machine, from int, dst *Machine, to int, hint
 	dst.inflight[to] += charge
 	dst.mu.Unlock()
 
-	err := src.cores[from].DetachAll(g)
-	if err == nil {
-		if err = dst.cores[to].AdoptAll(g); err == nil && commit != nil {
-			if err = commit(); err != nil {
-				// Neither undo step can fail: the group moved whole,
-				// and it returns to the core it left this instant.
-				if rb := dst.cores[to].DetachAll(g); rb != nil {
-					panic(fmt.Sprintf("smp: migration stranded group: %v after %v", rb, err))
-				}
-			}
-		}
-		if err != nil {
-			if rb := src.cores[from].AdoptAll(g); rb != nil {
-				panic(fmt.Sprintf("smp: migration stranded group: %v after %v", rb, err))
-			}
-		}
-	}
-	if err != nil {
+	if err := src.cores[from].MoveAll(g, dst.cores[to], commit); err != nil {
 		dst.mu.Lock()
 		dst.inflight[to] -= charge
 		dst.mu.Unlock()

@@ -15,7 +15,7 @@ import (
 // at the destination core's tracer (nil keeps the current sink). It
 // must only be called at a causality fence: both lanes resting at the
 // same instant, with the workload's reservation already moved
-// (sched.Detach/Adopt).
+// (sched.Scheduler.MoveAll).
 type LaneMover interface {
 	MoveLane(dst *sim.Engine, sink SyscallSink)
 }

@@ -26,8 +26,9 @@ func (rp *ReservedPeriodic) MoveLane(dst *sim.Engine, _ SyscallSink) {
 }
 
 // Stop quiesces the release loop: the next scheduled release becomes a
-// no-op. The reservation itself stays on the scheduler (detach it via
-// migration or DetachAll to reclaim the bandwidth). Idempotent.
+// no-op. The reservation itself stays on the scheduler
+// (sched.Scheduler.DetachAll takes it off to reclaim the bandwidth,
+// MoveAll carries it to another core). Idempotent.
 func (rp *ReservedPeriodic) Stop() { rp.stopped = true }
 
 // StartReservedPeriodic creates a hard CBS (budget, period) and a

@@ -2,13 +2,14 @@ package cluster
 
 // The fleet balancer reuses the machine-level Balancer seam one level
 // up: a policy plans over an immutable FleetSnapshot and returns
-// Placements, and the Cluster executes them. A Placement is live
-// whenever the job can carry its state: the job's CBS server — tasks,
-// remaining budget, absolute deadline, throttle state, undownloaded
-// syscall evidence, tuner sampling tick — transfers from source
-// machine to destination at the same simulated instant
-// (selftune.System.Transfer). Jobs that cannot carry their state
-// (unstarted coarse-modelled jobs, kinds without lane-movable timers)
+// Placements, and the Cluster executes them. A Placement between two
+// detail machines is live whenever the job can carry its state: the
+// job's CBS server — tasks, remaining budget, absolute deadline,
+// throttle state, undownloaded syscall evidence, tuner sampling tick —
+// transfers from source machine to destination at the same simulated
+// instant (selftune.System.Transfer). Jobs from placement-only
+// machines (never started), jobs that cannot carry their state (an
+// unstarted multi-reservation load, kinds without lane-movable timers)
 // and transfers the destination refuses fall back to despawn/respawn.
 // Within a machine, the per-machine selftune.Balancer still performs
 // state-carrying migrations between cores.

@@ -865,11 +865,13 @@ func (c *Cluster) spawn(machine int, r *Realm, spec int, name string, hint float
 // call), and the per-destination batch counts reuse a slice instead
 // of a per-tick map.
 //
-// Execution is live-first: a placement whose job can carry its state
-// (LiveMovable, destination inside the detail window) Transfers the
-// running workload — CBS budget, deadline, throttle state, syscall
-// evidence, tuner tick — to the destination machine at this tick's
-// fence; everything else falls back to despawn/respawn.
+// Execution is live-first: a placement between two detail machines
+// whose job can carry its state (LiveMovable) Transfers the running
+// workload — CBS budget, deadline, throttle state, syscall evidence,
+// tuner tick — to the destination machine at this tick's fence;
+// everything else falls back to despawn/respawn. A job on a
+// placement-only machine was never started, so it has no running
+// state to carry even when its kind could move its task.
 // The executor runs serially in the control phase, with every machine
 // engine (and every core lane) resting at c.now, and walks the plan
 // in order — so live moves are byte-identical at every
@@ -901,7 +903,7 @@ func (c *Cluster) rebalance() {
 		}
 		from := j.machine
 		live := false
-		if p.To < c.opt.detail && j.handle.LiveMovable() {
+		if from < c.opt.detail && p.To < c.opt.detail && j.handle.LiveMovable() {
 			// The hint ledger follows the handle inside Transfer's
 			// machine accounts; the cluster ledger below.
 			if _, err := c.machines[from].Transfer(j.handle, c.machines[p.To]); err == nil {

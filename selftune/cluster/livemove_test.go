@@ -12,7 +12,7 @@ import (
 
 // runLiveDeterministic builds a fully detailed fleet whose balancer
 // forces cross-machine moves every opportunity — so the live-transfer
-// path (Detach/Adopt, lane moves, evidence carry) runs constantly —
+// path (MoveAll, lane moves, evidence carry) runs constantly —
 // and returns the determinism witnesses plus the live-move count.
 func runLiveDeterministic(t *testing.T, parallel int) (uint64, FleetSnapshot, []byte, []byte, int) {
 	t.Helper()
@@ -133,6 +133,64 @@ func TestLiveMoveTelemetry(t *testing.T) {
 	}
 	if crossMachine != c.Replacements() {
 		t.Errorf("%d cross-machine migration records, want %d", crossMachine, c.Replacements())
+	}
+}
+
+// windowPuller moves the lowest-ID job outside the detail window onto
+// machine 0 at every opportunity.
+type windowPuller struct{ detail int }
+
+func (p *windowPuller) Name() string { return "window-puller" }
+func (p *windowPuller) Plan(snap FleetSnapshot) []Placement {
+	var pick *JobStat
+	for i, j := range snap.Jobs {
+		if j.Machine >= p.detail && (pick == nil || j.ID < pick.ID) {
+			pick = &snap.Jobs[i]
+		}
+	}
+	if pick == nil {
+		return nil
+	}
+	return []Placement{{Job: pick.ID, To: 0}}
+}
+
+// TestReplacementIntoDetailWindowStartsJob: a job placed outside the
+// detail window was never started, though a webserver owns its bare
+// task from construction and so could carry it. Moved into the window
+// it must be respawned and started there, not transferred live as an
+// unstarted workload that never releases a request.
+func TestReplacementIntoDetailWindowStartsJob(t *testing.T) {
+	c := testCluster(t,
+		WithDetail(1),
+		WithFleetBalancer(&windowPuller{detail: 1}),
+		WithFleetBalanceInterval(100*selftune.Millisecond),
+	)
+	if _, err := c.AddRealm(RealmConfig{
+		Name: "web", Reservation: 4, Rate: 8,
+		Mix: []WorkloadSpec{{Kind: "webserver", Hint: 0.25, Service: Fixed(10 * selftune.Second)}},
+	}); err != nil {
+		t.Fatalf("AddRealm: %v", err)
+	}
+	c.Run(2 * selftune.Second)
+
+	if c.Replacements() == 0 {
+		t.Fatal("no job was moved into the detail window — the check would measure nothing")
+	}
+	if live := c.LiveReplacements(); live != 0 {
+		t.Errorf("%d of %d moves out of the placement-only machine were live", live, c.Replacements())
+	}
+	var inWindow int
+	for _, j := range c.active {
+		if j.machine != 0 {
+			continue
+		}
+		inWindow++
+		if served := j.handle.Workload().(interface{ Served() int }).Served(); served == 0 {
+			t.Errorf("job %s on the detail machine has served no request", j.name)
+		}
+	}
+	if inWindow == 0 {
+		t.Fatal("no resident job on the detail machine")
 	}
 }
 

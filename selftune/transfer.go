@@ -1,7 +1,7 @@
 package selftune
 
 // Cross-machine live migration: the machine-scope migration machinery
-// (sched.Detach/Adopt carrying CBS budget/deadline/throttle state,
+// (sched.Scheduler.MoveAll carrying CBS budget/deadline/throttle state,
 // workload.LaneMover carrying self-timers and syscall sinks,
 // ktrace.Buffer.Inject carrying undownloaded evidence,
 // core.Tuner.Rehome carrying the sampling tick and supervisor claim)
@@ -34,8 +34,10 @@ import (
 // machines with its state intact: it is not part of a TuneShared
 // group, its workload carries its own timers and sink across engines
 // (workload.LaneMover — every built-in kind does), and it has
-// substance on its core (an unstarted workload has no reservation to
-// carry; respawning it on the destination is equivalent and cheaper).
+// substance on its core. A multi-reservation load (rtload) has none
+// until Start creates its reservations; every other built-in kind owns
+// its task from construction, so it is movable before it starts and
+// arrives unstarted.
 func (h *Handle) LiveMovable() bool {
 	_, err := h.liveUnit()
 	return err == nil
@@ -64,7 +66,7 @@ func (h *Handle) liveUnit() (*migUnit, error) {
 // Transfer live-moves the workload behind h from this System to dst,
 // returning the destination core. The CBS server arrives with its
 // remaining budget, absolute deadline and throttle state preserved
-// (sched.Detach/Adopt), a throttled server replenishes at the same
+// (sched.Scheduler.MoveAll), a throttled server replenishes at the same
 // instant on the destination; the workload's self-timers re-arm on
 // the destination engine and its syscall sink repoints at the
 // destination tracer (workload.LaneMover); the tasks' undownloaded
@@ -81,9 +83,11 @@ func (h *Handle) liveUnit() (*migUnit, error) {
 // Migrate between cores (smp.MoveGroup): on any refusal — no room,
 // supervisor rejection of the tuner — both machines are left exactly
 // as they were. Both Systems must rest at the same simulated instant;
-// handles in a TuneShared group, workloads without LaneMover and
-// unstarted workloads are not transferable (see LiveMovable) — callers
-// fall back to despawn/respawn for those.
+// handles in a TuneShared group, workloads without LaneMover and an
+// rtload before Start are not transferable (see LiveMovable) — callers
+// fall back to despawn/respawn for those. Transfer carries a workload
+// in whatever state it is: one that was never started stays unstarted
+// on the destination.
 func (s *System) Transfer(h *Handle, dst *System) (int, error) {
 	if h == nil || h.sys != s {
 		return 0, fmt.Errorf("selftune: Transfer of a handle from another System")

@@ -152,6 +152,50 @@ func TestMoveAllValidatesBeforeMutating(t *testing.T) {
 	}
 }
 
+// TestDetachTaskErrors covers the bare-task error surface of the group
+// operations.
+func TestDetachTaskErrors(t *testing.T) {
+	_, a, b := twoCores(t)
+	srv := a.NewServer("s", 10*ms, 100*ms, sched.HardCBS)
+	attached := a.NewTask("attached")
+	attached.AttachTo(srv, 0)
+	bare := a.NewTask("bare")
+	for name, g := range map[string]sched.Group{
+		"foreign task":           {Tasks: []*sched.Task{b.NewTask("foreign")}},
+		"nil task":               {Tasks: []*sched.Task{nil}},
+		"server-attached task":   {Tasks: []*sched.Task{attached}},
+		"task beside its server": {Servers: []*sched.Server{srv}, Tasks: []*sched.Task{attached}},
+	} {
+		if err := a.DetachAll(g); err == nil {
+			t.Errorf("DetachAll of a group with a %s succeeded", name)
+		}
+		if err := a.MoveAll(g, b, nil); err == nil {
+			t.Errorf("MoveAll of a group with a %s succeeded", name)
+		}
+	}
+	if !a.Owns(srv) || !slices.Contains(a.Tasks(), attached) || !slices.Contains(a.Tasks(), bare) {
+		t.Fatal("a refused group operation moved a member")
+	}
+	if err := a.MoveAll(sched.Group{Tasks: []*sched.Task{bare}}, b, nil); err != nil {
+		t.Fatalf("MoveAll: %v", err)
+	}
+	if !slices.Contains(b.Tasks(), bare) {
+		t.Error("bare task not on the destination after MoveAll")
+	}
+	if err := a.DetachAll(sched.Group{Tasks: []*sched.Task{bare}}); err == nil {
+		t.Error("DetachAll of a task that already left succeeded")
+	}
+	if err := b.DetachAll(sched.Group{Tasks: []*sched.Task{bare}}); err != nil {
+		t.Fatalf("DetachAll: %v", err)
+	}
+	if slices.Contains(b.Tasks(), bare) {
+		t.Error("bare task still listed after DetachAll")
+	}
+	if err := b.DetachAll(sched.Group{Tasks: []*sched.Task{bare}}); err == nil {
+		t.Error("double DetachAll of a bare task succeeded")
+	}
+}
+
 // TestBareTaskMigrationMidSlice detaches a running best-effort task:
 // accounting settles on the old core and the job finishes on the new.
 func TestBareTaskMigrationMidSlice(t *testing.T) {

@@ -238,7 +238,7 @@ func BenchmarkNUMAContention64Core(b *testing.B) {
 func BenchmarkClusterContention(b *testing.B) {
 	var last experiments.ClusterResult
 	for i := 0; i < b.N; i++ {
-		last = experiments.ClusterContention(uint64(i+1), 24, 16, 4, 12*simtime.Second, 0, 0)
+		last = experiments.ClusterContention(uint64(i+1), 24, 16, 4, 12*simtime.Second, 0)
 	}
 	b.ReportMetric(last.Auto.RejectFraction, "reject_frac")
 	b.ReportMetric(last.Auto.Unfairness, "unfairness")

@@ -50,7 +50,6 @@ func run(args []string, w io.Writer) error {
 	outPath := fs.String("o", "", "write the output to this file instead of stdout")
 	cores := fs.Int("cores", 4, "cores of the telemetry scenario machine")
 	parallel := fs.Int("parallel", 0, "worker goroutines advancing the cluster experiment's machine engines per tick (0 = GOMAXPROCS; results are identical at every setting)")
-	coreParallel := fs.Int("core-parallel", 0, "fleet-wide budget of core-lane workers for the cluster experiment's machines (0 = single-engine machines; the simulated results are identical at every setting, 0 included, and only the wall-clock events/s varies)")
 	csvPath := fs.String("csv", "", "export the telemetry scenario's CSV series to this file")
 	tracePath := fs.String("trace", "", "export the telemetry scenario's Chrome trace-event JSON to this file")
 	if err := fs.Parse(args); err != nil {
@@ -236,7 +235,7 @@ func run(args []string, w io.Writer) error {
 			machines, ccores, realms = 12, 16, 4
 			horizon = 9 * simtime.Second
 		}
-		fmt.Fprintln(out, experiments.ClusterContention(*seed, machines, ccores, realms, horizon, *parallel, *coreParallel).Table())
+		fmt.Fprintln(out, experiments.ClusterContention(*seed, machines, ccores, realms, horizon, *parallel).Table())
 	}
 	if selected("slo") {
 		ran++

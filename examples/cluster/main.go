@@ -9,9 +9,7 @@
 // fleet.
 //
 // The default size is a CI-friendly 16 machines x 16 cores; raise
-// -machines/-cores/-realms to the headline 100x64x8 scenario. The
-// telemetry collector samples machine loads with a stride
-// (telemetry.WithSampleEvery) to keep the series cheap at fleet scale.
+// -machines/-cores/-realms to the headline 100x64x8 scenario.
 package main
 
 import (
@@ -22,7 +20,6 @@ import (
 	"repro/internal/report"
 	"repro/selftune"
 	"repro/selftune/cluster"
-	"repro/selftune/telemetry"
 )
 
 func main() {
@@ -44,10 +41,6 @@ func main() {
 		cluster.WithCores(*cores),
 		cluster.WithDetail(1),
 		cluster.WithFleetBalancer(cluster.FleetWorstFit(0, 0)),
-		// One load sample per second of cluster time is plenty for the
-		// report; the stride documents its accuracy trade-off on
-		// telemetry.WithSampleEvery.
-		cluster.WithTelemetry(telemetry.WithSampleEvery(10)),
 	}
 	if *autoscale {
 		opts = append(opts, cluster.WithAutoscaler(cluster.DefaultAutoscalerConfig()))

@@ -96,12 +96,10 @@ func (r ClusterResult) Table() string {
 // 30s. Both runs see identical arrival streams: the realms' random
 // streams are derived from the cluster seed and never consumed by
 // admission decisions, so the comparison is paired sample-for-sample.
-// parallel sets the per-tick engine-advance workers (0 = GOMAXPROCS)
-// and coreParallel the fleet-wide core-lane worker budget (0 =
-// single-engine machines; see cluster.WithCoreParallelism); both move
-// only the wall clock, never a result — the cluster's determinism
-// contract.
-func ClusterContention(seed uint64, machines, cores, realms int, horizon simtime.Duration, parallel, coreParallel int) ClusterResult {
+// parallel sets the per-tick engine-advance workers (0 = GOMAXPROCS);
+// it moves only the wall clock, never a result — the cluster's
+// determinism contract.
+func ClusterContention(seed uint64, machines, cores, realms int, horizon simtime.Duration, parallel int) ClusterResult {
 	if machines < 2 {
 		machines = 100
 	}
@@ -115,8 +113,8 @@ func ClusterContention(seed uint64, machines, cores, realms int, horizon simtime
 		horizon = 30 * simtime.Second
 	}
 	res := ClusterResult{Machines: machines, Cores: cores, RealmN: realms, Horizon: horizon}
-	res.Static = clusterRun(seed, machines, cores, realms, horizon, false, parallel, coreParallel)
-	res.Auto = clusterRun(seed, machines, cores, realms, horizon, true, parallel, coreParallel)
+	res.Static = clusterRun(seed, machines, cores, realms, horizon, false, parallel)
+	res.Auto = clusterRun(seed, machines, cores, realms, horizon, true, parallel)
 	return res
 }
 
@@ -184,7 +182,7 @@ func clusterScenarios(machines, cores, realms int) []clusterScenario {
 }
 
 // clusterRun executes the scenario once.
-func clusterRun(seed uint64, machines, cores, realms int, horizon simtime.Duration, auto bool, parallel, coreParallel int) ClusterRunResult {
+func clusterRun(seed uint64, machines, cores, realms int, horizon simtime.Duration, auto bool, parallel int) ClusterRunResult {
 	opts := []cluster.Option{
 		cluster.WithSeed(seed),
 		cluster.WithMachines(machines),
@@ -195,9 +193,6 @@ func clusterRun(seed uint64, machines, cores, realms int, horizon simtime.Durati
 	}
 	if parallel > 0 {
 		opts = append(opts, cluster.WithParallelism(parallel))
-	}
-	if coreParallel > 0 {
-		opts = append(opts, cluster.WithCoreParallelism(coreParallel))
 	}
 	if auto {
 		opts = append(opts, cluster.WithAutoscaler(cluster.DefaultAutoscalerConfig()))

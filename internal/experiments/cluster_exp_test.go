@@ -17,7 +17,7 @@ func TestClusterContentionFullSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hundred-machine fleet is a long simulation")
 	}
-	r := ClusterContention(1, 100, 64, 8, 30*simtime.Second, 0, 0)
+	r := ClusterContention(1, 100, 64, 8, 30*simtime.Second, 0)
 	if len(r.Static.Realms) != 8 || len(r.Auto.Realms) != 8 {
 		t.Fatalf("scenario shaped %d/%d realms, want 8", len(r.Static.Realms), len(r.Auto.Realms))
 	}
@@ -56,12 +56,9 @@ func TestClusterContentionFullSize(t *testing.T) {
 }
 
 // TestClusterContentionScalesDown keeps the scenario's shape at a size
-// the full test budget runs un-skipped. It also runs the machines in
-// laned mode (core-parallel budget 4) so the two-level composition —
-// machine workers x lane workers — is exercised by the ordinary test
-// suite, not only by benchmarks.
+// the full test budget runs un-skipped, on 4 machine workers.
 func TestClusterContentionScalesDown(t *testing.T) {
-	r := ClusterContention(3, 12, 16, 4, 9*simtime.Second, 4, 4)
+	r := ClusterContention(3, 12, 16, 4, 9*simtime.Second, 4)
 	if r.Machines != 12 || r.Cores != 16 || r.RealmN != 4 {
 		t.Fatalf("scenario shaped %d x %d x %d", r.Machines, r.Cores, r.RealmN)
 	}

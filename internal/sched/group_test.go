@@ -380,3 +380,48 @@ func TestMoveAllRandomRefusals(t *testing.T) {
 		t.Errorf("only %d of 300 moves refused", refusals)
 	}
 }
+
+// TestRefusedMoveKeepsEDFOrder checks that a refused move keeps the
+// EDF tie-break between servers with equal deadlines. A and B each
+// get a 1ms job at t=0, so both servers hold the deadline 10ms and
+// A's lower id runs it first. Moving A away and back with a refusing
+// commit must not give it a fresh id, or B would now win the tie.
+func TestRefusedMoveKeepsEDFOrder(t *testing.T) {
+	run := func(move bool) []string {
+		eng, a, b := twoCores(t)
+		var order []string
+		var tasks []*sched.Task
+		for _, name := range []string{"A", "B"} {
+			srv := a.NewServer(name, 2*ms, 10*ms, sched.HardCBS)
+			task := a.NewTask(name)
+			task.AttachTo(srv, 0)
+			task.OnJobComplete = func(*sched.Job, simtime.Time) { order = append(order, name) }
+			tasks = append(tasks, task)
+		}
+		eng.At(0, func() {
+			for _, task := range tasks {
+				task.Release(sched.NewJob(0, 1*ms, simtime.Time(10*ms)))
+			}
+			if move {
+				err := a.MoveAll(single(tasks[0].Server()), b, func() error { return errors.New("refused") })
+				if err == nil {
+					t.Fatal("MoveAll accepted a refusing commit")
+				}
+			}
+		})
+		eng.RunUntil(simtime.Time(20 * ms))
+		for _, sd := range []*sched.Scheduler{a, b} {
+			if err := sd.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return order
+	}
+	want := run(false)
+	if !slices.Equal(want, []string{"A", "B"}) {
+		t.Fatalf("without a move the jobs completed in order %v, want [A B]", want)
+	}
+	if got := run(true); !slices.Equal(got, want) {
+		t.Errorf("after a refused move the jobs completed in order %v, want %v", got, want)
+	}
+}

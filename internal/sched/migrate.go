@@ -172,10 +172,11 @@ func (sd *Scheduler) DetachAll(g Group) error {
 // scheduler to dst and then runs commit, the caller's last step that
 // may refuse (nil never refuses). On a refusal the group moves back,
 // this scheduler's servers and tasks return to their old order, so its
-// reserved bandwidth sums to the same float, and MoveAll returns
-// commit's error. commit must not add or remove servers or tasks on
-// either scheduler. MoveAll is called like DetachAll; schedulers on
-// different engines must rest at the same instant.
+// reserved bandwidth sums to the same float, every server gets its old
+// id back, so EDF ties break as before, and MoveAll returns commit's
+// error. commit must not add or remove servers or tasks on either
+// scheduler. MoveAll is called like DetachAll; schedulers on different
+// engines must rest at the same instant.
 func (sd *Scheduler) MoveAll(g Group, dst *Scheduler, commit func() error) error {
 	if err := sd.checkGroup(g, "MoveAll"); err != nil {
 		return err
@@ -185,6 +186,11 @@ func (sd *Scheduler) MoveAll(g Group, dst *Scheduler, commit func() error) error
 	}
 	sd.undoServers = append(sd.undoServers[:0], sd.servers...)
 	sd.undoTasks = append(sd.undoTasks[:0], sd.tasks...)
+	sd.undoIDs = sd.undoIDs[:0]
+	for _, srv := range g.Servers {
+		sd.undoIDs = append(sd.undoIDs, srv.id)
+	}
+	srcNext, dstNext := sd.nextSrvID, dst.nextSrvID
 	sd.detachAll(g)
 	dst.adoptAll(g)
 	var err error
@@ -196,6 +202,14 @@ func (sd *Scheduler) MoveAll(g Group, dst *Scheduler, commit func() error) error
 		sd.adoptAll(g)
 		sd.servers = append(sd.servers[:0], sd.undoServers...)
 		sd.tasks = append(sd.tasks[:0], sd.undoTasks...)
+		for i, srv := range g.Servers {
+			srv.id = sd.undoIDs[i]
+			if srv.heapIndex >= 0 {
+				sd.edfFix(srv)
+			}
+		}
+		sd.nextSrvID, dst.nextSrvID = srcNext, dstNext
+		sd.dispatch()
 	}
 	clear(sd.undoServers)
 	clear(sd.undoTasks)

@@ -70,10 +70,12 @@ type Scheduler struct {
 	nextSrvID int
 	nextPID   int
 
-	// undoServers and undoTasks hold the server and task order MoveAll
-	// restores when its commit refuses.
+	// undoServers, undoTasks and undoIDs hold the server and task order
+	// and the moving servers' ids that MoveAll restores when its commit
+	// refuses.
 	undoServers []*Server
 	undoTasks   []*Task
+	undoIDs     []int
 
 	// transitionHook, if set, observes task state transitions
 	// (blocked -> ready and ready -> blocked). It is the simulated

@@ -9,24 +9,26 @@
 // paper's adaptive-reservation loop one level up, where the resource
 // is the fleet and the budget is a tenant's capacity slice.
 //
-// Time: every machine runs its own discrete-event engine. The Cluster
-// advances them in deterministic lockstep ticks of 100ms: each tick it
-// processes departures, runs the fleet balancer, generates arrivals,
-// drains queues, runs the autoscaler, folds cluster telemetry, and
-// then advances every machine engine to the tick boundary. Cluster
-// control therefore operates at tick granularity — service times
-// quantise up to the next boundary — while the machines simulate at
-// full event resolution in between.
+// Time: every machine is laned (selftune.WithCoreParallelism): each of
+// its cores runs its own discrete-event engine lane, advanced between
+// the machine's causality fences. The Cluster advances the machines in
+// deterministic lockstep ticks of 100ms: each tick it processes
+// departures, runs the fleet balancer, generates arrivals, drains
+// queues, runs the autoscaler, folds cluster telemetry, and then
+// advances every machine to the tick boundary. Cluster control
+// therefore operates at tick granularity — service times quantise up
+// to the next boundary — while the machines simulate at full event
+// resolution in between.
 //
-// Parallelism: the per-machine engines of one tick are independent —
-// machines share no mutable state between tick boundaries — so
-// WithParallelism(n) advances them on a bounded worker pool (default
-// GOMAXPROCS). Cross-machine effects are confined to the serial
-// control phase, and the machine event streams the cluster folds
-// (WithMachineTelemetry, WithRequestStats) collect in one
-// selftune.Stage per machine, drained in machine-index order at the
-// tick barrier, so a seeded run is byte-identical at every parallelism
-// level.
+// Parallelism: the machines of one tick are independent — they share
+// no mutable state between tick boundaries — so WithParallelism(n)
+// advances them on a bounded worker pool (default GOMAXPROCS); the
+// worker that takes a machine advances all of its lanes. Cross-machine
+// effects are confined to the serial control phase, and the machine
+// event streams the cluster folds (WithMachineTelemetry,
+// WithRequestStats) collect in one selftune.Stage per machine, drained
+// in machine-index order at the tick barrier, so a seeded run is
+// byte-identical at every parallelism level.
 //
 // Scale: WithDetail(n) bounds fidelity cost. Jobs landing on the
 // first n machines are Started — their workloads release real jobs,
@@ -56,7 +58,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strings"
 
 	"repro/internal/rng"
 	"repro/internal/smp"
@@ -67,20 +68,19 @@ import (
 
 // options collects the configuration assembled by functional options.
 type options struct {
-	seed         uint64
-	machines     int
-	cores        int
-	detail       int
-	parallel     int // 0 = GOMAXPROCS
-	coreParallel int // 0 = single-engine machines
-	fleetBal     ClusterBalancer
-	fleetEvery   selftune.Duration
-	scaler       *AutoscalerConfig
-	statsEvery   selftune.Duration
-	colOpts      []telemetry.CollectorOption
-	machineTel   bool
-	machineColO  []telemetry.CollectorOption
-	reqStats     bool
+	seed        uint64
+	machines    int
+	cores       int
+	detail      int
+	parallel    int // 0 = GOMAXPROCS
+	fleetBal    ClusterBalancer
+	fleetEvery  selftune.Duration
+	scaler      *AutoscalerConfig
+	statsEvery  selftune.Duration
+	colOpts     []telemetry.CollectorOption
+	machineTel  bool
+	machineColO []telemetry.CollectorOption
+	reqStats    bool
 }
 
 func defaultClusterOptions() options {
@@ -180,7 +180,7 @@ func WithAutoscaler(cfg AutoscalerConfig) Option {
 }
 
 // WithTelemetry passes options to the cluster-scope telemetry
-// Collector (series capacity, sampling stride).
+// Collector (series capacity, SLOs).
 func WithTelemetry(opts ...telemetry.CollectorOption) Option {
 	return func(o *options) error {
 		o.colOpts = append(o.colOpts, opts...)
@@ -213,27 +213,6 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithCoreParallelism builds every machine in laned mode
-// (selftune.WithCoreParallelism): each machine's cores simulate on
-// per-core engine lanes advanced concurrently between causality
-// fences. n is the fleet-wide core-worker budget, split evenly across
-// the machines that advance concurrently — per-machine lane workers =
-// max(1, n / machine-parallelism) — so the two parallelism levels
-// compose under one budget instead of multiplying. Determinism
-// composes too: the lane partition is one lane per core regardless of
-// n, so a seeded cluster run stays byte-identical at every budget.
-// n < 1 is an error; the default (no option) runs single-engine
-// machines.
-func WithCoreParallelism(n int) Option {
-	return func(o *options) error {
-		if n < 1 {
-			return fmt.Errorf("cluster: WithCoreParallelism(%d): need at least one worker", n)
-		}
-		o.coreParallel = n
-		return nil
-	}
-}
-
 // WithMachineTelemetry attaches one cluster-owned Collector (reached
 // via MachineCollector) to every machine's observer bus through a
 // per-machine selftune.Stage: each machine's events collect lock-free
@@ -241,7 +220,7 @@ func WithCoreParallelism(n int) Option {
 // WithParallelism — and the stages drain into the collector in
 // machine-index order at every tick barrier. The folded state is
 // therefore identical, byte for byte, for any parallelism level. The
-// options configure the collector (series capacity, sampling stride).
+// options configure the collector (series capacity, SLOs).
 func WithMachineTelemetry(opts ...telemetry.CollectorOption) Option {
 	return func(o *options) error {
 		o.machineTel = true
@@ -251,16 +230,17 @@ func WithMachineTelemetry(opts ...telemetry.CollectorOption) Option {
 }
 
 // WithRequestStats folds the request-level latency stream of the
-// detail machines into the cluster: per-realm latency distributions,
-// deadline-miss counts and SLO scoring (RealmConfig.SLO) surface in
-// RealmStats and FleetSnapshot, a fleet-wide histogram through
-// FleetLatency, and the raw completions flow into the cluster-scope
-// Collector (request groups, WithTelemetry-installed SLOs, all the
-// existing sinks). Only machines inside the WithDetail window Start
-// their workloads, so only they produce completions — the stats are a
-// full-fidelity core sample, not a whole-fleet census. Off by default:
-// subscribing an observer starts each detail machine's load sampler,
-// which perturbs the event count of runs that never asked for it.
+// detail machines into the cluster-scope Collector (request groups,
+// WithTelemetry-installed SLOs, all the existing sinks), the fleet's
+// one store of request statistics: per-realm latency distributions,
+// deadline-miss counts and SLO scoring (RealmConfig.SLO) surface from
+// it in RealmStats and FleetSnapshot, the fleet-wide totals through
+// FleetRequests and FleetLatency. Only machines inside the WithDetail
+// window Start their workloads, so only they produce completions — the
+// stats are a full-fidelity core sample, not a whole-fleet census. Off
+// by default: subscribing an observer starts each detail machine's
+// load sampler, which perturbs the event count of runs that never
+// asked for it.
 //
 // Completions stage per machine while the engines advance — possibly
 // concurrently, under WithParallelism — and fold in machine-index
@@ -271,15 +251,6 @@ func WithRequestStats() Option {
 		o.reqStats = true
 		return nil
 	}
-}
-
-// requestGroupOf returns the realm prefix of a cluster job name
-// ("web/17" → "web").
-func requestGroupOf(source string) string {
-	if i := strings.IndexByte(source, '/'); i >= 0 {
-		return source[:i]
-	}
-	return source
 }
 
 // job is one admitted, resident request.
@@ -334,12 +305,6 @@ type Cluster struct {
 	// index order into mcol and the request fold.
 	stages []selftune.Stage
 	mcol   *telemetry.Collector
-
-	// Request stats (WithRequestStats): the fleet-wide fold of the
-	// detail machines' completions.
-	fleetLatency  telemetry.LatencyHistogram
-	fleetRequests int64
-	fleetMisses   int64
 
 	realms      []*Realm
 	realmByName map[string]*Realm
@@ -404,30 +369,23 @@ func New(opts ...Option) (*Cluster, error) {
 	if c.parallel > o.machines {
 		c.parallel = o.machines
 	}
-	// Split the core-worker budget across the machines a tick advances
-	// concurrently: the machine pool and the lane pools compose under
-	// one budget rather than multiplying goroutines.
-	laneWorkers := 0
-	if o.coreParallel > 0 {
-		laneWorkers = o.coreParallel / c.parallel
-		if laneWorkers < 1 {
-			laneWorkers = 1
-		}
-	}
 	seeds := c.rand.Split()
 	for i := range c.machines {
 		mopts := []selftune.Option{
 			selftune.WithSeed(seeds.Uint64()),
 			selftune.WithCPUs(o.cores),
+			// One engine lane per core, advanced by the tick worker that
+			// advances the machine. The lanes' rings split one default
+			// ring's capacity, so tracers nobody drains buffer what one
+			// shared ring did.
+			selftune.WithCoreParallelism(1),
+			selftune.WithTracerCapacity(max(1, selftune.DefaultTracerCapacity/o.cores)),
 			// Disjoint PID spaces per machine: live Transfers inject a
 			// task's syscall evidence into the destination tracer, and
 			// per-PID drains must never mix tasks from different
 			// machines. Machine 0 keeps offset 0, the single-machine
 			// bases.
 			selftune.WithPIDOffset(i * machinePIDSpan),
-		}
-		if laneWorkers > 0 {
-			mopts = append(mopts, selftune.WithCoreParallelism(laneWorkers))
 		}
 		if o.cores > smp.DefaultNodeCores && o.cores%smp.DefaultNodeCores == 0 {
 			mopts = append(mopts, selftune.WithTopology(selftune.UniformTopology(o.cores, smp.DefaultNodeCores)))
@@ -521,8 +479,10 @@ func (c *Cluster) AddRealm(cfg RealmConfig) (*Realm, error) {
 // Machines returns the fleet size.
 func (c *Cluster) Machines() int { return len(c.machines) }
 
-// Machine returns machine i — a full selftune.System; attach
-// per-machine collectors or inspect cores through it.
+// Machine returns machine i — a full, laned selftune.System; attach
+// per-machine collectors or inspect cores through it. Its Tracer is
+// nil: each core traces into its own ring (CoreTracer), and the rings
+// share the capacity of one default ring.
 func (c *Cluster) Machine(i int) *selftune.System { return c.machines[i] }
 
 // Realms returns the registered realms in registration order.
@@ -572,19 +532,21 @@ func (c *Cluster) LiveReplacements() int { return c.liveMoves }
 // observed on the detail machines (both zero without
 // WithRequestStats), current as of the last tick barrier.
 func (c *Cluster) FleetRequests() (completed, missed int64) {
-	return c.fleetRequests, c.fleetMisses
+	completed, missed, _ = c.col.RequestTotals()
+	return completed, missed
 }
 
 // FleetLatency returns a copy of the fleet-wide completion-latency
 // distribution over the detail machines' requests (empty without
 // WithRequestStats), current as of the last tick barrier.
 func (c *Cluster) FleetLatency() telemetry.LatencyHistogram {
-	return c.fleetLatency.Clone()
+	_, _, latency := c.col.RequestTotals()
+	return latency
 }
 
 // Steps returns the total discrete-event steps executed by the
-// machine engines — the fleet's simulation work so far. Laned
-// machines (WithCoreParallelism) count every lane's steps.
+// machines' lanes and control engines — the fleet's simulation work so
+// far.
 func (c *Cluster) Steps() uint64 {
 	var sum uint64
 	for _, m := range c.machines {
@@ -593,10 +555,10 @@ func (c *Cluster) Steps() uint64 {
 	return sum
 }
 
-// Close releases the Cluster's worker goroutines: the tick-advance
-// pool and, on laned machines, every machine's lane pool. The Cluster
-// remains usable afterwards — Run falls back to serial advances — but
-// Close is meant for teardown. Safe to call more than once.
+// Close releases the Cluster's tick-advance worker goroutines and
+// closes every machine. The Cluster remains usable afterwards — Run
+// falls back to serial advances — but Close is meant for teardown.
+// Safe to call more than once.
 func (c *Cluster) Close() {
 	c.pool.Close()
 	for _, m := range c.machines {
@@ -670,41 +632,20 @@ func (c *Cluster) advance(next selftune.Time) {
 
 // foldMachineEvent folds one staged machine event at the tick barrier
 // into the machine collector and, for a request completion, the
-// request stats. The two fold disjoint state, so one pass over the
-// stage serves both.
+// cluster-scope collector and the realm's SLO score. The two
+// collectors fold disjoint state, so one pass over the stage serves
+// both.
 func (c *Cluster) foldMachineEvent(e selftune.Event) {
 	if c.mcol != nil {
 		c.mcol.Observe(e)
 	}
 	if c.opt.reqStats && e.Kind == selftune.RequestCompleteEvent {
-		c.foldRequestComplete(e)
-	}
-}
-
-// foldRequestComplete folds one staged request completion at the tick
-// barrier: fleet and realm counters, the realm's latency distribution
-// and SLO score, and the cluster-scope collector (request groups,
-// WithTelemetry-installed SLOs, the existing sinks).
-func (c *Cluster) foldRequestComplete(e selftune.Event) {
-	c.fleetRequests++
-	c.fleetLatency.Observe(e.Latency)
-	if e.Missed {
-		c.fleetMisses++
-	}
-	if r := c.realmByName[requestGroupOf(e.Source)]; r != nil {
-		r.requests++
-		r.latency.Observe(e.Latency)
-		if e.Missed {
-			r.misses++
+		r := c.realmByName[telemetry.RequestGroupOf(e.Source)]
+		if r != nil && r.cfg.SLO.Quantile > 0 && e.Latency <= r.cfg.SLO.Threshold {
+			r.sloWithin++
 		}
-		if r.cfg.SLO.Quantile > 0 {
-			r.sloScored++
-			if e.Latency <= r.cfg.SLO.Threshold {
-				r.sloWithin++
-			}
-		}
+		c.col.Observe(e)
 	}
-	c.col.Observe(e)
 }
 
 // processDepartures despawns every job whose residency ended at or
@@ -875,8 +816,8 @@ func (c *Cluster) spawn(machine int, r *Realm, spec int, name string, hint float
 // The executor runs serially in the control phase, with every machine
 // engine (and every core lane) resting at c.now, and walks the plan
 // in order — so live moves are byte-identical at every
-// WithParallelism/WithCoreParallelism level. The published
-// MigrationEvent records whether the move carried its state (Event.Live).
+// WithParallelism level. The published MigrationEvent records whether
+// the move carried its state (Event.Live).
 func (c *Cluster) rebalance() {
 	c.snapshotInto(&c.snapBuf)
 	plan := c.opt.fleetBal.Plan(c.snapBuf)

@@ -515,3 +515,34 @@ func TestClusterTelemetryFold(t *testing.T) {
 		t.Fatal("realm reservation trajectory folded no tuner ticks")
 	}
 }
+
+// TestMachineTracerBudget pins a fleet machine's tracer: every core
+// traces into its own lane ring, and the rings share one default
+// ring's capacity, so a fleet whose tracers nobody drains buffers no
+// more per machine than one shared ring did.
+func TestMachineTracerBudget(t *testing.T) {
+	c := testCluster(t, WithMachines(1), WithCores(64), WithDetail(1))
+	defer c.Close()
+	if _, err := c.AddRealm(RealmConfig{
+		Name: "web", Reservation: 48, Rate: 40, QueueCap: 64,
+		Mix: []WorkloadSpec{{Kind: "webserver", Hint: 0.2, Service: Exp(20 * selftune.Second)}},
+	}); err != nil {
+		t.Fatalf("AddRealm: %v", err)
+	}
+	c.Run(6 * selftune.Second)
+	m := c.Machine(0)
+	if m.Tracer() != nil {
+		t.Fatal("a fleet machine has a shared tracer; want one ring per core lane")
+	}
+	var buffered, dropped int
+	for i := 0; i < m.CPUs(); i++ {
+		buffered += m.CoreTracer(i).Len()
+		dropped += m.CoreTracer(i).Dropped()
+	}
+	if dropped == 0 {
+		t.Fatalf("no lane ring filled in 6s (%d events buffered); the budget is untested", buffered)
+	}
+	if buffered > selftune.DefaultTracerCapacity {
+		t.Errorf("lane rings buffer %d events, more than one default ring (%d)", buffered, selftune.DefaultTracerCapacity)
+	}
+}

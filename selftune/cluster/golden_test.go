@@ -43,10 +43,9 @@ func telemetryDigest(t *testing.T, opts ...Option) []byte {
 
 // TestTelemetryGolden pins the tick-barrier merge across commits: the
 // digests of both collectors and the fleet snapshot for the
-// determinism scenario, with request stats and machine telemetry, with
-// request stats only, and with laned machines. The determinism tests
-// compare parallelism levels within one build; this one compares
-// builds.
+// determinism scenario, with request stats and machine telemetry, and
+// with request stats only. The determinism tests compare parallelism
+// levels within one build; this one compares builds.
 func TestTelemetryGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -54,7 +53,6 @@ func TestTelemetryGolden(t *testing.T) {
 	}{
 		{"stats_machine", []Option{WithRequestStats(), WithMachineTelemetry()}},
 		{"stats_only", []Option{WithRequestStats()}},
-		{"laned", []Option{WithRequestStats(), WithMachineTelemetry(), WithCoreParallelism(2)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -88,12 +88,10 @@ type Realm struct {
 	grows    int
 	shrinks  int
 
-	// Request-level stats folded at the tick barrier under
-	// WithRequestStats (detail machines only).
-	requests  int64
-	misses    int64
-	latency   telemetry.LatencyHistogram
-	sloScored int64
+	// sloWithin counts the realm's completions within its SLO
+	// threshold. The cluster collector holds every other request
+	// statistic; it scores only the SLOs installed on it, which its
+	// Snapshot publishes.
 	sloWithin int64
 
 	growStreak   int
@@ -202,6 +200,7 @@ func (s RealmStats) AdmitFraction() float64 {
 
 // Stats returns the realm's current accounting snapshot.
 func (r *Realm) Stats() RealmStats {
+	g, _ := r.c.col.RequestGroup(r.cfg.Name)
 	st := RealmStats{
 		Name:        r.cfg.Name,
 		Reservation: r.reservation,
@@ -215,15 +214,15 @@ func (r *Realm) Stats() RealmStats {
 		Replaced:    r.replaced,
 		Grows:       r.grows,
 		Shrinks:     r.shrinks,
-		Requests:    r.requests,
-		Misses:      r.misses,
-		LatencyP50:  r.latency.Quantile(0.50),
-		LatencyP95:  r.latency.Quantile(0.95),
-		LatencyP99:  r.latency.Quantile(0.99),
+		Requests:    g.Requests,
+		Misses:      g.Misses,
+		LatencyP50:  g.Latency.Quantile(0.50),
+		LatencyP95:  g.Latency.Quantile(0.95),
+		LatencyP99:  g.Latency.Quantile(0.99),
 	}
 	st.SLOAttainment = 1
-	if r.sloScored > 0 {
-		st.SLOAttainment = float64(r.sloWithin) / float64(r.sloScored)
+	if r.cfg.SLO.Quantile > 0 && g.Requests > 0 {
+		st.SLOAttainment = float64(r.sloWithin) / float64(g.Requests)
 	}
 	st.SLOMet = st.SLOAttainment >= r.cfg.SLO.Quantile
 	st.SLOQuantile = r.cfg.SLO.Quantile
@@ -233,7 +232,10 @@ func (r *Realm) Stats() RealmStats {
 
 // Latency returns a copy of the realm's completion-latency
 // distribution (empty without WithRequestStats).
-func (r *Realm) Latency() telemetry.LatencyHistogram { return r.latency.Clone() }
+func (r *Realm) Latency() telemetry.LatencyHistogram {
+	g, _ := r.c.col.RequestGroup(r.cfg.Name)
+	return g.Latency
+}
 
 // queueCap returns the realm's configured queue bound.
 func (r *Realm) queueCap() int {

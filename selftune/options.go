@@ -22,11 +22,15 @@ type options struct {
 	pidOffset    int
 }
 
+// DefaultTracerCapacity is the syscall ring size of a System built
+// without WithTracerCapacity, in events.
+const DefaultTracerCapacity = 1 << 16
+
 func defaultOptions() options {
 	return options{
 		cpus:         1,
 		ulub:         1,
-		tracerCap:    1 << 16,
+		tracerCap:    DefaultTracerCapacity,
 		loadSample:   250 * simtime.Millisecond,
 		balanceEvery: 500 * simtime.Millisecond,
 		imbalance:    0.2,
@@ -77,7 +81,8 @@ func WithULub(u float64) Option {
 // WithTracerCapacity sets the syscall ring size: of the one ring all
 // cores share, or of each core's own ring on a laned machine
 // (WithCoreParallelism). A ring allocates as events arrive, doubling
-// up to this capacity, so an unused ring costs nothing.
+// up to this capacity (default DefaultTracerCapacity), so an unused
+// ring costs nothing.
 func WithTracerCapacity(n int) Option {
 	return func(o *options) error {
 		if n <= 0 {

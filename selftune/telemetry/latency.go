@@ -178,13 +178,40 @@ type RequestRecord struct {
 	Missed  bool
 }
 
-// requestGroup returns the aggregation key of a request source: the
+// RequestGroupOf returns the aggregation key of a request source: the
 // prefix before the first '/', or the full source name.
-func requestGroup(source string) string {
+func RequestGroupOf(source string) string {
 	if i := strings.IndexByte(source, '/'); i >= 0 {
 		return source[:i]
 	}
 	return source
+}
+
+// clone returns a copy of g that shares no memory with it.
+func (g *RequestGroup) clone() RequestGroup {
+	out := *g
+	out.Latency = g.Latency.Clone()
+	out.Tardiness = g.Tardiness.Clone()
+	return out
+}
+
+// RequestGroup returns a copy of the named request group and whether
+// the collector has folded any of its requests.
+func (c *Collector) RequestGroup(name string) (RequestGroup, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if g := c.groups[name]; g != nil {
+		return g.clone(), true
+	}
+	return RequestGroup{Name: name}, false
+}
+
+// RequestTotals returns the completions and deadline misses of every
+// group together, and a copy of their completion-latency distribution.
+func (c *Collector) RequestTotals() (requests, misses int64, latency LatencyHistogram) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.requests, c.misses, c.latency.Clone()
 }
 
 // foldRequest folds one RequestCompleteEvent. Caller holds c.mu.
@@ -195,7 +222,7 @@ func (c *Collector) foldRequest(e selftune.Event) {
 		c.misses++
 		c.tardiness.Observe(e.Latency - e.Deadline)
 	}
-	name := requestGroup(e.Source)
+	name := RequestGroupOf(e.Source)
 	g := c.groups[name]
 	if g == nil {
 		g = &RequestGroup{Name: name}

@@ -171,10 +171,23 @@ func TestCollectorFoldsRequests(t *testing.T) {
 	if len(snap.RequestLog) != 3 {
 		t.Errorf("request log has %d records, want 3", len(snap.RequestLog))
 	}
-	// Snapshot independence: keep folding, the old snapshot must not move.
+	// The read accessors agree with the snapshot.
+	g, ok := c.RequestGroup("web")
+	if !ok || !reflect.DeepEqual(g, web) {
+		t.Errorf("RequestGroup(web) = %+v, %v; want %+v", g, ok, web)
+	}
+	if g, ok := c.RequestGroup("mail"); ok || g.Requests != 0 {
+		t.Errorf("RequestGroup of an unseen group = %+v, %v", g, ok)
+	}
+	requests, misses, latency := c.RequestTotals()
+	if requests != 3 || misses != 1 || !reflect.DeepEqual(latency, snap.Latency) {
+		t.Errorf("RequestTotals = %d, %d, %+v", requests, misses, latency)
+	}
+	// Snapshot independence: keep folding, the old snapshot and the
+	// accessors' copies must not move.
 	before := snap.Latency.Total()
 	ev("web/3", "webserver", ms(5), false)
-	if snap.Latency.Total() != before {
-		t.Error("snapshot histogram shares memory with the live collector")
+	if snap.Latency.Total() != before || g.Latency.Total() != 2 || latency.Total() != before {
+		t.Error("snapshot or accessor histogram shares memory with the live collector")
 	}
 }

@@ -238,9 +238,6 @@ type Collector struct {
 	rejections  int
 	loadEvents  int
 
-	sampleEvery int // fold every nth load sample; 0/1 = every one
-	sampleSeen  int // load samples seen, folded or not
-
 	domain        []int // per-core domain map; nil = flat machine
 	domains       int   // number of domains (0 when domain is nil)
 	crossNode     int
@@ -291,25 +288,6 @@ func WithSeriesCapacity(n int) CollectorOption {
 	return func(c *Collector) {
 		if n > 0 {
 			c.capacity = n
-		}
-	}
-}
-
-// WithSampleEvery folds only every nth CoreLoadEvent into the load
-// gauge, series and slack histogram, starting with the first; the
-// LoadEvents counter still counts every sample seen. At cluster event
-// volumes (hundreds of machines publishing per-core samples) this
-// bounds observer fan-out cost at the price of temporal resolution:
-// the retained trajectory is a strided subsample, so load excursions
-// shorter than n sampling intervals can be missed entirely, and the
-// slack histogram weighs each retained sample n times as much. Means
-// over long windows are unaffected in expectation — the stride is
-// deterministic, not load-correlated. n <= 1 keeps every sample (the
-// default).
-func WithSampleEvery(n int) CollectorOption {
-	return func(c *Collector) {
-		if n > 1 {
-			c.sampleEvery = n
 		}
 	}
 }
@@ -417,10 +395,6 @@ func (c *Collector) Observe(e selftune.Event) {
 		c.exhausts.push(ExhaustRecord{At: e.At, Core: e.Core, Source: name})
 	case selftune.CoreLoadEvent:
 		c.loadEvents++
-		c.sampleSeen++
-		if c.sampleEvery > 1 && (c.sampleSeen-1)%c.sampleEvery != 0 {
-			return
-		}
 		c.loads = append(c.loads[:0], e.Loads...)
 		for _, l := range e.Loads {
 			c.slack.observe(1 - l)
@@ -528,10 +502,7 @@ func (c *Collector) Snapshot() Snapshot {
 	if len(c.groups) > 0 {
 		s.RequestGroups = make([]RequestGroup, 0, len(c.groups))
 		for _, g := range c.groups {
-			cg := *g
-			cg.Latency = g.Latency.Clone()
-			cg.Tardiness = g.Tardiness.Clone()
-			s.RequestGroups = append(s.RequestGroups, cg)
+			s.RequestGroups = append(s.RequestGroups, g.clone())
 		}
 		sort.Slice(s.RequestGroups, func(i, j int) bool {
 			return s.RequestGroups[i].Name < s.RequestGroups[j].Name

@@ -238,43 +238,6 @@ func BenchmarkCollectorBoundedFold(b *testing.B) {
 	}
 }
 
-func TestSampleEvery(t *testing.T) {
-	c := NewCollector(WithSampleEvery(4))
-	for i := 0; i < 10; i++ {
-		c.Observe(selftune.Event{Kind: selftune.CoreLoadEvent,
-			At: selftune.Time(i), Core: -1, Loads: []float64{float64(i) / 10}})
-	}
-	s := c.Snapshot()
-	// Samples 0, 4 and 8 fold; all 10 are counted.
-	if len(s.LoadSamples) != 3 {
-		t.Errorf("retained %d samples, want 3 (every 4th of 10)", len(s.LoadSamples))
-	}
-	if s.LoadEvents != 10 {
-		t.Errorf("LoadEvents = %d, want 10 (counter sees every sample)", s.LoadEvents)
-	}
-	if len(s.LoadSamples) == 3 && (s.LoadSamples[0].At != 0 || s.LoadSamples[2].At != 8) {
-		t.Errorf("folded samples at %v, %v — want stride starting at the first",
-			s.LoadSamples[0].At, s.LoadSamples[2].At)
-	}
-	// The gauge holds the last *folded* sample, not the last seen.
-	if len(s.Loads) != 1 || s.Loads[0] != 0.8 {
-		t.Errorf("load gauge = %v, want [0.8]", s.Loads)
-	}
-	if s.Slack.Total() != 3 {
-		t.Errorf("slack histogram folded %d observations, want 3", s.Slack.Total())
-	}
-
-	// n <= 1 keeps every sample.
-	c1 := NewCollector(WithSampleEvery(1))
-	for i := 0; i < 5; i++ {
-		c1.Observe(selftune.Event{Kind: selftune.CoreLoadEvent,
-			At: selftune.Time(i), Core: -1, Loads: []float64{0.5}})
-	}
-	if got := len(c1.Snapshot().LoadSamples); got != 5 {
-		t.Errorf("WithSampleEvery(1) retained %d of 5 samples", got)
-	}
-}
-
 // TestCollectorConcurrentPublishAndSnapshot hammers Observe from many
 // goroutines while snapshots are taken — the race-detector proof of
 // the "safe under concurrent publish" contract.

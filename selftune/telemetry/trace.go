@@ -206,7 +206,7 @@ func (s Snapshot) WriteTrace(w io.Writer) error {
 		events = append(events, traceEvent{
 			Name: "request latency", Cat: "request", Ph: "C",
 			TS: us(rr.At), PID: machinePID, TID: 0,
-			Args: map[string]any{requestGroup(rr.Source) + "_ms": rr.Latency.Milliseconds()},
+			Args: map[string]any{RequestGroupOf(rr.Source) + "_ms": rr.Latency.Milliseconds()},
 		})
 		if rr.Missed {
 			events = append(events, traceEvent{

@@ -168,13 +168,9 @@ type Tuner struct {
 	tickEv    sim.Timer
 	tickAt    simtime.Time
 
-	// OnTick, if non-nil, observes every activation. It belongs to
-	// the end user; embedding layers must use BusTick.
-	OnTick func(Snapshot)
-	// BusTick, if non-nil, also observes every activation. It is
-	// reserved for the observation bus of an embedding system (the
-	// selftune observer API), so user code assigning OnTick cannot
-	// sever it.
+	// BusTick, if non-nil, observes every activation. An embedding
+	// system routes it onto its observation bus (the selftune observer
+	// API), where every other observer subscribes.
 	BusTick func(Snapshot)
 }
 
@@ -598,9 +594,6 @@ func (t *Tuner) actuate(now simtime.Time, req simtime.Duration) {
 	t.snapshots = append(t.snapshots, snap)
 	if t.BusTick != nil {
 		t.BusTick(snap)
-	}
-	if t.OnTick != nil {
-		t.OnTick(snap)
 	}
 }
 

@@ -234,7 +234,7 @@ func TestSnapshotsRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	ticks := 0
-	tuner.OnTick = func(core.Snapshot) { ticks++ }
+	tuner.BusTick = func(core.Snapshot) { ticks++ }
 	tuner.Start()
 	p.Start(0)
 	horizon := 10 * simtime.Second

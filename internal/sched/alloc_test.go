@@ -15,10 +15,10 @@ var raceEnabled bool
 // TestJobPathAllocatesNothing checks that the steady-state job path —
 // release, dispatch, progress hooks, budget exhaustion, throttling,
 // replenishment, completion and job recycling — allocates nothing once
-// warm. Each scenario runs with RecycleJobs and logging off, as every
-// core of a selftune machine does, warms up for a simulated second,
-// and then counts the allocations of 100 ms chunks. The release loops
-// re-arm one closure each instead of building one per job.
+// warm. Each scenario runs with logging off, as every core of a
+// selftune machine does, warms up for a simulated second, and then
+// counts the allocations of 100 ms chunks. The release loops re-arm
+// one closure each instead of building one per job.
 func TestJobPathAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts need the pools of a non-race build")
@@ -61,7 +61,7 @@ func TestJobPathAllocatesNothing(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.New()
-			sd := sched.New(sched.Config{Engine: eng, BEQuantum: ms, RecycleJobs: true})
+			sd := sched.New(sched.Config{Engine: eng, BEQuantum: ms})
 			tc.build(eng, sd)
 			eng.RunUntil(simtime.Time(simtime.Second))
 			completed := func() (n int) {

@@ -9,39 +9,20 @@ import (
 	"repro/internal/simtime"
 )
 
-// BenchmarkPeriodicSecond measures simulating one second of a system
-// with eight periodic reservations (a realistic tuner deployment).
-func BenchmarkPeriodicSecond(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng := sim.New()
-		sd := sched.New(sched.Config{Engine: eng})
-		for k := 0; k < 8; k++ {
-			p := simtime.Duration(10+3*k) * ms
-			c := p / 10
-			srv := sd.NewServer(fmt.Sprintf("s%d", k), c, p, sched.HardCBS)
-			tk := sd.NewTask(fmt.Sprintf("t%d", k))
-			tk.AttachTo(srv, 0)
-			startPeriodic(eng, tk, c, p, 0)
-		}
-		eng.RunUntil(simtime.Time(simtime.Second))
-	}
-}
-
-// BenchmarkPeriodicSecondRecycled is BenchmarkPeriodicSecond with job
-// pooling on (Config.RecycleJobs): every completed job's storage goes
-// back to the pool the moment its completion callback has run, so the
-// steady-state job churn — eight reservations releasing ~100 jobs per
-// simulated second each — stops allocating Job structs. The rest of
-// the job path allocates nothing once warm (TestJobPathAllocatesNothing),
-// so what allocs/op remains is building each iteration's engine,
-// scheduler, servers and tasks. CI gates this benchmark's allocs/op
-// against its own baseline.
+// BenchmarkPeriodicSecondRecycled measures simulating one second of a
+// system with eight periodic reservations (a realistic tuner
+// deployment). Every completed job's storage goes back to the pool the
+// moment its completion callback has run, so the steady-state job
+// churn — eight reservations releasing ~100 jobs per simulated second
+// each — allocates no Job structs. The rest of the job path allocates
+// nothing once warm (TestJobPathAllocatesNothing), so what allocs/op
+// remains is building each iteration's engine, scheduler, servers and
+// tasks. CI gates this benchmark's allocs/op against its own baseline.
 func BenchmarkPeriodicSecondRecycled(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		eng := sim.New()
-		sd := sched.New(sched.Config{Engine: eng, RecycleJobs: true})
+		sd := sched.New(sched.Config{Engine: eng})
 		for k := 0; k < 8; k++ {
 			p := simtime.Duration(10+3*k) * ms
 			c := p / 10

@@ -34,19 +34,12 @@ type Config struct {
 	// smp.Machine) must use disjoint PID ranges, or per-PID trace
 	// drains mix tasks that happen to share a number.
 	PIDBase int
-	// RecycleJobs returns every completed job's storage to a pool the
-	// moment its OnJobComplete callback has run, with a generation
-	// bump (Job.Generation) invalidating retained references — the
-	// sim.Timer discipline applied to jobs. Off by default: callers
-	// that inspect jobs after completion must keep it off.
-	RecycleJobs bool
 }
 
 // Scheduler owns the simulated CPU.
 type Scheduler struct {
-	engine      *sim.Engine
-	beQuantum   simtime.Duration
-	recycleJobs bool
+	engine    *sim.Engine
+	beQuantum simtime.Duration
 
 	servers []*Server
 	tasks   []*Task
@@ -108,10 +101,9 @@ func New(cfg Config) *Scheduler {
 		pidBase = 1000
 	}
 	sd := &Scheduler{
-		engine:      cfg.Engine,
-		beQuantum:   q,
-		recycleJobs: cfg.RecycleJobs,
-		nextPID:     pidBase,
+		engine:    cfg.Engine,
+		beQuantum: q,
+		nextPID:   pidBase,
 	}
 	sd.sliceFn = func() {
 		sd.sliceEv = sim.Timer{}

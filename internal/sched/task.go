@@ -33,16 +33,19 @@ type Job struct {
 	Finish simtime.Time
 }
 
-// jobPool recycles Job storage. It is process-global rather than
-// per-scheduler so pooled schedulers running on concurrent engine
-// lanes share one free list; sync.Pool is safe for that, and pointer
+// jobPool recycles Job storage: every scheduler returns a completed
+// job to it once the job's OnJobComplete callback has run. It is
+// process-global rather than per-scheduler so schedulers running on
+// concurrent engine lanes share one free list; sync.Pool is safe for
+// that, it gives the storage of a peak backlog back at GC, and pointer
 // identity of a recycled job never feeds back into simulation state.
 var jobPool = sync.Pool{New: func() any { return new(Job) }}
 
 // NewJob returns a job released at rel with execution demand total and
 // absolute deadline dl (use simtime.Never for none). Storage may come
-// from the recycling pool (Config.RecycleJobs); the hook slice is
-// reused across generations.
+// from the recycling pool, so a job is only valid until its task's
+// OnJobComplete callback returns; the hook slice is reused across
+// generations.
 func NewJob(rel simtime.Time, total simtime.Duration, dl simtime.Time) *Job {
 	if total < 0 {
 		panic("sched: job with negative demand")
@@ -60,10 +63,9 @@ func NewJob(rel simtime.Time, total simtime.Duration, dl simtime.Time) *Job {
 }
 
 // Generation returns the job's recycle generation. A caller that must
-// detect a stale reference across a completion — legal only when the
-// owning scheduler runs with Config.RecycleJobs — records the
-// generation at hand-off and compares: a recycled job has a higher
-// generation, mirroring the sim.Timer discipline.
+// detect a stale reference across a completion records the generation
+// at hand-off and compares: a recycled job has a higher generation,
+// mirroring the sim.Timer discipline.
 func (j *Job) Generation() uint64 { return j.gen }
 
 // recycle retires a completed job's storage to the pool. The
@@ -162,7 +164,8 @@ type Task struct {
 	pending fifo[*Job] // backlog; the front is the current job
 	stats   TaskStats
 
-	// OnJobComplete, if non-nil, is invoked when a job finishes.
+	// OnJobComplete, if non-nil, is invoked when a job finishes. The
+	// job is recycled when it returns, so it must not keep the job.
 	OnJobComplete func(j *Job, now simtime.Time)
 	// OnJobStart, if non-nil, is invoked the first time a job runs.
 	OnJobStart func(j *Job, now simtime.Time)
@@ -265,7 +268,5 @@ func (t *Task) completeCurrent(now simtime.Time) {
 	if t.OnJobComplete != nil {
 		t.OnJobComplete(j, now)
 	}
-	if t.sched.recycleJobs {
-		j.recycle()
-	}
+	j.recycle()
 }

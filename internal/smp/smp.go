@@ -56,7 +56,7 @@ type Machine struct {
 // A single-engine machine passes the same engine for every core, so
 // events across cores interleave in global (when, seq) order on one
 // goroutine. A laned machine passes one engine per core, and the lanes
-// advance concurrently between causality fences (sim.EngineGroup);
+// advance concurrently between causality fences (selftune.System.Run);
 // cross-core operations (MoveGroup, LoadsInto) are then only legal
 // while every lane rests at the same fence instant. Migration carries a
 // reservation's timers across lanes: sched.Scheduler.MoveAll cancels
@@ -69,8 +69,7 @@ type Machine struct {
 // whole machine's range: fleets of machines that exchange tasks (live
 // cross-machine migration carries syscall evidence between tracers)
 // give each machine a disjoint offset. Offset 0 keeps core 0 on the
-// uniprocessor default base. Job storage is pooled: every job a
-// machine workload completes is recycled generation-tagged.
+// uniprocessor default base.
 func New(engines []*sim.Engine, ulub float64, pidOffset int) *Machine {
 	if len(engines) == 0 {
 		panic("smp: need at least one core")
@@ -82,9 +81,8 @@ func New(engines []*sim.Engine, ulub float64, pidOffset int) *Machine {
 			panic(fmt.Sprintf("smp: core %d has a nil engine", i))
 		}
 		m.cores = append(m.cores, sched.New(sched.Config{
-			Engine:      eng,
-			PIDBase:     pidOffset + 1000 + i*1_000_000,
-			RecycleJobs: true,
+			Engine:  eng,
+			PIDBase: pidOffset + 1000 + i*1_000_000,
 		}))
 		m.sups = append(m.sups, supervisor.New(ulub))
 	}

@@ -24,7 +24,6 @@ type Client struct {
 	sup  *Supervisor
 
 	minBW     float64
-	weight    float64 // share of the residual under compression
 	requested float64 // last requested bandwidth
 	granted   float64 // last granted bandwidth
 	period    simtime.Duration
@@ -59,26 +58,12 @@ func New(ulub float64) *Supervisor {
 // ULub returns the enforced utilisation bound.
 func (s *Supervisor) ULub() float64 { return s.ulub }
 
-// Register adds a client with the given guaranteed minimum bandwidth
-// and unit compression weight. Registration fails (returns nil and
-// false) when the minimums of all clients would alone exceed the
-// bound — the admission-control step.
+// Register adds a client with the given guaranteed minimum bandwidth.
+// Registration fails (returns nil and false) when the minimums of all
+// clients would alone exceed the bound — the admission-control step.
 func (s *Supervisor) Register(name string, minBW float64) (*Client, bool) {
-	return s.RegisterWeighted(name, minBW, 1)
-}
-
-// RegisterWeighted is Register with an explicit compression weight:
-// under saturation the residual bandwidth above the floors is shared
-// proportionally to weight × demand-above-floor, so a weight-2 client
-// loses half as much of its request as a weight-1 client (the elastic
-// scheme of the AQuoSA architecture [23]). Non-positive weights are
-// treated as 1.
-func (s *Supervisor) RegisterWeighted(name string, minBW, weight float64) (*Client, bool) {
 	if minBW < 0 {
 		minBW = 0
-	}
-	if weight <= 0 {
-		weight = 1
 	}
 	var minSum float64
 	for _, c := range s.clients {
@@ -88,13 +73,10 @@ func (s *Supervisor) RegisterWeighted(name string, minBW, weight float64) (*Clie
 		s.rejected++
 		return nil, false
 	}
-	c := &Client{name: name, sup: s, minBW: minBW, weight: weight}
+	c := &Client{name: name, sup: s, minBW: minBW}
 	s.clients = append(s.clients, c)
 	return c, true
 }
-
-// Weight returns the client's compression weight.
-func (c *Client) Weight() float64 { return c.weight }
 
 // Unregister removes a client, releasing its bandwidth.
 func (s *Supervisor) Unregister(c *Client) {
@@ -189,14 +171,13 @@ func (s *Supervisor) recompute() {
 	if residual <= 0 {
 		return
 	}
-	// Distribute the residual proportionally to weight × demand above
-	// floor, iterating because a client capped at its request returns
-	// the excess to the pool. Sorting by headroom-per-weight makes one
-	// pass per saturated client sufficient.
+	// Distribute the residual proportionally to demand above floor,
+	// iterating because a client capped at its request returns the
+	// excess to the pool. Sorting by headroom makes one pass per
+	// saturated client sufficient.
 	type slot struct {
 		c        *Client
 		headroom float64
-		claim    float64 // weight * headroom
 	}
 	var slots []slot
 	var claimSum float64
@@ -204,27 +185,23 @@ func (s *Supervisor) recompute() {
 		if !c.active {
 			continue
 		}
-		h := c.requested - c.granted
-		if h > 0 {
-			sl := slot{c, h, c.weight * h}
-			slots = append(slots, sl)
-			claimSum += sl.claim
+		if h := c.requested - c.granted; h > 0 {
+			slots = append(slots, slot{c, h})
+			claimSum += h
 		}
 	}
-	sort.Slice(slots, func(i, j int) bool {
-		return slots[i].headroom/slots[i].c.weight < slots[j].headroom/slots[j].c.weight
-	})
+	sort.Slice(slots, func(i, j int) bool { return slots[i].headroom < slots[j].headroom })
 	for _, sl := range slots {
 		if claimSum <= 0 || residual <= 0 {
 			break
 		}
-		share := residual * sl.claim / claimSum
+		share := residual * sl.headroom / claimSum
 		if share > sl.headroom {
 			share = sl.headroom
 		}
 		sl.c.granted += share
 		residual -= share
-		claimSum -= sl.claim
+		claimSum -= sl.headroom
 	}
 }
 

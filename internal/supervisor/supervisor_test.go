@@ -205,49 +205,6 @@ func TestQuickInvariants(t *testing.T) {
 	}
 }
 
-func TestWeightedCompression(t *testing.T) {
-	s := New(1)
-	heavy, _ := s.RegisterWeighted("heavy", 0, 3)
-	light, _ := s.RegisterWeighted("light", 0, 1)
-	heavy.Request(90*ms, 100*ms) // 0.9
-	light.Request(90*ms, 100*ms) // 0.9, total 1.8
-	// Residual 1.0 shared 3:1 on equal headrooms, neither capped.
-	wantHeavy := 3.0 / 4
-	wantLight := 1.0 / 4
-	if math.Abs(heavy.Granted()-wantHeavy) > 1e-9 {
-		t.Errorf("heavy granted %.4f, want %.4f", heavy.Granted(), wantHeavy)
-	}
-	if math.Abs(light.Granted()-wantLight) > 1e-9 {
-		t.Errorf("light granted %.4f, want %.4f", light.Granted(), wantLight)
-	}
-	if heavy.Weight() != 3 || light.Weight() != 1 {
-		t.Error("weights not recorded")
-	}
-}
-
-func TestWeightedCapsAtRequest(t *testing.T) {
-	s := New(1)
-	heavy, _ := s.RegisterWeighted("heavy", 0, 100)
-	light, _ := s.RegisterWeighted("light", 0, 1)
-	heavy.Request(30*ms, 100*ms) // modest request, huge weight
-	light.Request(90*ms, 100*ms) // total 1.2
-	if heavy.Granted() > 0.3+1e-12 {
-		t.Errorf("heavy granted %.4f above its request", heavy.Granted())
-	}
-	// The excess must flow to the light client.
-	if light.Granted() < 0.69 {
-		t.Errorf("light granted %.4f, want ~0.7 (the remainder)", light.Granted())
-	}
-}
-
-func TestNonPositiveWeightDefaultsToOne(t *testing.T) {
-	s := New(1)
-	c, ok := s.RegisterWeighted("c", 0, -2)
-	if !ok || c.Weight() != 1 {
-		t.Errorf("weight = %v", c.Weight())
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	s := New(1)
 	a, _ := s.Register("a", 0)

@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// raceEnabled is set by the race build, under which sync.Pool drops a
+// random quarter of what is put back, so the job pool allocates.
+var raceEnabled bool
+
 // lanedScenario drives a 4-core machine with a migration-heavy mix —
 // tuned players, request-shaped workloads, untuned multi-reservation
 // load, a shared group — under the work-stealing balancer, recording
@@ -139,5 +143,80 @@ func TestLanedBasics(t *testing.T) {
 	}
 	if sys.Steps() == 0 {
 		t.Error("Steps() = 0")
+	}
+}
+
+// TestFencesAndWorkers pins what a laned System counts: one fence per
+// Run chunk that ends at the horizon or at a control-engine event, and
+// at most one worker per core. A single-engine System crosses no
+// fences and runs on the caller alone.
+func TestFencesAndWorkers(t *testing.T) {
+	build := func(opts ...Option) *System {
+		t.Helper()
+		sys, err := NewSystem(append([]Option{WithSeed(3), WithCPUs(2)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sys.Close)
+		return sys
+	}
+
+	idle := build(WithCoreParallelism(1))
+	for i := 0; i < 3; i++ {
+		idle.Run(Second)
+	}
+	if got := idle.Fences(); got != 3 {
+		t.Errorf("three idle Run(1s): %d fences, want 3", got)
+	}
+
+	balanced := build(WithCoreParallelism(1), WithBalancer(BalanceWorkStealing()),
+		WithBalanceInterval(100*Millisecond))
+	balanced.Run(Second)
+	if got := balanced.Fences(); got != 10 {
+		t.Errorf("Run(1s) with a 100 ms balancer: %d fences, want 10", got)
+	}
+
+	if got := build(WithCoreParallelism(4)).Workers(); got != 2 {
+		t.Errorf("WithCoreParallelism(4) on 2 CPUs: %d workers, want 2", got)
+	}
+
+	single := build()
+	single.Run(Second)
+	if f, w := single.Fences(), single.Workers(); f != 0 || w != 1 {
+		t.Errorf("single-engine System: %d fences and %d workers, want 0 and 1", f, w)
+	}
+}
+
+// TestFenceAllocatesNothing checks that crossing a causality fence
+// allocates nothing: a warm 4-core laned System advanced by one worker
+// — the shape of every fleet machine — runs 1 ms chunks, each ending
+// in one fence, without allocating. The lanes carry untuned periodic
+// load, whose job path is allocation-free once its pools are warm.
+func TestFenceAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need the pools of a non-race build")
+	}
+	sys, err := NewSystem(WithSeed(5), WithCPUs(4), WithCoreParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	for c := 0; c < sys.CPUs(); c++ {
+		h, err := sys.Spawn("rtload", OnCore(c), SpawnUtil(0.3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Start(0)
+	}
+	sys.Run(Second)
+	fences, steps := sys.Fences(), sys.Steps()
+	if n := testing.AllocsPerRun(100, func() { sys.Run(Millisecond) }); n != 0 {
+		t.Errorf("a fenced Run(1ms) allocates %v times, want 0", n)
+	}
+	if got := sys.Fences() - fences; got != 101 {
+		t.Errorf("101 Run(1ms) calls crossed %d fences, want 101", got)
+	}
+	if sys.Steps() == steps {
+		t.Fatal("no event ran while measuring")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/workload"
@@ -31,7 +32,12 @@ func TestSpawnUnknownKind(t *testing.T) {
 	}
 }
 
-func TestRegisterCustomKind(t *testing.T) {
+// registerTestKinds registers the kinds the registry tests spawn. The
+// registry is process-wide and refuses a second registration, so it
+// runs once per process: the tests then pass when repeated (-count)
+// and in any order (-shuffle). TestAllKindsRunUnderAllPolicies skips
+// every "test-" kind.
+var registerTestKinds = sync.OnceFunc(func() {
 	selftune.Register("test-robot-50hz", func(env selftune.Env, spec selftune.SpawnSpec) (selftune.Workload, error) {
 		cfg := selftune.PlayerConfig{
 			Name:          spec.Name,
@@ -43,6 +49,13 @@ func TestRegisterCustomKind(t *testing.T) {
 		}
 		return selftune.NewWorkloadPlayer(env, cfg), nil
 	})
+	selftune.Register("test-nil-kind", func(env selftune.Env, spec selftune.SpawnSpec) (selftune.Workload, error) {
+		return nil, nil
+	})
+})
+
+func TestRegisterCustomKind(t *testing.T) {
+	registerTestKinds()
 	sys := newSystem(t, selftune.WithSeed(8))
 	h, err := sys.Spawn("test-robot-50hz", selftune.Tuned(selftune.DefaultTunerConfig()))
 	if err != nil {
@@ -59,16 +72,15 @@ func TestRegisterCustomKind(t *testing.T) {
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
+	registerTestKinds()
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate registration did not panic")
 		}
 	}()
-	f := func(env selftune.Env, spec selftune.SpawnSpec) (selftune.Workload, error) {
+	selftune.Register("test-nil-kind", func(env selftune.Env, spec selftune.SpawnSpec) (selftune.Workload, error) {
 		return nil, nil
-	}
-	selftune.Register("test-dup-kind", f)
-	selftune.Register("test-dup-kind", f)
+	})
 }
 
 func TestSpawnOptionValidation(t *testing.T) {
@@ -144,9 +156,7 @@ func TestRejectedTunedSpawnLeavesNoOrphans(t *testing.T) {
 // TestNilFactoryResultRejected guards the Handle against factories
 // that return (nil, nil).
 func TestNilFactoryResultRejected(t *testing.T) {
-	selftune.Register("test-nil-kind", func(env selftune.Env, spec selftune.SpawnSpec) (selftune.Workload, error) {
-		return nil, nil
-	})
+	registerTestKinds()
 	sys := newSystem(t)
 	if _, err := sys.Spawn("test-nil-kind"); err == nil {
 		t.Error("nil workload from factory accepted")

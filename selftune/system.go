@@ -10,6 +10,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/smp"
+	"repro/internal/workpool"
 )
 
 // System is a ready-to-use simulated machine: engine, one or more
@@ -31,13 +32,19 @@ type System struct {
 	engines []*sim.Engine
 	tracers []*ktrace.Buffer
 
-	// Laned mode only (nil on a single-engine System): the lanes'
-	// group, advanced concurrently between causality fences, and the
-	// per-lane staged observer events, published at the next fence.
-	// Each lane writes only its own stage, and control-phase stagings
-	// run with the lanes at rest, so staging needs no lock.
-	group  *sim.EngineGroup
-	stages []Stage
+	// Laned mode only (nil on a single-engine System): the lanes (the
+	// engines table itself), the pool of workers advancing them
+	// concurrently between causality fences, and the per-lane staged
+	// observer events, published at the next fence. Each lane writes
+	// only its own stage, and control-phase stagings run with the lanes
+	// at rest, so staging needs no lock. advance runs lane i up to
+	// fenceAt; it is built once, so crossing a fence allocates nothing.
+	lanes   []*sim.Engine
+	pool    *workpool.Pool
+	stages  []Stage
+	fences  uint64
+	fenceAt Time
+	advance func(int)
 
 	loadSample Duration
 	obsMu      sync.Mutex // guards observers and samplerOn
@@ -100,8 +107,10 @@ func NewSystem(opts ...Option) (*System, error) {
 			s.engines[i] = sim.New()
 			s.tracers[i] = ktrace.NewBuffer(ktrace.QTrace, o.tracerCap)
 		}
-		s.group = sim.NewGroup(s.engines, o.coreParallel)
+		s.lanes = s.engines
+		s.pool = workpool.New(min(o.coreParallel, o.cpus))
 		s.stages = make([]Stage, o.cpus)
+		s.advance = func(i int) { s.lanes[i].RunUntil(s.fenceAt) }
 	} else {
 		tracer := ktrace.NewBuffer(ktrace.QTrace, o.tracerCap)
 		for i := range s.engines {
@@ -144,7 +153,7 @@ func NewSystem(opts ...Option) (*System, error) {
 // at the next fence; a single-engine System publishes it at once.
 func (s *System) emit(core int, e Event) {
 	e.At = s.engines[core].Now()
-	if s.group != nil {
+	if s.lanes != nil {
 		s.stages[core].Observe(e)
 		return
 	}
@@ -196,7 +205,7 @@ func (s *System) Topology() Topology { return s.machine.Topology() }
 // (WithCoreParallelism) there is no shared buffer — every core traces
 // into its own, reachable via CoreTracer — and Tracer returns nil.
 func (s *System) Tracer() *Tracer {
-	if s.group != nil {
+	if s.lanes != nil {
 		return nil
 	}
 	return s.tracers[0]
@@ -241,9 +250,12 @@ func (s *System) Now() Time { return s.engine.Now() }
 // DrainMerged publishes them at the fence in timestamp order, ties
 // broken by lane index and staging order, then the control engine runs,
 // migrating reservations and re-arming lane timers while the lanes
-// rest. Seeded runs are byte-identical at any worker count.
+// rest. Each lane's events are closed over the lane — its callbacks
+// schedule on, and read state reachable from, that lane only — so
+// seeded runs are byte-identical at any worker count: workers change
+// the wall-clock moment a lane runs at, never what it computes.
 func (s *System) Run(horizon Duration) {
-	if s.group == nil {
+	if s.lanes == nil {
 		s.engine.RunUntil(s.engine.Now().Add(horizon))
 		return
 	}
@@ -253,7 +265,9 @@ func (s *System) Run(horizon Duration) {
 		if p := s.engine.Peek(); p < next {
 			next = p
 		}
-		s.group.AdvanceTo(next)
+		s.fenceAt = next
+		s.pool.Run(len(s.lanes), s.advance)
+		s.fences++
 		DrainMerged(s.stages, s.publish)
 		s.engine.RunUntil(next)
 		if next >= end {
@@ -266,37 +280,23 @@ func (s *System) Run(horizon Duration) {
 // control engine's plus, in laned mode, every lane's.
 func (s *System) Steps() uint64 {
 	n := s.engine.Steps()
-	if s.group != nil {
-		n += s.group.Steps()
+	for _, l := range s.lanes {
+		n += l.Steps()
 	}
 	return n
 }
 
 // Fences returns how many causality epochs Run has completed (0 on a
 // single-engine System, which has no fences to cross).
-func (s *System) Fences() uint64 {
-	if s.group == nil {
-		return 0
-	}
-	return s.group.Fences()
-}
+func (s *System) Fences() uint64 { return s.fences }
 
 // Workers returns how many goroutines advance the machine's lanes (1
 // on a single-engine System).
-func (s *System) Workers() int {
-	if s.group == nil {
-		return 1
-	}
-	return s.group.Workers()
-}
+func (s *System) Workers() int { return s.pool.Workers() }
 
 // Close releases the worker pool of a laned System. Idempotent; a
 // no-op on a single-engine System. The System is unusable after.
-func (s *System) Close() {
-	if s.group != nil {
-		s.group.Close()
-	}
-}
+func (s *System) Close() { s.pool.Close() }
 
 // Handles returns every workload spawned so far, in spawn order.
 func (s *System) Handles() []*Handle { return s.handles }

@@ -269,8 +269,7 @@ func run(args []string, w io.Writer) error {
 		t := report.NewTable("Ablation: sparse vs dense transform", "quantity", "value")
 		t.AddRowf("events", d.Events)
 		t.AddRowf("sparse ops (N*F, Eq. 3)", d.SparseOps)
-		t.AddRowf("sparse time (reference)", fmt.Sprintf("%.0fus", d.SparseTimeUS))
-		t.AddRowf("sparse time (recurrence)", fmt.Sprintf("%.0fus", d.FastTimeUS))
+		t.AddRowf("sparse time (anchored rotation)", fmt.Sprintf("%.0fus", d.SparseTimeUS))
 		t.AddRowf("dense 1us-grid samples", d.DenseSamples)
 		t.AddNote("the dense grid needs %d samples before any FFT butterfly", d.DenseSamples)
 		fmt.Fprintln(out, t)

@@ -22,13 +22,13 @@ var goldenExperiments = []string{
 
 // Values in the -quick output that are measured on the host rather
 // than simulated: the cluster experiment's event rate, the ablation's
-// two sparse-transform timings, which also set the width of their
-// table's value column, and the period analyser's costs in Figures 6-8
+// sparse-transform timing, which also sets the width of its table's
+// value column, and the period analyser's costs in Figures 6-8
 // (the time column of the blocks titled by hostTimed, the R² of time
 // against H, and the alpha cost ratio).
 var (
 	eventRate   = regexp.MustCompile(`[0-9.]+ events/s`)
-	sparseTime  = regexp.MustCompile(`(?m)^(sparse time \([a-z]+\) +)[0-9]+us$`)
+	sparseTime  = regexp.MustCompile(`(?m)^(sparse time \([a-z ]+\) +)[0-9]+us$`)
 	sparseWidth = regexp.MustCompile(`(== Ablation: sparse vs dense transform ==\n.*\n-+  )-+`)
 	rSquared    = regexp.MustCompile(`R2=[0-9.]+`)
 	costRatio   = regexp.MustCompile(`cost ratio: [0-9.]+x`)

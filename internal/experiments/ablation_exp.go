@@ -176,15 +176,13 @@ func AblationCBSMode(seed uint64, frames int) AblationResult {
 	return res
 }
 
-// AblationDenseGrid quantifies Sec. 4.3's argument for the sparse
-// event-driven transform: the cost of the direct computation vs the
-// recurrence-based variant vs the operation count an FFT-style dense
-// sampling would need.
+// DenseGridResult quantifies Sec. 4.3's argument for the sparse
+// event-driven transform: the cost of the direct computation against
+// the number of samples an FFT-style dense sampling would need.
 type DenseGridResult struct {
 	Events       int
 	SparseOps    int64   // N * F (Eq. 3)
-	SparseTimeUS float64 // measured, reference implementation
-	FastTimeUS   float64 // measured, recurrence variant
+	SparseTimeUS float64 // measured, the analyser's one kernel
 	// DenseSamples is the number of signal samples a dense FFT grid
 	// would need at 1us resolution over the same horizon — the paper's
 	// "utterly inefficient" alternative.
@@ -330,19 +328,17 @@ func (r ScoringResult) Table() *report.Table {
 	return t
 }
 
-// AblationDenseGrid measures the transform variants on a 2s trace.
+// AblationDenseGrid measures the sparse transform on a 2s trace.
 func AblationDenseGrid(seed uint64) DenseGridResult {
 	h := 2 * simtime.Second
 	events := mp3Trace(seed, h, noLoad)
 	band := spectrum.DefaultBand
 	var s *spectrum.Spectrum
 	sparse := timeIt(5, func() { s = spectrum.Compute(events, band) })
-	fast := timeIt(5, func() { _ = spectrum.ComputeFast(events, band) })
 	return DenseGridResult{
 		Events:       len(events),
 		SparseOps:    s.Ops,
 		SparseTimeUS: float64(sparse.Nanoseconds()) / 1e3,
-		FastTimeUS:   float64(fast.Nanoseconds()) / 1e3,
 		DenseSamples: int64(h / simtime.Microsecond),
 	}
 }

@@ -295,9 +295,14 @@ func TestMoveAllRandomRefusals(t *testing.T) {
 
 		eng.At(at, func() {
 			type srvState struct {
-				d  simtime.Time
-				q  simtime.Duration
-				bw float64
+				d        simtime.Time
+				q        simtime.Duration
+				bw       float64
+				runnable bool
+			}
+			state := func(srv *sched.Server) srvState {
+				runnable := slices.ContainsFunc(srv.Tasks(), func(t *sched.Task) bool { return t.Backlog() > 0 })
+				return srvState{srv.Deadline(), srv.RemainingBudget(), srv.Bandwidth(), runnable}
 			}
 			type taskState struct {
 				pid, backlog int
@@ -305,7 +310,7 @@ func TestMoveAllRandomRefusals(t *testing.T) {
 			}
 			srvBefore := map[*sched.Server]srvState{}
 			for _, srv := range g.Servers {
-				srvBefore[srv] = srvState{srv.Deadline(), srv.RemainingBudget(), srv.Bandwidth()}
+				srvBefore[srv] = state(srv)
 			}
 			taskBefore := map[*sched.Task]taskState{}
 			for _, task := range members {
@@ -351,8 +356,16 @@ func TestMoveAllRandomRefusals(t *testing.T) {
 				if !home.Owns(srv) || away.Owns(srv) {
 					t.Fatalf("seed %d: server %s on the wrong scheduler (refused %v)", seed, srv.Name(), refuse)
 				}
-				if now := (srvState{srv.Deadline(), srv.RemainingBudget(), srv.Bandwidth()}); now != was {
-					t.Fatalf("seed %d: server %s state %+v -> %+v", seed, srv.Name(), was, now)
+				// A server that moves with work pending resumes under the
+				// CBS wake-up rule: its (q, d) survives only if q <=
+				// (d-now)*Q/T, otherwise it gets (Q, now+T).
+				want := was
+				lead := int64(was.d.Sub(at))
+				if !refuse && was.runnable && (lead <= 0 || int64(was.q)*int64(srv.Period()) > lead*int64(srv.Budget())) {
+					want.q, want.d = srv.Budget(), at.Add(srv.Period())
+				}
+				if now := state(srv); now != want {
+					t.Fatalf("seed %d: server %s state %+v -> %+v, want %+v", seed, srv.Name(), was, now, want)
 				}
 			}
 			for task, was := range taskBefore {

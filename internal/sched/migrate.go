@@ -6,17 +6,20 @@ package sched
 // a CBS server — together with its attached tasks — can be detached
 // from one per-core scheduler and adopted by another without losing
 // its reservation state. The remaining budget q and the absolute
-// deadline d carry over unchanged (all cores of an smp.Machine share
-// one simulated clock, so the deadline stays meaningful), a throttled
+// deadline d carry over (all cores of an smp.Machine share one
+// simulated clock, so the deadline stays meaningful), a throttled
 // server stays throttled and replenishes at the same instant on the
 // new core, and tasks keep their PIDs: PID ranges are disjoint per
 // core, so a migrated task remains unique machine-wide and the shared
 // syscall tracer's per-PID drains never mix tasks.
 //
-// Carrying (q, d) across is the standard push-migration rule of
-// partitioned EDF: the server arrives on the new core with exactly the
-// bandwidth claim it held on the old one, so the per-core Σ Q/T bound
-// (checked by the caller, smp.MoveGroup) is preserved.
+// A ready server arrives under the CBS wake-up rule. The per-core
+// Σ Q/T bound (checked by the caller, smp.MoveGroup) guarantees the
+// destination's reservations only if every server there claims no more
+// than its Q/T from now on; a server starved on its old core can carry
+// a pair with q > (d-now)·Q/T, and then gets q = Q and d = now + T, as
+// a waking server does. The server that moved pays for its wait, not
+// the servers already on the destination.
 //
 // A Group is the only thing that migrates. DetachAll takes one off its
 // scheduler for good (a departing workload) and MoveAll carries one to
@@ -29,6 +32,7 @@ import (
 	"slices"
 
 	"repro/internal/sim"
+	"repro/internal/simtime"
 )
 
 // Owns reports whether srv currently belongs to this scheduler.
@@ -168,15 +172,25 @@ func (sd *Scheduler) DetachAll(g Group) error {
 	return nil
 }
 
+// movedServer is what MoveAll restores of a server whose move was
+// refused: its EDF tie-break id, and the (q, d) pair and replenishment
+// count that adopt's wake-up rule may have renewed.
+type movedServer struct {
+	id             int
+	q              simtime.Duration
+	d              simtime.Time
+	replenishments int
+}
+
 // MoveAll moves the group, every server with its CBS state, from this
 // scheduler to dst and then runs commit, the caller's last step that
 // may refuse (nil never refuses). On a refusal the group moves back,
 // this scheduler's servers and tasks return to their old order, so its
 // reserved bandwidth sums to the same float, every server gets its old
-// id back, so EDF ties break as before, and MoveAll returns commit's
-// error. commit must not add or remove servers or tasks on either
-// scheduler. MoveAll is called like DetachAll; schedulers on different
-// engines must rest at the same instant.
+// id and its old (q, d) back, so EDF ties break as before, and MoveAll
+// returns commit's error. commit must not add or remove servers or
+// tasks on either scheduler. MoveAll is called like DetachAll;
+// schedulers on different engines must rest at the same instant.
 func (sd *Scheduler) MoveAll(g Group, dst *Scheduler, commit func() error) error {
 	if err := sd.checkGroup(g, "MoveAll"); err != nil {
 		return err
@@ -186,12 +200,12 @@ func (sd *Scheduler) MoveAll(g Group, dst *Scheduler, commit func() error) error
 	}
 	sd.undoServers = append(sd.undoServers[:0], sd.servers...)
 	sd.undoTasks = append(sd.undoTasks[:0], sd.tasks...)
-	sd.undoIDs = sd.undoIDs[:0]
-	for _, srv := range g.Servers {
-		sd.undoIDs = append(sd.undoIDs, srv.id)
-	}
 	srcNext, dstNext := sd.nextSrvID, dst.nextSrvID
 	sd.detachAll(g)
+	sd.undoMoved = sd.undoMoved[:0]
+	for _, srv := range g.Servers {
+		sd.undoMoved = append(sd.undoMoved, movedServer{srv.id, srv.q, srv.d, srv.stats.Replenishments})
+	}
 	dst.adoptAll(g)
 	var err error
 	if commit != nil {
@@ -203,7 +217,8 @@ func (sd *Scheduler) MoveAll(g Group, dst *Scheduler, commit func() error) error
 		sd.servers = append(sd.servers[:0], sd.undoServers...)
 		sd.tasks = append(sd.tasks[:0], sd.undoTasks...)
 		for i, srv := range g.Servers {
-			srv.id = sd.undoIDs[i]
+			u := sd.undoMoved[i]
+			srv.id, srv.q, srv.d, srv.stats.Replenishments = u.id, u.q, u.d, u.replenishments
 			if srv.heapIndex >= 0 {
 				sd.edfFix(srv)
 			}
@@ -272,12 +287,14 @@ func (sd *Scheduler) adoptAll(g Group) {
 }
 
 // adopt installs a detached server (and its tasks) on this scheduler,
-// resuming it exactly where detach left it: a ready server re-enters
-// the EDF heap with its preserved (q, d) pair, a throttled one
-// replenishes at its preserved deadline, an idle one waits for the
-// next job release. The server is assigned a fresh id from this
-// scheduler's sequence (ids are per-scheduler EDF tie-breakers); tasks
-// keep their PIDs.
+// resuming it where detach left it: a ready server re-enters the EDF
+// heap under the CBS wake-up rule, keeping its preserved (q, d) pair
+// only if the pair cannot break the reservations already here (a
+// server starved on its old core otherwise gets q = Q and d = now + T),
+// a throttled one replenishes at its preserved deadline, an idle one
+// waits for the next job release. The server is assigned a fresh id
+// from this scheduler's sequence (ids are per-scheduler EDF
+// tie-breakers); tasks keep their PIDs.
 func (sd *Scheduler) adopt(srv *Server) {
 	srv.id = sd.nextSrvID
 	sd.nextSrvID++
@@ -300,6 +317,7 @@ func (sd *Scheduler) adopt(srv *Server) {
 		srv.replenishEv = sd.engine.At(when, srv.replenishFn)
 	case srvReady:
 		if srv.runnableTask() != nil {
+			srv.wakeupRule(now)
 			sd.edfPush(srv)
 		} else {
 			srv.state = srvIdle

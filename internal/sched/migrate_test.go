@@ -1,6 +1,7 @@
 package sched_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sched"
@@ -170,5 +171,61 @@ func TestDetachErrors(t *testing.T) {
 	}
 	if err := b.DetachAll(single(srv)); err == nil {
 		t.Error("double DetachAll succeeded")
+	}
+}
+
+// TestMoveKeepsDestinationReservations: a server starved on its source
+// core must not carry its (q, d) onto a destination where it breaks a
+// reservation. On the source, Y and X (5 ms every 10 ms) are released
+// at 0 and Y runs first, so at 5 ms X still holds q = 5 ms for d =
+// 10 ms: density 1 against its Q/T of 0.5. On the destination, Z
+// (3.6 ms every 8 ms) has a 3.6 ms job released at 4 ms and due at
+// 12 ms, and the destination reserves only 0.95 once X arrives.
+// Carried as is, X preempts Z, which finishes at 12.6 ms. Under the CBS
+// wake-up rule X gets d = 15 ms, and Z finishes at 7.6 ms, as it does
+// without the move.
+func TestMoveKeepsDestinationReservations(t *testing.T) {
+	for _, move := range []bool{false, true} {
+		eng, a, b := twoCores(t)
+		srvs := map[string]*sched.Server{}
+		for _, name := range []string{"Y", "X"} {
+			srvs[name] = a.NewServer(name, 5*ms, 10*ms, sched.HardCBS)
+			task := a.NewTask(name)
+			task.AttachTo(srvs[name], 0)
+			eng.At(0, func() { task.Release(sched.NewJob(0, 5*ms, simtime.Time(10*ms))) })
+		}
+		z := b.NewServer("Z", 3600*us, 8*ms, sched.HardCBS)
+		zTask := b.NewTask("Z")
+		zTask.AttachTo(z, 0)
+		var done simtime.Time
+		zTask.OnJobComplete = func(_ *sched.Job, now simtime.Time) { done = now }
+		eng.At(simtime.Time(4*ms), func() {
+			zTask.Release(sched.NewJob(eng.Now(), 3600*us, simtime.Time(12*ms)))
+		})
+		if move {
+			eng.At(simtime.Time(5*ms), func() {
+				x := srvs["X"]
+				if x.RemainingBudget() != 5*ms || x.Deadline() != simtime.Time(10*ms) {
+					t.Fatalf("X holds (%v, %v) before the move, want (5ms, 10ms)", x.RemainingBudget(), x.Deadline())
+				}
+				if err := a.MoveAll(single(x), b, nil); err != nil {
+					t.Fatalf("MoveAll: %v", err)
+				}
+				if got := b.TotalReservedBandwidth(); math.Abs(got-0.95) > 1e-9 {
+					t.Fatalf("destination reserves %v after the move, want 0.95", got)
+				}
+				if x.RemainingBudget() != 5*ms || x.Deadline() != simtime.Time(15*ms) {
+					t.Errorf("X adopted with (%v, %v), want the wake-up rule's (5ms, 15ms)",
+						x.RemainingBudget(), x.Deadline())
+				}
+			})
+		}
+		eng.RunUntil(simtime.Time(30 * ms))
+		if done != simtime.Time(7600*us) {
+			t.Errorf("move %v: Z's job due at 12ms finished at %v, want 7.6ms", move, done)
+		}
+		if zTask.Stats().Missed != 0 {
+			t.Errorf("move %v: Z missed %d deadlines", move, zTask.Stats().Missed)
+		}
 	}
 }

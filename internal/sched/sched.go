@@ -63,12 +63,12 @@ type Scheduler struct {
 	nextSrvID int
 	nextPID   int
 
-	// undoServers, undoTasks and undoIDs hold the server and task order
-	// and the moving servers' ids that MoveAll restores when its commit
-	// refuses.
+	// undoServers, undoTasks and undoMoved hold the server and task
+	// order and the moving servers' own state that MoveAll restores
+	// when its commit refuses.
 	undoServers []*Server
 	undoTasks   []*Task
-	undoIDs     []int
+	undoMoved   []movedServer
 
 	// transitionHook, if set, observes task state transitions
 	// (blocked -> ready and ready -> blocked). It is the simulated

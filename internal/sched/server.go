@@ -192,17 +192,7 @@ func (s *Server) taskWoke(now simtime.Time) {
 	if s.state != srvIdle {
 		return // already ready or throttled; nothing to do
 	}
-	// CBS wake-up rule: the current pair (q, d) may be reused only if
-	// it cannot break the bandwidth guarantee, i.e. if q < (d-t)*Q/T.
-	// Otherwise the server gets a fresh budget and deadline.
-	if s.d <= now || !s.pairSafe(now) {
-		s.q = s.budget
-		s.d = now.Add(s.period)
-		s.stats.Replenishments++
-		if s.sched.log != nil {
-			s.sched.trace(EvReplenish, nil, "srv=%s wakeup q=%v d=%v", s.name, s.q, s.d)
-		}
-	}
+	s.wakeupRule(now)
 	if s.q == 0 {
 		s.throttle(now)
 		return
@@ -211,6 +201,22 @@ func (s *Server) taskWoke(now simtime.Time) {
 	s.sched.edfPush(s)
 	if s.sched.log != nil {
 		s.sched.trace(EvWakeup, nil, "srv=%s d=%v q=%v", s.name, s.d, s.q)
+	}
+}
+
+// wakeupRule applies the CBS wake-up rule at now: the current pair
+// (q, d) may be reused only if it cannot break the bandwidth guarantee,
+// i.e. if q <= (d-now)*Q/T. Otherwise the server gets a fresh budget
+// and deadline.
+func (s *Server) wakeupRule(now simtime.Time) {
+	if s.d > now && s.pairSafe(now) {
+		return
+	}
+	s.q = s.budget
+	s.d = now.Add(s.period)
+	s.stats.Replenishments++
+	if s.sched.log != nil {
+		s.sched.trace(EvReplenish, nil, "srv=%s wakeup q=%v d=%v", s.name, s.q, s.d)
 	}
 }
 

@@ -317,3 +317,48 @@ func TestConcurrentPlaceReleaseLeavesNoOrphan(t *testing.T) {
 		}
 	}
 }
+
+// TestMoveGroupKeepsDestinationReservations runs sched's
+// TestMoveKeepsDestinationReservations through the machine: X (0.5)
+// moves at 5 ms from core 0, where it was starved behind Y, to core 1,
+// whose Z (0.45) has a 3.6 ms job due at 12 ms. The move passes
+// admission, 0.45 + 0.5 under U_lub = 1, so it must not cost Z its
+// deadline: Z finishes at 7.6 ms, as it does without the move.
+func TestMoveGroupKeepsDestinationReservations(t *testing.T) {
+	const ms, us = simtime.Millisecond, simtime.Microsecond
+	eng := sim.New()
+	m := newMachine(eng, 2)
+	var x *sched.Server
+	for _, name := range []string{"Y", "X"} {
+		if err := m.Reserve(0, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		x = m.Core(0).NewServer(name, 5*ms, 10*ms, sched.HardCBS)
+		task := m.Core(0).NewTask(name)
+		task.AttachTo(x, 0)
+		eng.At(0, func() { task.Release(sched.NewJob(0, 5*ms, simtime.Time(10*ms))) })
+	}
+	if err := m.Reserve(1, 0.45); err != nil {
+		t.Fatal(err)
+	}
+	z := m.Core(1).NewServer("Z", 3600*us, 8*ms, sched.HardCBS)
+	zTask := m.Core(1).NewTask("Z")
+	zTask.AttachTo(z, 0)
+	var done simtime.Time
+	zTask.OnJobComplete = func(_ *sched.Job, now simtime.Time) { done = now }
+	eng.At(simtime.Time(4*ms), func() {
+		zTask.Release(sched.NewJob(eng.Now(), 3600*us, simtime.Time(12*ms)))
+	})
+	eng.At(simtime.Time(5*ms), func() {
+		if err := smp.MoveGroup(single(x), m, 0, m, 1, 0.5, nil); err != nil {
+			t.Fatalf("MoveGroup: %v", err)
+		}
+	})
+	eng.RunUntil(simtime.Time(30 * ms))
+	if done != simtime.Time(7600*us) {
+		t.Errorf("Z's job due at 12ms finished at %v, want 7.6ms", done)
+	}
+	if zTask.Stats().Missed != 0 {
+		t.Errorf("Z missed %d deadlines", zTask.Stats().Missed)
+	}
+}

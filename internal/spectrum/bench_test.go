@@ -21,14 +21,6 @@ func BenchmarkComputeReference(b *testing.B) {
 	}
 }
 
-func BenchmarkComputeFast(b *testing.B) {
-	events := benchTrain(65)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ComputeFast(events, DefaultBand)
-	}
-}
-
 func BenchmarkIncrementalAdd(b *testing.B) {
 	inc := NewIncremental(DefaultBand)
 	b.ReportAllocs()

@@ -2,7 +2,6 @@ package spectrum
 
 import (
 	"math"
-	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -10,84 +9,60 @@ import (
 	"repro/internal/simtime"
 )
 
-// checkSincos2 fails unless sincos2(x0, x1) is math.Sincos of each
-// argument, bit for bit.
-func checkSincos2(t *testing.T, x0, x1 float64) {
-	s0, c0, s1, c1 := sincos2(x0, x1)
-	for _, c := range [2][3]float64{{x0, s0, c0}, {x1, s1, c1}} {
-		ws, wc := math.Sincos(c[0])
-		if math.Float64bits(c[1]) != math.Float64bits(ws) || math.Float64bits(c[2]) != math.Float64bits(wc) {
-			t.Fatalf("sincos2 at x=%v (%#x): got (%v, %v), math.Sincos (%v, %v)",
-				c[0], math.Float64bits(c[0]), c[1], c[2], ws, wc)
-		}
-	}
-}
-
 // raceEnabled is set by the race build. The race detector slows the
-// bit-identity tests' arithmetic about tenfold, so under it they check
-// a twentieth of the arguments and a 6 s train instead of 30 s: enough
-// to run every forced split concurrently.
+// kernel's arithmetic about tenfold, so under it the reference tests
+// replay a 6 s train instead of 30 s: enough to run every forced split
+// concurrently.
 var raceEnabled bool
 
-func TestSincos2MatchesMathSincos(t *testing.T) {
-	pairs, edges := 5_000_000, 100_000
-	if raceEnabled {
-		pairs, edges = pairs/20, edges/20
+// sincosTerms is the per-bin loop the kernel replaced, one math.Sincos
+// of ω_i·t per bin: the accuracy reference.
+func sincosTerms(band Band, t float64, cos, sin []float64) {
+	for i := range cos {
+		w := 2 * math.Pi * band.Freq(i)
+		sin[i], cos[i] = math.Sincos(w * t)
 	}
-	r := rand.New(rand.NewPCG(1, 2))
-	// 10M arguments over (0, 2^29): half log-uniform, so every binade
-	// from 2^-30 up is covered, half uniform, where most bins' ω·t fall.
-	for k := 0; k < pairs; k++ {
-		lx0 := math.Exp2(-30 + 59*r.Float64())
-		lx1 := math.Exp2(-30 + 59*r.Float64())
-		checkSincos2(t, lx0, lx1)
-		checkSincos2(t, r.Float64()*reduceThreshold, r.Float64()*reduceThreshold)
-	}
-
-	// Each octant boundary kπ/4 and its neighbours one ulp away, for
-	// the first octants and for the last ones below 2^29.
-	last := int(math.Floor(reduceThreshold / (math.Pi / 4)))
-	for _, ks := range [][2]int{{1, edges}, {last - edges, last}} {
-		for k := ks[0]; k <= ks[1]; k++ {
-			b := float64(k) * (math.Pi / 4)
-			checkSincos2(t, math.Nextafter(b, 0), b)
-			checkSincos2(t, math.Nextafter(b, math.Inf(1)), b)
-		}
-	}
-
-	// Every fallback argument, in either position and paired with an
-	// argument of the inline path.
-	top := math.Nextafter(reduceThreshold, 0)
-	for _, x := range []float64{
-		0, math.Copysign(0, -1), -1, -top, -reduceThreshold,
-		reduceThreshold, math.Nextafter(reduceThreshold, math.Inf(1)), 1e300, math.MaxFloat64,
-		math.Inf(1), math.Inf(-1), math.NaN(),
-	} {
-		checkSincos2(t, x, 1.5)
-		checkSincos2(t, 1.5, x)
-		checkSincos2(t, x, x)
-	}
-	checkSincos2(t, math.SmallestNonzeroFloat64, top)
 }
 
-// refWindow is the analyser loop the kernel replaced: event-major, one
-// math.Sincos per (event, bin), the batch added and then the expired
-// prefix removed, each event in order.
+// anchoredTerms is the kernel's recurrence written for one event across
+// the whole band: math.Sincos at the first bin of every block, and each
+// other bin its neighbour's term rotated by δω·t.
+func anchoredTerms(band Band, t float64, cos, sin []float64) {
+	ds, dc := math.Sincos(2 * math.Pi * band.DeltaF * t)
+	for i := range cos {
+		if i%block == 0 {
+			w := 2 * math.Pi * band.Freq(i)
+			sin[i], cos[i] = math.Sincos(w * t)
+			continue
+		}
+		cos[i] = cos[i-1]*dc - sin[i-1]*ds
+		sin[i] = sin[i-1]*dc + cos[i-1]*ds
+	}
+}
+
+// refWindow is the analyser loop written event-major, one event at a
+// time: the batch added and then the expired prefix removed, each event
+// in order, with terms supplying each event's cos and sin per bin.
 type refWindow struct {
-	band    Band
-	re, im  []float64
-	horizon simtime.Duration
-	buf     []simtime.Time
+	band     Band
+	terms    func(band Band, t float64, cos, sin []float64)
+	re, im   []float64
+	cos, sin []float64
+	horizon  simtime.Duration
+	buf      []simtime.Time
+}
+
+func newRefWindow(band Band, h simtime.Duration, terms func(Band, float64, []float64, []float64)) *refWindow {
+	n := band.Bins()
+	return &refWindow{band: band, terms: terms, re: make([]float64, n), im: make([]float64, n),
+		cos: make([]float64, n), sin: make([]float64, n), horizon: h}
 }
 
 func (r *refWindow) accumulate(t simtime.Time, sign float64) {
-	ts := t.Seconds()
-	n := len(r.re)
-	for i := 0; i < n; i++ {
-		w := 2 * math.Pi * r.band.Freq(i)
-		s, c := math.Sincos(w * ts)
-		r.re[i] += sign * c
-		r.im[i] -= sign * s
+	r.terms(r.band, t.Seconds(), r.cos, r.sin)
+	for i := range r.re {
+		r.re[i] += sign * r.cos[i]
+		r.im[i] -= sign * r.sin[i]
 	}
 }
 
@@ -161,25 +136,35 @@ func replayTune(train []simtime.Time, horizon simtime.Duration, observe func(now
 	return append(out, observe(train[len(train)-1].Add(3*horizon), train[next:]))
 }
 
-func TestObserveMatchesEventMajorReference(t *testing.T) {
-	// 1e6 s puts ω·t at or above 2^29 for the bins above ~85 Hz, so the
-	// kernel's fallback runs next to its inline path; FMin 0 sends the
-	// whole first bin to it.
-	far := simtime.Time(1_000_000 * simtime.Second)
-	if 2*math.Pi*DefaultBand.FMax*far.Seconds() < 1<<29 {
-		t.Fatal("far train does not reach the fallback range")
-	}
-	const h = 2 * simtime.Second
-	for _, sc := range []struct {
-		name  string
-		band  Band
-		train []simtime.Time
-	}{
+// far offsets the far train: 1e6 s puts ω·t above 2^29 for the bins
+// above ~85 Hz, where math.Sincos changes its argument reduction, and
+// makes the step δω·t ~6e5 radians.
+const far = simtime.Time(1_000_000 * simtime.Second)
+
+// scenario is a train and the band it is analysed over.
+type scenario struct {
+	name  string
+	band  Band
+	train []simtime.Time
+}
+
+// referenceScenarios are the two replays the reference tests share: the
+// default band from t = 0, and a band with FMin 0 (so bin 0's anchor
+// is math.Sincos(0)) on the far train.
+func referenceScenarios() []scenario {
+	return []scenario{
 		{"default band from t=0", DefaultBand, tuneTrain(0)},
 		{"FMin 0 from 1e6 s", Band{FMin: 0, FMax: 100, DeltaF: 0.1}, tuneTrain(far)},
-	} {
-		ref := &refWindow{band: sc.band, re: make([]float64, sc.band.Bins()),
-			im: make([]float64, sc.band.Bins()), horizon: h}
+	}
+}
+
+func TestObserveMatchesEventMajorReference(t *testing.T) {
+	if 2*math.Pi*DefaultBand.FMax*far.Seconds() < 1<<29 {
+		t.Fatal("far train does not reach math.Sincos's large-argument reduction")
+	}
+	const h = 2 * simtime.Second
+	for _, sc := range referenceScenarios() {
+		ref := newRefWindow(sc.band, h, anchoredTerms)
 		want := replayTune(sc.train, h, func(now simtime.Time, batch []simtime.Time) bins {
 			ref.observe(now, batch)
 			return bins{len(ref.buf), slices.Clone(ref.re), slices.Clone(ref.im)}
@@ -208,6 +193,63 @@ func TestObserveMatchesEventMajorReference(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestObserveStaysWithinBoundOfSincos bounds, at every Observe, how far
+// the kernel's accumulators are from the per-bin math.Sincos loop's.
+// The bound is derived from the arithmetic, with u = 2^-53 the unit
+// roundoff, X = 2π·FMax·t and D = 2π·DeltaF·t for an event at t, and
+// B = block. For a bin m places after its block's anchor b:
+//
+//   - Phase. The reference evaluates fl(fl(2π·Freq(i))·t); the kernel
+//     fl(fl(2π·Freq(b))·t) + m·fl(fl(2π·DeltaF)·t). Freq(i) and
+//     Freq(b) each round twice (i·DeltaF, then + FMin), 2π·Freq and
+//     its product with t once each, on both sides: 8u·X in all. The
+//     step rounds twice, and m ≤ B−1 copies of it add 2(B−1)·u·D.
+//   - Value. math.Sincos is taken to be within 4u per component, the
+//     4e-16 Go's own tests hold it to, at the anchor, the step and the
+//     reference.
+//     Each rotation rounds two products and a sum per component, ≤ 3u,
+//     and carries the step's error: ≤ 10u in modulus. So ≤ 10B·u.
+//
+// A phase error φ moves a unit term by at most φ. An expired event's
+// terms were added and subtracted with the same bits on either side,
+// so only the events in the window count, plus the rounding of every
+// add and subtract so far: ≤ u·A on each side, A bounding the
+// accumulators' magnitude by the most events they ever held, plus one.
+func TestObserveStaysWithinBoundOfSincos(t *testing.T) {
+	const h = 2 * simtime.Second
+	const u = 0x1p-53
+	for _, sc := range referenceScenarios() {
+		ref := newRefWindow(sc.band, h, sincosTerms)
+		w := NewWindow(sc.band, h)
+		ops, peak := 0, 0
+		var worst, share float64 // the largest deviation, and the largest share of its bound
+		replayTune(sc.train, h, func(now simtime.Time, batch []simtime.Time) bins {
+			before := len(ref.buf)
+			peak = max(peak, before+len(batch))
+			ref.observe(now, batch)
+			w.Observe(now, batch)
+			ops += 2*len(batch) + before - len(ref.buf)
+
+			bound := 2 * u * float64(peak+1) * float64(ops)
+			for _, e := range ref.buf {
+				x := 2 * math.Pi * sc.band.FMax * e.Seconds()
+				d := 2 * math.Pi * sc.band.DeltaF * e.Seconds()
+				bound += 8*u*x + 2*(block-1)*u*d + 10*block*u
+			}
+			for i := range ref.re {
+				dev := max(math.Abs(w.inc.re[i]-ref.re[i]), math.Abs(w.inc.im[i]-ref.im[i]))
+				if dev > bound {
+					t.Fatalf("%s, t=%v, bin %d: kernel deviates %.3g from per-bin math.Sincos, bound %.3g",
+						sc.name, now, i, dev, bound)
+				}
+				worst, share = max(worst, dev), max(share, dev/bound)
+			}
+			return bins{}
+		})
+		t.Logf("%s: largest deviation %.2g, at most %.2g of its bound", sc.name, worst, share)
 	}
 }
 

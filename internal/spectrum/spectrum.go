@@ -10,21 +10,21 @@
 // implementation counts those operations so the complexity claims can
 // be tested, not just trusted.
 //
-// One batched kernel serves Compute, Incremental and Window. It works
-// bin by bin: for each bin it adds the batch's events in order, then
-// subtracts the expired ones in order. Every accumulator therefore
-// sees, bit for bit, the sequence of an event-by-event loop: one
-// math.Sincos and one add or subtract per (event, bin), in event
-// order. The kernel inlines math.Sincos's own reduction and
-// polynomials for arguments in (0, 2^29), two events at a time, with
-// the octant picked by bit masks; any other argument goes to
-// math.Sincos. Bins are independent, so a batch of at least 49152
-// exponentials (events × bins, ~50 events on the default band) is
-// split into runtime.GOMAXPROCS(0) contiguous bin ranges computed
-// concurrently; a smaller batch, or any batch at GOMAXPROCS 1, runs
-// inline. Ops still counts N·F exponentials per batch (Eq. 3).
-// ComputeFast, the rotation recurrence, is the ablation: faster, but
-// not bit-identical, so a near-tie detection could flip on it.
+// One batched kernel serves Compute, Incremental and Window. Per event
+// it takes one math.Sincos of the bin step δω·t (δω = 2π·DeltaF) and
+// one of ω_b·t at the first bin b of every 64-bin block, and reaches
+// the other bins by rotation: 17 transcendental calls per event on the
+// default band instead of 991. Each bin receives its events in order,
+// the batch added and then the expired events removed, and its term
+// for an event depends only on the event and the bin, so no bit
+// depends on how events are batched or how the bins are split. A batch
+// of at least 49152 exponentials (events × bins, ~50 events on the
+// default band) is split into runtime.GOMAXPROCS(0) ranges of whole
+// blocks computed concurrently; a smaller batch, or any batch at
+// GOMAXPROCS 1, runs inline. Against a per-bin math.Sincos the
+// deviation is dominated by the rounding of the per-bin argument ω_i·t
+// itself (kernel_test.go derives the bound). Ops still counts N·F
+// exponentials per batch (Eq. 3).
 package spectrum
 
 import (
@@ -90,37 +90,6 @@ func Compute(events []simtime.Time, band Band) *Spectrum {
 	return inc.Spectrum()
 }
 
-// ComputeFast evaluates the same spectrum using one Sincos per event
-// plus a complex rotation per bin (the bins form a geometric sequence
-// e^{-jω_i t} = e^{-jω_min t}·(e^{-jδω t})^i). It is an ablation
-// subject: numerically it accumulates rounding across bins, so the
-// reference Compute remains the default.
-func ComputeFast(events []simtime.Time, band Band) *Spectrum {
-	if !band.Valid() {
-		panic("spectrum: invalid band")
-	}
-	n := band.Bins()
-	re := make([]float64, n)
-	im := make([]float64, n)
-	for _, t := range events {
-		ts := t.Seconds()
-		sinB, cosB := math.Sincos(2 * math.Pi * band.FMin * ts)
-		sinD, cosD := math.Sincos(2 * math.Pi * band.DeltaF * ts)
-		// current = e^{-j w t}; step = e^{-j dw t}
-		cr, ci := cosB, -sinB
-		for i := 0; i < n; i++ {
-			re[i] += cr
-			im[i] += ci
-			cr, ci = cr*cosD+ci*sinD, ci*cosD-cr*sinD
-		}
-	}
-	amp := make([]float64, n)
-	for i := range amp {
-		amp[i] = math.Hypot(re[i], im[i])
-	}
-	return &Spectrum{Band: band, Amp: amp, Events: len(events), Ops: int64(len(events)) * int64(n)}
-}
-
 // Normalized returns the amplitudes scaled so the maximum is 1 (the
 // form plotted in Figure 10). A zero spectrum is returned unchanged.
 func (s *Spectrum) Normalized() []float64 {
@@ -161,7 +130,7 @@ func (s *Spectrum) Mean() float64 {
 type Incremental struct {
 	band   Band
 	re, im []float64
-	secs   []float64 // scratch: the instants of one update, in seconds
+	insts  []instant // scratch: the instants of one update
 	events int
 	ops    int64
 	split  int // bin ranges per update; 0 chooses by work (tests force it)
@@ -195,14 +164,16 @@ func (inc *Incremental) Remove(t simtime.Time) { inc.update(nil, []simtime.Time{
 // update adds the events in add and then removes those in sub, each
 // in order, with one pass of the kernel over the bins.
 func (inc *Incremental) update(add, sub []simtime.Time) {
-	inc.secs = inc.secs[:0]
-	for _, t := range add {
-		inc.secs = append(inc.secs, t.Seconds())
+	dw := 2 * math.Pi * inc.band.DeltaF
+	inc.insts = inc.insts[:0]
+	for _, ts := range [2][]simtime.Time{add, sub} {
+		for _, t := range ts {
+			secs := t.Seconds()
+			sin, cos := math.Sincos(dw * secs)
+			inc.insts = append(inc.insts, instant{secs, cos, sin})
+		}
 	}
-	for _, t := range sub {
-		inc.secs = append(inc.secs, t.Seconds())
-	}
-	kernel(inc.re, inc.im, inc.band, inc.secs[:len(add)], inc.secs[len(add):], inc.split)
+	kernel(inc.re, inc.im, inc.band, inc.insts[:len(add)], inc.insts[len(add):], inc.split)
 	inc.events += len(add) - len(sub)
 	inc.ops += int64(len(add)+len(sub)) * int64(len(inc.re))
 }

@@ -254,18 +254,6 @@ func TestWindowExpiry(t *testing.T) {
 	}
 }
 
-func TestComputeFastAgreesWithReference(t *testing.T) {
-	r := rng.New(10)
-	events := diracTrain(r, 35*simtime.Millisecond, 40, []simtime.Duration{0, 33 * simtime.Millisecond}, simtime.Millisecond)
-	a := Compute(events, DefaultBand)
-	b := ComputeFast(events, DefaultBand)
-	for i := range a.Amp {
-		if math.Abs(a.Amp[i]-b.Amp[i]) > 1e-5*float64(len(events)) {
-			t.Fatalf("bin %d: reference %v vs fast %v", i, a.Amp[i], b.Amp[i])
-		}
-	}
-}
-
 func TestNormalizedMaxIsOne(t *testing.T) {
 	r := rng.New(11)
 	events := diracTrain(r, 40*simtime.Millisecond, 30, []simtime.Duration{0}, 0)

@@ -16,7 +16,6 @@ type Table1Row struct {
 	AvgSeconds  float64
 	RelOverhead float64 // vs the NOTRACE baseline, as a fraction
 	StdSeconds  float64
-	Calls       int
 }
 
 // Table1Result reproduces Table 1: the wall time of an ffmpeg-like
@@ -37,7 +36,6 @@ func Table1(seed uint64, runs int) Table1Result {
 	var baseline float64
 	for _, kind := range kinds {
 		times := make([]float64, 0, runs)
-		calls := 0
 		for run := 0; run < runs; run++ {
 			w := newWorld(seed+uint64(run)*7919, kind)
 			cfg := workload.DefaultTranscoderConfig("ffmpeg")
@@ -50,10 +48,9 @@ func Table1(seed uint64, runs int) Table1Result {
 				panic("experiments: transcode did not finish within the horizon")
 			}
 			times = append(times, finish.Seconds())
-			calls = tr.Calls()
 		}
 		s := stats.Summarize(times)
-		row := Table1Row{Tracer: kind, AvgSeconds: s.Mean, StdSeconds: s.Std, Calls: calls}
+		row := Table1Row{Tracer: kind, AvgSeconds: s.Mean, StdSeconds: s.Std}
 		if kind == ktrace.NoTrace {
 			baseline = s.Mean
 		} else if baseline > 0 {

@@ -19,7 +19,8 @@
 //   - STrace: stock strace — two context switches plus user-space
 //     decoding per call.
 //
-// The overhead is returned to the workload, which extends the running
+// The overhead is returned to the scheduler that issued the call on
+// the job's behalf (sched.SyscallSink), which extends the running
 // job's demand by that amount: the slowdown emerges from scheduling
 // rather than being bolted onto the result.
 package ktrace

@@ -101,20 +101,20 @@ func TestAccessors(t *testing.T) {
 
 func TestJobHookOrderEnforced(t *testing.T) {
 	j := sched.NewJob(0, 10*ms, simtime.Never)
-	j.AddHook(5*ms, nil)
+	j.AddSyscall(5*ms, 1)
 	defer func() {
 		if recover() == nil {
-			t.Error("out-of-order AddHook did not panic")
+			t.Error("out-of-order AddSyscall did not panic")
 		}
 	}()
-	j.AddHook(2*ms, nil)
+	j.AddSyscall(2*ms, 1)
 }
 
 func TestJobHookClamping(t *testing.T) {
 	j := sched.NewJob(0, 10*ms, simtime.Never)
-	j.AddHook(-5*ms, nil)  // clamps to 0
-	j.AddHook(50*ms, nil)  // clamps to Total
-	j.AddHook(500*ms, nil) // still Total: order preserved
+	j.AddSyscall(-5*ms, 1)  // clamps to 0
+	j.AddSyscall(50*ms, 2)  // clamps to Total
+	j.AddSyscall(500*ms, 3) // still Total: order preserved
 	if j.Remaining() != 10*ms {
 		t.Error("clamping changed demand")
 	}

@@ -12,8 +12,17 @@ import (
 // random quarter of what is put back, so the job pool allocates.
 var raceEnabled bool
 
+// callCounter is a SyscallSink that counts the calls it receives and
+// charges each a microsecond of tracing overhead.
+type callCounter int
+
+func (c *callCounter) Syscall(simtime.Time, int, int) simtime.Duration {
+	*c++
+	return us
+}
+
 // TestJobPathAllocatesNothing checks that the steady-state job path —
-// release, dispatch, progress hooks, budget exhaustion, throttling,
+// release, dispatch, traced syscalls, budget exhaustion, throttling,
 // replenishment, completion and job recycling — allocates nothing once
 // warm. Each scenario runs with logging off, as every core of a
 // selftune machine does, warms up for a simulated second, and then
@@ -36,11 +45,10 @@ func TestJobPathAllocatesNothing(t *testing.T) {
 				srv := sd.NewServer("rt", 2*ms, 10*ms, sched.HardCBS)
 				rt := sd.NewTask("rt")
 				rt.AttachTo(srv, 0)
-				hooked := 0
-				hook := func(simtime.Time) { hooked++ }
+				rt.SetSink(new(callCounter))
 				releaseEvery(eng, rt, 10*ms, func(j *sched.Job) {
-					j.AddHook(0, hook)
-					j.AddHook(ms/2, hook)
+					j.AddSyscall(0, 1)
+					j.AddSyscall(ms/2, 2)
 				}, 3*ms/2)
 				releaseEvery(eng, sd.NewTask("be0"), 7*ms, nil, 2*ms, 3*ms)
 				releaseEvery(eng, sd.NewTask("be1"), 25*ms, nil, 5*ms)
@@ -87,7 +95,7 @@ func TestJobPathAllocatesNothing(t *testing.T) {
 
 // releaseEvery releases a job to t every period, starting at the
 // origin, cycling through the given demands; dress, if non-nil, adds
-// each job's hooks. One closure serves every release.
+// each job's syscalls. One closure serves every release.
 func releaseEvery(eng *sim.Engine, t *sched.Task, period simtime.Duration, dress func(*sched.Job), demands ...simtime.Duration) {
 	k := 0
 	var release func()

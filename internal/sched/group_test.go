@@ -438,3 +438,52 @@ func TestRefusedMoveKeepsEDFOrder(t *testing.T) {
 		t.Errorf("after a refused move the jobs completed in order %v, want %v", got, want)
 	}
 }
+
+// TestRefusedMoveKeepsBestEffortOrder checks that a refused move puts
+// a bare task back in its place in the best-effort round robin. A, B
+// and C each get a 1s job at t=0 and share the CPU in 10ms quanta; at
+// 5ms, with A's slice settled, the round robin holds C, B, A. A move
+// refused then, of an idle server that no best-effort task belongs to
+// or of B itself, must resume the round robin in that order.
+func TestRefusedMoveKeepsBestEffortOrder(t *testing.T) {
+	run := func(moveB bool) string {
+		eng, a, b := twoCores(t)
+		idle := a.NewServer("idle", ms, 10*ms, sched.HardCBS)
+		var tasks []*sched.Task
+		for _, name := range []string{"A", "B", "C"} {
+			tasks = append(tasks, a.NewTask(name))
+		}
+		eng.At(0, func() {
+			for _, task := range tasks {
+				task.Release(sched.NewJob(0, simtime.Duration(simtime.Second), simtime.Never))
+			}
+		})
+		eng.At(simtime.Time(5*ms), func() {
+			g := single(idle)
+			if moveB {
+				g = sched.Group{Tasks: tasks[1:2]}
+			}
+			if err := a.MoveAll(g, b, func() error { return errors.New("refused") }); err == nil {
+				t.Fatal("MoveAll accepted a refusing commit")
+			}
+		})
+		var order string
+		for at := 10 * ms; at <= 60*ms; at += 10 * ms {
+			eng.RunUntil(simtime.Time(at))
+			order += a.Running().Name()
+		}
+		for _, sd := range []*sched.Scheduler{a, b} {
+			if err := sd.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return order
+	}
+	want := run(false)
+	if want != "CBACBA" {
+		t.Fatalf("after a refused move of an idle server the round robin ran %s, want CBACBA", want)
+	}
+	if got := run(true); got != want {
+		t.Errorf("after a refused move of B the round robin ran %s, want %s", got, want)
+	}
+}

@@ -187,10 +187,12 @@ type movedServer struct {
 // may refuse (nil never refuses). On a refusal the group moves back,
 // this scheduler's servers and tasks return to their old order, so its
 // reserved bandwidth sums to the same float, every server gets its old
-// id and its old (q, d) back, so EDF ties break as before, and MoveAll
-// returns commit's error. commit must not add or remove servers or
-// tasks on either scheduler. MoveAll is called like DetachAll;
-// schedulers on different engines must rest at the same instant.
+// id and its old (q, d) back, so EDF ties break as before, the
+// best-effort round robin resumes in the order it had once the running
+// slice settled, and MoveAll returns commit's error. commit must not
+// add or remove servers or tasks on either scheduler. MoveAll is
+// called like DetachAll; schedulers on different engines must rest at
+// the same instant.
 func (sd *Scheduler) MoveAll(g Group, dst *Scheduler, commit func() error) error {
 	if err := sd.checkGroup(g, "MoveAll"); err != nil {
 		return err
@@ -198,8 +200,10 @@ func (sd *Scheduler) MoveAll(g Group, dst *Scheduler, commit func() error) error
 	if dst.busy {
 		return fmt.Errorf("sched: MoveAll into a scheduler inside dispatch")
 	}
+	sd.suspend()
 	sd.undoServers = append(sd.undoServers[:0], sd.servers...)
 	sd.undoTasks = append(sd.undoTasks[:0], sd.tasks...)
+	sd.undoBE = append(sd.undoBE[:0], sd.beQ.items()...)
 	srcNext, dstNext := sd.nextSrvID, dst.nextSrvID
 	sd.detachAll(g)
 	sd.undoMoved = sd.undoMoved[:0]
@@ -224,10 +228,18 @@ func (sd *Scheduler) MoveAll(g Group, dst *Scheduler, commit func() error) error
 			}
 		}
 		sd.nextSrvID, dst.nextSrvID = srcNext, dstNext
+		sd.suspend()
+		for sd.beQ.len() > 0 {
+			sd.beQ.pop().beQueued = false
+		}
+		for _, t := range sd.undoBE {
+			sd.beWake(t)
+		}
 		sd.dispatch()
 	}
 	clear(sd.undoServers)
 	clear(sd.undoTasks)
+	clear(sd.undoBE)
 	return err
 }
 

@@ -9,6 +9,13 @@
 // machinery needs — per-server consumed CPU time (qres_get_time), the
 // reservation actuator (qres_set_params), and budget-exhaustion
 // statistics — while running on deterministic simulated time.
+//
+// It also holds the kernel tracer's one rule (Sec. 4.1): every system
+// call a job issues enters the tracer and costs the caller the
+// tracer's overhead. A job carries its calls as data, (offset, nr)
+// pairs; when its execution reaches an offset, the scheduler issues
+// the call into its task's SyscallSink and adds the returned overhead
+// to the job's demand. A task without a sink is untraced.
 package sched
 
 import (
@@ -63,11 +70,12 @@ type Scheduler struct {
 	nextSrvID int
 	nextPID   int
 
-	// undoServers, undoTasks and undoMoved hold the server and task
-	// order and the moving servers' own state that MoveAll restores
-	// when its commit refuses.
+	// undoServers, undoTasks, undoBE and undoMoved hold the server,
+	// task and best-effort queue order and the moving servers' own
+	// state that MoveAll restores when its commit refuses.
 	undoServers []*Server
 	undoTasks   []*Task
+	undoBE      []*Task
 	undoMoved   []movedServer
 
 	// transitionHook, if set, observes task state transitions
@@ -266,7 +274,7 @@ func (sd *Scheduler) beWake(t *Task) {
 }
 
 // dispatch is the single scheduling point: it settles the accounting
-// of the current slice, handles its consequences (hook firing, job
+// of the current slice, handles its consequences (system calls, job
 // completion, budget exhaustion) and starts the highest-priority
 // runnable entity. It is safe to call re-entrantly: nested calls are
 // folded into the outermost one.
@@ -328,17 +336,7 @@ func (sd *Scheduler) suspendLocked() {
 		}
 	}
 
-	// Fire execution-progress hooks crossed by this slice. Hooks can
-	// call back into the scheduler (e.g. a traced syscall triggering a
-	// controller); the re-entrancy guard folds those into this pass.
-	for j.nextHook < len(j.hooks) && j.hooks[j.nextHook].Offset <= j.done {
-		h := j.hooks[j.nextHook]
-		j.nextHook++
-		if h.Fn != nil {
-			h.Fn(nowt)
-		}
-	}
-
+	t.issueSyscalls(j, nowt)
 	if j.done >= j.Total {
 		t.completeCurrent(nowt)
 	}
@@ -396,15 +394,9 @@ func (sd *Scheduler) start(srv *Server, t *Task, nowt simtime.Time) {
 			t.OnJobStart(j, nowt)
 		}
 	}
-	// Fire hooks already reached (e.g. offset-zero "start of job"
+	// Issue the calls already reached (e.g. offset-zero "start of job"
 	// syscalls) before computing the slice, so slices are never empty.
-	for j.nextHook < len(j.hooks) && j.hooks[j.nextHook].Offset <= j.done {
-		h := j.hooks[j.nextHook]
-		j.nextHook++
-		if h.Fn != nil {
-			h.Fn(nowt)
-		}
-	}
+	t.issueSyscalls(j, nowt)
 	if j.done >= j.Total {
 		t.completeCurrent(nowt)
 		if srv != nil && srv.runnableTask() == nil {
@@ -433,6 +425,21 @@ func (sd *Scheduler) start(srv *Server, t *Task, nowt simtime.Time) {
 	sd.runTask = t
 	sd.runStart = nowt
 	sd.sliceEv = sd.engine.After(slice, sd.sliceFn)
+}
+
+// issueSyscalls issues the system calls job j of t has reached into
+// t's sink, charging the overhead the sink returns to the job: the
+// kernel tracer's rule for every traced call (paper Sec. 4.1). An
+// untraced task issues nothing. A sink may call back into the
+// scheduler; the re-entrancy guard folds that into the current pass.
+func (t *Task) issueSyscalls(j *Job, now simtime.Time) {
+	for j.nextCall < len(j.calls) && j.calls[j.nextCall].Offset <= j.done {
+		nr := j.calls[j.nextCall].Nr
+		j.nextCall++
+		if t.sink != nil {
+			j.ExtendDemand(t.sink.Syscall(now, t.pid, nr))
+		}
+	}
 }
 
 // --- EDF ready heap ------------------------------------------------

@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,6 +30,19 @@ func startPeriodic(eng *sim.Engine, t *sched.Task, c, p simtime.Duration, offset
 		eng.At(next, release)
 	}
 	eng.At(next, release)
+}
+
+// callRecorder is a SyscallSink that records the instant and number
+// of every call it receives and charges no overhead.
+type callRecorder struct {
+	at []simtime.Time
+	nr []int
+}
+
+func (c *callRecorder) Syscall(now simtime.Time, _ int, nr int) simtime.Duration {
+	c.at = append(c.at, now)
+	c.nr = append(c.nr, nr)
+	return 0
 }
 
 func newSim(t *testing.T) (*sim.Engine, *sched.Scheduler) {
@@ -227,25 +241,26 @@ func TestRMInsideOneServer(t *testing.T) {
 }
 
 func TestProgressHooksFireAtExecutionProgress(t *testing.T) {
-	// With a dedicated 50% server, a job of 10ms with a hook at 5ms
-	// should fire the hook once 5ms of *execution* have been granted,
-	// i.e. later in wall time than 5ms if the budget intervenes.
+	// With a dedicated 50% server, a job of 10ms with a syscall at 5ms
+	// should issue it once 5ms of *execution* have been granted, i.e.
+	// later in wall time than 5ms if the budget intervenes.
 	eng, sd := newSim(t)
 	srv := sd.NewServer("s", 5*ms, 10*ms, sched.HardCBS)
 	task := sd.NewTask("t")
 	task.AttachTo(srv, 0)
-	var hookAt simtime.Time
+	calls := new(callRecorder)
+	task.SetSink(calls)
 	eng.At(0, func() {
 		j := sched.NewJob(0, 10*ms, simtime.Never)
-		j.AddHook(0, nil) // exercise offset-zero hooks too
-		j.AddHook(5*ms, func(now simtime.Time) { hookAt = now })
+		j.AddSyscall(0, 1) // exercise offset-zero calls too
+		j.AddSyscall(5*ms, 2)
 		task.Release(j)
 	})
 	eng.RunUntil(simtime.Time(simtime.Second))
 	// The server delivers 5ms per 10ms period; 5ms of progress is
 	// reached exactly when the first budget is exhausted, at t=5ms.
-	if hookAt != simtime.Time(5*ms) {
-		t.Errorf("hook fired at %v, want 5ms", hookAt)
+	if !slices.Equal(calls.at, []simtime.Time{0, simtime.Time(5 * ms)}) || !slices.Equal(calls.nr, []int{1, 2}) {
+		t.Errorf("calls %v issued at %v, want [1 2] at 0 and 5ms", calls.nr, calls.at)
 	}
 	if task.Stats().Completed != 1 {
 		t.Errorf("job not completed: %+v", task.Stats())
@@ -253,13 +268,16 @@ func TestProgressHooksFireAtExecutionProgress(t *testing.T) {
 }
 
 func TestHookDelayedByContention(t *testing.T) {
-	// Same hook, but a higher-pressure competing reservation delays
-	// execution progress, so the hook fires later in wall time. This is
-	// the mechanism behind the paper's Table 2 (detection vs load).
+	// Same syscall, but a higher-pressure competing reservation delays
+	// execution progress, so the call is issued later in wall time.
+	// This is the mechanism behind the paper's Table 2 (detection vs
+	// load).
 	delay := func(withLoad bool) simtime.Time {
 		eng := sim.New()
 		sd := sched.New(sched.Config{Engine: eng})
 		task := sd.NewTask("t")
+		calls := new(callRecorder)
+		task.SetSink(calls)
 		if withLoad {
 			lsrv := sd.NewServer("load", 8*ms, 10*ms, sched.HardCBS)
 			lt := sd.NewTask("load")
@@ -268,14 +286,16 @@ func TestHookDelayedByContention(t *testing.T) {
 				lt.Release(sched.NewJob(0, simtime.Duration(10*simtime.Second), simtime.Never))
 			})
 		}
-		var hookAt simtime.Time
 		eng.At(0, func() {
 			j := sched.NewJob(0, 10*ms, simtime.Never)
-			j.AddHook(5*ms, func(now simtime.Time) { hookAt = now })
+			j.AddSyscall(5*ms, 1)
 			task.Release(j)
 		})
 		eng.RunUntil(simtime.Time(simtime.Second))
-		return hookAt
+		if len(calls.at) != 1 {
+			t.Fatalf("%d calls issued, want 1", len(calls.at))
+		}
+		return calls.at[0]
 	}
 	unloaded, loaded := delay(false), delay(true)
 	if unloaded != simtime.Time(5*ms) {

@@ -7,26 +7,25 @@ import (
 	"repro/internal/simtime"
 )
 
-// ProgressHook is a callback fired when a job's cumulative execution
-// reaches Offset. Hooks model observable side effects of execution —
-// in this reproduction, system calls issued by the application — so
-// their firing *wall* time depends on how the job is scheduled, which
-// is exactly the load-dependence the paper's tracer observes.
+// ProgressHook is a system call a job issues when its cumulative
+// execution reaches Offset. The scheduler issues it into the task's
+// SyscallSink, so its *wall* time depends on how the job is scheduled,
+// which is exactly the load-dependence the paper's tracer observes.
 type ProgressHook struct {
-	Offset simtime.Duration // execution progress at which to fire
-	Fn     func(now simtime.Time)
+	Offset simtime.Duration // execution progress at which to issue
+	Nr     int              // system call number
 }
 
 // Job is one activation of a task: an execution demand plus an
-// absolute deadline and an ordered list of progress hooks.
+// absolute deadline and an ordered list of the system calls it issues.
 type Job struct {
 	Release  simtime.Time
 	Deadline simtime.Time // absolute; Never means no deadline
 	Total    simtime.Duration
 
 	done     simtime.Duration
-	hooks    []ProgressHook // must be sorted by Offset
-	nextHook int
+	calls    []ProgressHook // sorted by Offset
+	nextCall int
 	gen      uint64 // bumped on recycle; see Generation
 
 	// Filled in at completion.
@@ -44,7 +43,7 @@ var jobPool = sync.Pool{New: func() any { return new(Job) }}
 // NewJob returns a job released at rel with execution demand total and
 // absolute deadline dl (use simtime.Never for none). Storage may come
 // from the recycling pool, so a job is only valid until its task's
-// OnJobComplete callback returns; the hook slice is reused across
+// OnJobComplete callback returns; the syscall slice is reused across
 // generations.
 func NewJob(rel simtime.Time, total simtime.Duration, dl simtime.Time) *Job {
 	if total < 0 {
@@ -56,7 +55,7 @@ func NewJob(rel simtime.Time, total simtime.Duration, dl simtime.Time) *Job {
 		Deadline: dl,
 		Total:    total,
 		Finish:   simtime.Never,
-		hooks:    j.hooks[:0],
+		calls:    j.calls[:0],
 		gen:      j.gen,
 	}
 	return j
@@ -69,21 +68,18 @@ func NewJob(rel simtime.Time, total simtime.Duration, dl simtime.Time) *Job {
 func (j *Job) Generation() uint64 { return j.gen }
 
 // recycle retires a completed job's storage to the pool. The
-// generation bump is what invalidates retained references; the hook
-// callbacks are dropped eagerly so recycled jobs never pin closures.
+// generation bump is what invalidates retained references.
 func (j *Job) recycle() {
 	j.gen++
-	for i := range j.hooks {
-		j.hooks[i].Fn = nil
-	}
 	jobPool.Put(j)
 }
 
-// AddHook registers a progress hook. Hooks must be added in
-// non-decreasing Offset order before the job is released.
-func (j *Job) AddHook(off simtime.Duration, fn func(now simtime.Time)) {
-	if n := len(j.hooks); n > 0 && j.hooks[n-1].Offset > off {
-		panic("sched: job hooks must be added in offset order")
+// AddSyscall registers system call nr, issued when the job's execution
+// reaches off (clamped to [0, Total]). Calls must be added in
+// non-decreasing offset order before the job is released.
+func (j *Job) AddSyscall(off simtime.Duration, nr int) {
+	if n := len(j.calls); n > 0 && j.calls[n-1].Offset > off {
+		panic("sched: job syscalls must be added in offset order")
 	}
 	if off < 0 {
 		off = 0
@@ -91,7 +87,7 @@ func (j *Job) AddHook(off simtime.Duration, fn func(now simtime.Time)) {
 	if off > j.Total {
 		off = j.Total
 	}
-	j.hooks = append(j.hooks, ProgressHook{Offset: off, Fn: fn})
+	j.calls = append(j.calls, ProgressHook{Offset: off, Nr: nr})
 }
 
 // Done returns the execution already received by the job.
@@ -100,7 +96,7 @@ func (j *Job) Done() simtime.Duration { return j.done }
 // ExtendDemand adds extra execution demand to the job. It models work
 // injected while the job runs — in this reproduction, the per-syscall
 // overhead charged by the kernel tracer. Non-positive amounts are
-// ignored. It is safe to call from a progress hook.
+// ignored.
 func (j *Job) ExtendDemand(d simtime.Duration) {
 	if d > 0 {
 		j.Total += d
@@ -132,10 +128,10 @@ func (j *Job) Missed(now simtime.Time) bool {
 }
 
 // nextBoundary returns how much further the job may execute before the
-// next interesting point: the next hook offset or job completion.
+// next interesting point: the next syscall offset or job completion.
 func (j *Job) nextBoundary() simtime.Duration {
-	if j.nextHook < len(j.hooks) {
-		return j.hooks[j.nextHook].Offset - j.done
+	if j.nextCall < len(j.calls) {
+		return j.calls[j.nextCall].Offset - j.done
 	}
 	return j.Total - j.done
 }
@@ -150,12 +146,21 @@ type TaskStats struct {
 	Preemptions int
 }
 
+// SyscallSink receives the system calls a task's jobs issue and
+// returns the extra execution demand the tracing machinery charges for
+// each recorded call (zero when filtered out). It is implemented by
+// ktrace.Buffer.
+type SyscallSink interface {
+	Syscall(now simtime.Time, pid int, nr int) simtime.Duration
+}
+
 // Task is a schedulable entity: a stream of jobs served FIFO. A task
 // is attached either to a CBS server (real-time class) or to the
 // best-effort class.
 type Task struct {
 	name string
 	pid  int
+	sink SyscallSink // nil: untraced
 
 	sched  *Scheduler
 	server *Server
@@ -182,6 +187,14 @@ func (t *Task) Name() string { return t.name }
 // per-process filters).
 func (t *Task) PID() int { return t.pid }
 
+// SetSink points the task's system calls at sink; nil leaves it
+// untraced. Calls not yet issued go to the new sink, those of jobs in
+// flight included.
+func (t *Task) SetSink(sink SyscallSink) { t.sink = sink }
+
+// Sink returns the sink the task's system calls go to, or nil.
+func (t *Task) Sink() SyscallSink { return t.sink }
+
 // Stats returns a snapshot of the task's statistics. Consumed includes
 // the in-progress slice of a currently running task.
 func (t *Task) Stats() TaskStats {
@@ -202,14 +215,6 @@ func (t *Task) Priority() int { return t.prio }
 // Backlog returns the number of unfinished jobs (including the one in
 // service).
 func (t *Task) Backlog() int { return t.pending.len() }
-
-// CurrentJob returns the job in service, or nil.
-func (t *Task) CurrentJob() *Job {
-	if !t.runnable() {
-		return nil
-	}
-	return t.pending.front()
-}
 
 func (t *Task) runnable() bool { return t.pending.len() > 0 }
 

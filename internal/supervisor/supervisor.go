@@ -41,7 +41,6 @@ type Supervisor struct {
 	grants      int
 	compressed  int // requests granted at reduced bandwidth
 	rejected    int
-	lastTotal   float64
 	lastPressed bool
 }
 
@@ -143,7 +142,6 @@ func (s *Supervisor) recompute() {
 			reqSum += c.requested
 		}
 	}
-	s.lastTotal = reqSum
 	if reqSum <= s.ulub {
 		s.lastPressed = false
 		for _, c := range s.clients {
@@ -215,9 +213,6 @@ func (s *Supervisor) TotalGranted() float64 {
 	}
 	return sum
 }
-
-// TotalRequested returns the sum of requested bandwidths.
-func (s *Supervisor) TotalRequested() float64 { return s.lastTotal }
 
 // Saturated reports whether the last recompute had to compress.
 func (s *Supervisor) Saturated() bool { return s.lastPressed }

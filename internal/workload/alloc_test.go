@@ -1,0 +1,77 @@
+package workload_test
+
+import (
+	"testing"
+
+	"repro/internal/ktrace"
+	"repro/internal/rng"
+	"repro/internal/sched"
+	"repro/internal/simtime"
+	"repro/internal/workload"
+)
+
+// raceEnabled is set by the race build, under which sync.Pool drops a
+// random quarter of what is put back, so the job pool allocates.
+var raceEnabled bool
+
+// TestWorkloadJobPathAllocatesNothing checks that a traced workload's
+// steady-state job path allocates nothing: a webserver, a game loop in
+// a soft reservation, a VM past its boot ramp and a noise source share
+// one scheduler and trace into one 4096-event QTrace ring. Each job
+// carries its system calls as data and the scheduler issues them, so
+// once warm a release, its calls, the overhead they charge and the
+// completion reuse storage only.
+func TestWorkloadJobPathAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need the pools of a non-race build")
+	}
+	eng, sd := newSim()
+	buf := ktrace.NewBuffer(ktrace.QTrace, 4096)
+	r := rng.New(3)
+
+	ws := workload.DefaultWebServerConfig("web")
+	ws.Sink = buf
+	gl := workload.DefaultGameLoopConfig("game")
+	gl.Sink = buf
+	vm := workload.DefaultVMBootConfig("vm", 0.2)
+	vm.Sink = buf
+	game := workload.NewGameLoop(sd, r.Split(), gl)
+	game.Task().AttachTo(sd.NewServer("game", 5*ms, 16*ms, sched.SoftCBS), 0)
+	apps := []interface {
+		Start(simtime.Time)
+		Task() *sched.Task
+	}{
+		workload.NewWebServer(sd, r.Split(), ws),
+		game,
+		workload.NewVMBoot(sd, r.Split(), vm),
+		workload.NewNoise(sd, r.Split(), "noise", 50*ms, 2*ms, buf),
+	}
+	for _, a := range apps {
+		a.Start(0)
+	}
+	eng.RunUntil(simtime.Time(3 * simtime.Second))
+
+	completed := func() []int {
+		var out []int
+		for _, a := range apps {
+			out = append(out, a.Task().Stats().Completed)
+		}
+		return out
+	}
+	before, recorded := completed(), buf.Recorded()
+	chunk := func() { eng.RunUntil(eng.Now().Add(100 * ms)) }
+	if n := testing.AllocsPerRun(20, chunk); n != 0 {
+		t.Errorf("100 ms of traced workloads allocates %v times, want 0", n)
+	}
+	for i, n := range completed() {
+		if n == before[i] {
+			t.Errorf("%s completed no job while measuring", apps[i].Task().Name())
+		}
+	}
+	if buf.Recorded() == recorded {
+		t.Error("no syscall traced while measuring")
+	}
+	if err := sd.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

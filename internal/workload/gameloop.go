@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/simtime"
 )
 
@@ -24,8 +23,8 @@ type GameLoopConfig struct {
 	// complexity, not load, so it stays bounded — the deadline
 	// sensitivity comes from the spikes, not from drift.
 	Jitter float64
-	// Sink receives the loop's input-poll and present syscalls (nil:
-	// untraced).
+	// Sink is where the loop's task starts tracing its input-poll and
+	// present syscalls (nil: untraced).
 	Sink SyscallSink
 	// OnRequest receives one Request per completed frame (nil:
 	// unobserved).
@@ -51,27 +50,13 @@ func DefaultGameLoopConfig(name string) GameLoopConfig {
 // core. Each frame polls input at the start and presents at the end,
 // so the period analyser sees a clean frame-rate line.
 type GameLoop struct {
-	cfg     GameLoopConfig
-	sd      *sched.Scheduler
-	r       *rng.Source
-	lt      laneTimers
-	task    *sched.Task
-	frames  int
-	started bool
-	stopped bool
+	app
+	cfg    GameLoopConfig
+	r      *rng.Source
+	frames int
 }
 
-// MoveLane implements LaneMover: re-arm the frame grid on the
-// destination lane and emit future syscalls into its tracer.
-func (g *GameLoop) MoveLane(dst *sim.Engine, sink SyscallSink) {
-	g.lt.move(dst)
-	if sink != nil {
-		g.cfg.Sink = sink
-	}
-}
-
-// NewGameLoop prepares a game loop. The task exists from construction
-// (so PID filters can be installed); no frames release until Start.
+// NewGameLoop prepares a game loop; no frames release until Start.
 func NewGameLoop(sd *sched.Scheduler, r *rng.Source, cfg GameLoopConfig) *GameLoop {
 	if cfg.FramePeriod <= 0 {
 		panic(fmt.Sprintf("workload: gameloop %q: frame period %v must be positive", cfg.Name, cfg.FramePeriod))
@@ -82,19 +67,12 @@ func NewGameLoop(sd *sched.Scheduler, r *rng.Source, cfg GameLoopConfig) *GameLo
 	if cfg.Jitter < 0 || cfg.Jitter >= 1 {
 		panic(fmt.Sprintf("workload: gameloop %q: jitter %v out of [0,1)", cfg.Name, cfg.Jitter))
 	}
-	g := &GameLoop{cfg: cfg, sd: sd, r: r, lt: laneTimers{eng: sd.Engine()}, task: sd.NewTask(cfg.Name)}
+	g := &GameLoop{app: newApp(sd, cfg.Name, cfg.Sink), cfg: cfg, r: r}
 	if cfg.OnRequest != nil {
 		g.task.OnJobComplete = observeCompletion(cfg.OnRequest, cfg.FramePeriod)
 	}
 	return g
 }
-
-// Name returns the loop's configured name.
-func (g *GameLoop) Name() string { return g.cfg.Name }
-
-// Task returns the underlying scheduler task (the unit a Tuner
-// manages).
-func (g *GameLoop) Task() *sched.Task { return g.task }
 
 // Frames returns the number of frames released so far.
 func (g *GameLoop) Frames() int { return g.frames }
@@ -102,29 +80,13 @@ func (g *GameLoop) Frames() int { return g.frames }
 // Start begins the frame grid at the given instant (clamped to the
 // present).
 func (g *GameLoop) Start(at simtime.Time) {
-	if g.started {
-		panic("workload: GameLoop started twice")
-	}
-	g.started = true
-	if now := g.lt.now(); at < now {
-		at = now
-	}
-	next := at
-	var frame func()
-	frame = func() {
-		if g.stopped {
-			return
-		}
+	next := g.start("GameLoop", at)
+	g.repeat(next, func() simtime.Time {
 		g.release(g.lt.now())
 		next = next.Add(g.cfg.FramePeriod)
-		g.lt.at(next, frame)
-	}
-	g.lt.at(next, frame)
+		return next
+	})
 }
-
-// Stop quiesces the frame grid: the next scheduled frame becomes a
-// no-op. Idempotent; safe before Start.
-func (g *GameLoop) Stop() { g.stopped = true }
 
 // release queues one frame: jittered demand, deadline at the next
 // frame release, an input poll() at the start and a present write()
@@ -138,18 +100,7 @@ func (g *GameLoop) release(now simtime.Time) {
 		d = simtime.Microsecond
 	}
 	j := sched.NewJob(now, d, now.Add(g.cfg.FramePeriod))
-	if g.cfg.Sink != nil {
-		pid := g.task.PID()
-		j.AddHook(0, func(at simtime.Time) {
-			if ov := g.cfg.Sink.Syscall(at, pid, int(SysPoll)); ov > 0 {
-				j.ExtendDemand(ov)
-			}
-		})
-		j.AddHook(d, func(at simtime.Time) {
-			if ov := g.cfg.Sink.Syscall(at, pid, int(SysWrite)); ov > 0 {
-				j.ExtendDemand(ov)
-			}
-		})
-	}
+	g.syscall(j, 0, SysPoll)
+	g.syscall(j, d, SysWrite)
 	g.task.Release(j)
 }

@@ -11,10 +11,11 @@ import (
 // workload's self-timers — release loops, jittered releases, arrival
 // processes — live on the lane of the core it runs on; a cross-core
 // migration must therefore re-arm them on the destination lane.
-// MoveLane does exactly that, and repoints the workload's syscall sink
-// at the destination core's tracer (nil keeps the current sink). It
-// must only be called at a causality fence: both lanes resting at the
-// same instant, with the workload's reservation already moved
+// MoveLane does exactly that, and follows one sink rule: a traced
+// task's sink is repointed at the destination core's tracer, an
+// untraced task stays untraced, and a nil sink keeps the current one.
+// It must only be called at a causality fence: both lanes resting at
+// the same instant, with the workload's reservation already moved
 // (sched.Scheduler.MoveAll).
 type LaneMover interface {
 	MoveLane(dst *sim.Engine, sink SyscallSink)

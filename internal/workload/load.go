@@ -12,24 +12,13 @@ import (
 // ReservedPeriodic is a synthetic periodic real-time application
 // running in its own hard reservation — the paper's background-load
 // generator ("a simple real-time periodic application", Sec. 5.3).
-type ReservedPeriodic struct {
-	Task    *sched.Task
-	Server  *sched.Server
-	lt      laneTimers
-	stopped bool
-}
-
-// MoveLane implements LaneMover: re-arm the release loop on the
-// destination lane. The load is untraced, so the sink is ignored.
-func (rp *ReservedPeriodic) MoveLane(dst *sim.Engine, _ SyscallSink) {
-	rp.lt.move(dst)
-}
-
-// Stop quiesces the release loop: the next scheduled release becomes a
-// no-op. The reservation itself stays on the scheduler
+// Its task is untraced. Stop leaves the reservation on the scheduler
 // (sched.Scheduler.DetachAll takes it off to reclaim the bandwidth,
-// MoveAll carries it to another core). Idempotent.
-func (rp *ReservedPeriodic) Stop() { rp.stopped = true }
+// MoveAll carries it to another core).
+type ReservedPeriodic struct {
+	app
+	Server *sched.Server
+}
 
 // StartReservedPeriodic creates a hard CBS (budget, period) and a
 // periodic task inside it whose jobs demand demandFrac of the budget
@@ -42,22 +31,16 @@ func StartReservedPeriodic(sd *sched.Scheduler, r *rng.Source, name string,
 		panic(fmt.Sprintf("workload: demandFrac %v out of (0,1]", demandFrac))
 	}
 	srv := sd.NewServer(name, budget, period, sched.HardCBS)
-	task := sd.NewTask(name)
-	task.AttachTo(srv, 0)
-	rp := &ReservedPeriodic{Task: task, Server: srv, lt: laneTimers{eng: sd.Engine()}}
+	rp := &ReservedPeriodic{app: newApp(sd, name, nil), Server: srv}
+	rp.task.AttachTo(srv, 0)
 	next := offset
-	var release func()
-	release = func() {
-		if rp.stopped {
-			return
-		}
+	rp.repeat(next, func() simtime.Time {
 		now := rp.lt.now()
 		d := float64(budget) * demandFrac * r.Uniform(0.95, 1.0)
-		task.Release(sched.NewJob(now, simtime.Duration(d), now.Add(period)))
+		rp.task.Release(sched.NewJob(now, simtime.Duration(d), now.Add(period)))
 		next = next.Add(period)
-		rp.lt.at(next, release)
-	}
-	rp.lt.at(next, release)
+		return next
+	})
 	return rp
 }
 
@@ -213,9 +196,6 @@ func (b *Background) Stop() {
 	}
 }
 
-// Apps returns the spawned reserved periodic tasks (nil before Start).
-func (b *Background) Apps() []*ReservedPeriodic { return b.apps }
-
 // Servers returns the load's CBS servers (nil before Start) — the set
 // a migration must carry together, since the load is one application.
 func (b *Background) Servers() []*sched.Server {
@@ -245,88 +225,44 @@ func StartCPUHog(sd *sched.Scheduler, name string, work simtime.Duration) *sched
 // analyser. The task exists from construction (so PID filters can be
 // installed), but no jobs arrive until Start.
 type Noise struct {
-	name             string
-	sd               *sched.Scheduler
+	app
 	r                *rng.Source
-	lt               laneTimers
 	meanInterarrival simtime.Duration
 	meanDemand       simtime.Duration
-	sink             SyscallSink
-	task             *sched.Task
-	started          bool
-	stopped          bool
 }
 
-// MoveLane implements LaneMover: re-arm the arrival process on the
-// destination lane and emit future syscalls into its tracer.
-func (n *Noise) MoveLane(dst *sim.Engine, sink SyscallSink) {
-	n.lt.move(dst)
-	if sink != nil && n.sink != nil {
-		n.sink = sink
-	}
-}
-
-// NewNoise prepares a Poisson noise source.
+// NewNoise prepares a Poisson noise source whose task traces its
+// syscalls into sink (nil: untraced).
 func NewNoise(sd *sched.Scheduler, r *rng.Source, name string,
 	meanInterarrival, meanDemand simtime.Duration, sink SyscallSink) *Noise {
 
 	return &Noise{
-		name: name, sd: sd, r: r,
-		lt:               laneTimers{eng: sd.Engine()},
+		app:              newApp(sd, name, sink),
+		r:                r,
 		meanInterarrival: meanInterarrival,
 		meanDemand:       meanDemand,
-		sink:             sink,
-		task:             sd.NewTask(name),
 	}
 }
 
-// Name returns the noise source's configured name.
-func (n *Noise) Name() string { return n.name }
-
-// Task returns the underlying scheduler task.
-func (n *Noise) Task() *sched.Task { return n.task }
-
-// Start begins the arrival process at the given instant.
+// Start begins the arrival process at the given instant (clamped to
+// the present).
 func (n *Noise) Start(at simtime.Time) {
-	if n.started {
-		panic("workload: Noise started twice")
-	}
-	n.started = true
-	t := n.task
-	var arrive func()
-	arrive = func() {
-		if n.stopped {
-			return
-		}
+	n.repeat(n.start("Noise", at), func() simtime.Time {
 		d := simtime.Duration(n.r.Exp(float64(n.meanDemand)))
 		if d < simtime.Microsecond {
 			d = simtime.Microsecond
 		}
-		j := sched.NewJob(n.lt.now(), d, simtime.Never)
-		if n.sink != nil {
-			pid := t.PID()
-			j.AddHook(d, func(now simtime.Time) {
-				if ov := n.sink.Syscall(now, pid, int(SysRead)); ov > 0 {
-					j.ExtendDemand(ov)
-				}
-			})
-		}
-		t.Release(j)
+		now := n.lt.now()
+		j := sched.NewJob(now, d, simtime.Never)
+		n.syscall(j, d, SysRead)
+		n.task.Release(j)
 		gap := simtime.Duration(n.r.Exp(float64(n.meanInterarrival)))
 		if gap < simtime.Microsecond {
 			gap = simtime.Microsecond
 		}
-		n.lt.after(gap, arrive)
-	}
-	if at < n.lt.now() {
-		at = n.lt.now()
-	}
-	n.lt.at(at, arrive)
+		return now.Add(gap)
+	})
 }
-
-// Stop quiesces the arrival process: the next scheduled arrival
-// becomes a no-op. Idempotent; safe before Start.
-func (n *Noise) Stop() { n.stopped = true }
 
 // StartPoissonNoise creates a Poisson noise source whose arrivals
 // begin immediately.

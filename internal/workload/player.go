@@ -1,21 +1,13 @@
 package workload
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/simtime"
 )
-
-// SyscallSink receives the system calls issued by an application and
-// returns the extra execution demand the tracing machinery charges for
-// each recorded call (zero when untraced or filtered out). It is
-// implemented by ktrace.Buffer.
-type SyscallSink interface {
-	Syscall(now simtime.Time, pid int, nr int) simtime.Duration
-}
 
 // PlayerConfig parameterises a media player model.
 type PlayerConfig struct {
@@ -48,7 +40,8 @@ type PlayerConfig struct {
 	EndBurstMin, EndBurstMax     int
 	MidCallsMax                  int
 
-	// Sink receives emitted syscalls; nil disables emission.
+	// Sink is where the player's task starts tracing its syscalls
+	// (nil: untraced); Task().Sink() is the live one.
 	Sink SyscallSink
 }
 
@@ -91,13 +84,9 @@ func MP3PlayerConfig(name string) PlayerConfig {
 
 // Player is a generative model of a periodic multimedia application.
 type Player struct {
-	cfg  PlayerConfig
-	lt   laneTimers
-	task *sched.Task
-	r    *rng.Source
-
-	startedRun bool
-	stopped    bool
+	app
+	cfg PlayerConfig
+	r   *rng.Source
 
 	frame    int
 	finishes []simtime.Time
@@ -109,6 +98,14 @@ type Player struct {
 	// syscall mix weights, cumulative for sampling
 	mixCalls []Syscall
 	mixCum   []float64
+
+	emits []emit // the frame being dressed; reused across frames
+}
+
+// emit is one system call of a frame: call nr at execution offset off.
+type emit struct {
+	off simtime.Duration
+	nr  Syscall
 }
 
 // gopWeight returns the demand multiplier of frame k under the GOP
@@ -152,12 +149,7 @@ func NewPlayer(sd *sched.Scheduler, r *rng.Source, cfg PlayerConfig) *Player {
 	if cfg.MeanDemand <= 0 {
 		panic("workload: player demand must be positive")
 	}
-	p := &Player{
-		cfg:  cfg,
-		lt:   laneTimers{eng: sd.Engine()},
-		task: sd.NewTask(cfg.Name),
-		r:    r,
-	}
+	p := &Player{app: newApp(sd, cfg.Name, cfg.Sink), cfg: cfg, r: r}
 	p.task.OnJobComplete = func(j *sched.Job, now simtime.Time) {
 		p.finishes = append(p.finishes, now)
 		// The frame is displayed at its slot of the output time grid
@@ -191,37 +183,14 @@ func NewPlayer(sd *sched.Scheduler, r *rng.Source, cfg PlayerConfig) *Player {
 	return p
 }
 
-// Task returns the underlying scheduler task.
-func (p *Player) Task() *sched.Task { return p.task }
-
-// Name returns the player's configured name.
-func (p *Player) Name() string { return p.cfg.Name }
-
 // Config returns the player configuration.
 func (p *Player) Config() PlayerConfig { return p.cfg }
 
 // Start begins releasing frames at the given instant (clamped to the
-// present, so a mid-run start cannot schedule into the past). Starting
-// twice panics: a second release loop would corrupt the frame grid.
+// present). Starting twice panics.
 func (p *Player) Start(at simtime.Time) {
-	if p.startedRun {
-		panic("workload: Player started twice")
-	}
-	p.startedRun = true
-	if now := p.lt.now(); at < now {
-		at = now
-	}
+	at = p.start("Player", at)
 	p.gridBase = at
-	next := at
-	var release func()
-	release = func() {
-		if p.stopped {
-			return
-		}
-		p.releaseFrame()
-		next = next.Add(p.cfg.Period)
-		p.lt.at(next, release)
-	}
 	first := at
 	if j := p.cfg.ReleaseJitter; j > 0 {
 		first = first.Add(simtime.Duration(p.r.Int63n(int64(2*j))) - j)
@@ -229,7 +198,12 @@ func (p *Player) Start(at simtime.Time) {
 			first = p.lt.now()
 		}
 	}
-	p.lt.at(first, release)
+	next := at
+	p.repeat(first, func() simtime.Time {
+		p.releaseFrame()
+		next = next.Add(p.cfg.Period)
+		return next
+	})
 }
 
 func (p *Player) sampleSyscall() Syscall {
@@ -255,7 +229,7 @@ func (p *Player) releaseFrame() {
 	total := simtime.Duration(demand)
 	deadline := now.Add(p.cfg.Period)
 	j := sched.NewJob(now, total, deadline)
-	p.addSyscallHooks(j, total)
+	p.addSyscalls(j, total)
 	p.demands = append(p.demands, total)
 
 	// Apply release jitter by deferring the actual release slightly.
@@ -272,18 +246,14 @@ func (p *Player) releaseFrame() {
 	}
 }
 
-// addSyscallHooks attaches this frame's syscall emissions as progress
-// hooks: a burst near progress 0, a burst near completion, and a few
-// scattered mid-frame calls.
-func (p *Player) addSyscallHooks(j *sched.Job, total simtime.Duration) {
-	if p.cfg.Sink == nil {
+// addSyscalls adds this frame's system calls to its job: a burst near
+// progress 0, a burst near completion, and a few scattered mid-frame
+// calls. An untraced player draws none.
+func (p *Player) addSyscalls(j *sched.Job, total simtime.Duration) {
+	if p.task.Sink() == nil {
 		return
 	}
-	type emit struct {
-		off simtime.Duration
-		nr  Syscall
-	}
-	var emits []emit
+	emits := p.emits[:0]
 	span := func(lo, hi float64) simtime.Duration {
 		return simtime.Duration(p.r.Uniform(lo, hi) * float64(total))
 	}
@@ -310,35 +280,12 @@ func (p *Player) addSyscallHooks(j *sched.Job, total simtime.Duration) {
 	// ALSA wait that suspends the task until the next activation).
 	emits = append(emits, emit{total, SysNanosleep})
 
-	sort.Slice(emits, func(a, b int) bool { return emits[a].off < emits[b].off })
-	pid := p.task.PID()
+	slices.SortFunc(emits, func(a, b emit) int { return cmp.Compare(a.off, b.off) })
 	for _, e := range emits {
-		nr := int(e.nr)
-		// The sink is read at fire time, not captured: a cross-lane
-		// migration repoints p.cfg.Sink at the destination core's
-		// tracer, and in-flight jobs must emit there too.
-		j.AddHook(e.off, func(now simtime.Time) {
-			if ov := p.cfg.Sink.Syscall(now, pid, nr); ov > 0 {
-				j.ExtendDemand(ov)
-			}
-		})
+		j.AddSyscall(e.off, int(e.nr))
 	}
+	p.emits = emits
 }
-
-// MoveLane implements LaneMover: re-arm the release loop and any
-// in-flight jittered releases on the destination lane and emit future
-// syscalls into the destination core's tracer.
-func (p *Player) MoveLane(dst *sim.Engine, sink SyscallSink) {
-	p.lt.move(dst)
-	if sink != nil {
-		p.cfg.Sink = sink
-	}
-}
-
-// Stop quiesces the player: the release loop and any in-flight
-// jittered releases become no-ops at their next firing. Jobs already
-// queued on the task are unaffected. Idempotent; safe before Start.
-func (p *Player) Stop() { p.stopped = true }
 
 // Frames returns the number of frames released so far.
 func (p *Player) Frames() int { return p.frame }
@@ -356,13 +303,6 @@ func (p *Player) Demands() []simtime.Duration { return p.demands }
 // starvation widens these intervals (and the catch-up narrows them).
 func (p *Player) InterFrameTimes() []simtime.Duration {
 	return diffs(p.displays)
-}
-
-// InterCompletionTimes returns the intervals between raw decode
-// completions, without the display grid — the scheduler-facing view
-// used by tests of the decode pipeline itself.
-func (p *Player) InterCompletionTimes() []simtime.Duration {
-	return diffs(p.finishes)
 }
 
 func diffs(ts []simtime.Time) []simtime.Duration {

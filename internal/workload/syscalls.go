@@ -9,8 +9,10 @@
 // paper's Section 4.2 relies on: each job emits bursts of system calls
 // concentrated at the beginning and end of its period, at instants
 // that shift with scheduling delay. Jobs carry their syscalls as
-// execution-progress hooks, so a preempted job emits its calls late —
-// exactly the load sensitivity measured in Table 2.
+// (execution offset, number) data that the scheduler issues into the
+// task's sink when the job's execution reaches each offset, so a
+// preempted job emits its calls late — exactly the load sensitivity
+// measured in Table 2.
 package workload
 
 // Syscall identifies a system call in the traced event stream. The

@@ -3,7 +3,6 @@ package workload
 import (
 	"repro/internal/rng"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/simtime"
 )
 
@@ -21,7 +20,8 @@ type TranscoderConfig struct {
 	// syscalls (frame reads/writes). The paper's ffmpeg emits a few
 	// hundred calls per second of CPU time.
 	SyscallEvery simtime.Duration
-	// Sink receives the emitted syscalls; nil disables emission.
+	// Sink is where the transcoder's task starts tracing its syscalls
+	// (nil: untraced).
 	Sink SyscallSink
 	// OnRequest receives one Request when the transcode unit completes
 	// (nil: unobserved). Transcodes run without a deadline, so the
@@ -42,22 +42,10 @@ func DefaultTranscoderConfig(name string) TranscoderConfig {
 // Transcoder is a single CPU-bound batch job that emits syscalls at
 // regular execution-progress intervals.
 type Transcoder struct {
-	cfg     TranscoderConfig
-	lt      laneTimers
-	task    *sched.Task
-	r       *rng.Source
-	calls   int
-	finish  simtime.Time
-	started bool
-}
-
-// MoveLane implements LaneMover: re-arm a pending deferred start on the
-// destination lane and emit future syscalls into its tracer.
-func (tr *Transcoder) MoveLane(dst *sim.Engine, sink SyscallSink) {
-	tr.lt.move(dst)
-	if sink != nil {
-		tr.cfg.Sink = sink
-	}
+	app
+	cfg    TranscoderConfig
+	r      *rng.Source
+	finish simtime.Time
 }
 
 // NewTranscoder creates the transcoder's task in the best-effort class.
@@ -68,7 +56,7 @@ func NewTranscoder(sd *sched.Scheduler, r *rng.Source, cfg TranscoderConfig) *Tr
 	if cfg.SyscallEvery <= 0 {
 		panic("workload: transcoder syscall interval must be positive")
 	}
-	tr := &Transcoder{cfg: cfg, lt: laneTimers{eng: sd.Engine()}, task: sd.NewTask(cfg.Name), r: r}
+	tr := &Transcoder{app: newApp(sd, cfg.Name, cfg.Sink), cfg: cfg, r: r}
 	tr.task.OnJobComplete = func(j *sched.Job, now simtime.Time) { tr.finish = now }
 	if cfg.OnRequest != nil {
 		complete := observeCompletion(cfg.OnRequest, 0)
@@ -80,60 +68,28 @@ func NewTranscoder(sd *sched.Scheduler, r *rng.Source, cfg TranscoderConfig) *Tr
 	return tr
 }
 
-// Task returns the underlying scheduler task.
-func (tr *Transcoder) Task() *sched.Task { return tr.task }
-
-// Name returns the transcoder's configured name.
-func (tr *Transcoder) Name() string { return tr.cfg.Name }
-
 // Start releases the transcode job at the given instant (clamped to
-// the present, so a mid-run start cannot schedule into the past).
-// Starting twice panics, like every other workload.
+// the present). Starting twice panics, like every other workload.
 func (tr *Transcoder) Start(at simtime.Time) {
-	if tr.started {
-		panic("workload: Transcoder started twice")
-	}
-	tr.started = true
-	if now := tr.lt.now(); at < now {
-		at = now
-	}
-	tr.lt.at(at, func() {
+	tr.lt.at(tr.start("Transcoder", at), func() {
+		if tr.stopped {
+			return
+		}
 		work := float64(tr.cfg.TotalWork)
 		if tr.cfg.WorkJitter > 0 {
 			work *= tr.r.Norm(1, tr.cfg.WorkJitter)
 		}
 		total := simtime.Duration(work)
 		j := sched.NewJob(tr.lt.now(), total, simtime.Never)
-		if tr.cfg.Sink != nil {
-			pid := tr.task.PID()
-			// Alternate read (demux input) and write (mux output),
-			// with a periodic lseek. The sink is read at fire time so
-			// an in-flight transcode migrating across lanes emits the
-			// rest of its calls into the destination core's tracer.
-			i := 0
-			for off := tr.cfg.SyscallEvery; off < total; off += tr.cfg.SyscallEvery {
-				nr := SysRead
-				switch i % 4 {
-				case 1, 3:
-					nr = SysWrite
-				case 2:
-					nr = SysLseek
-				}
-				i++
-				j.AddHook(off, func(now simtime.Time) {
-					tr.calls++
-					if ov := tr.cfg.Sink.Syscall(now, pid, int(nr)); ov > 0 {
-						j.ExtendDemand(ov)
-					}
-				})
-			}
+		// Alternate read (demux input) and write (mux output), with a
+		// periodic lseek.
+		calls := [...]Syscall{SysRead, SysWrite, SysLseek, SysWrite}
+		for i, off := 0, tr.cfg.SyscallEvery; off < total; i, off = i+1, off+tr.cfg.SyscallEvery {
+			tr.syscall(j, off, calls[i%len(calls)])
 		}
 		tr.task.Release(j)
 	})
 }
-
-// Calls returns the number of syscalls emitted so far.
-func (tr *Transcoder) Calls() int { return tr.calls }
 
 // Finished reports whether the transcode completed, and when.
 func (tr *Transcoder) Finished() (simtime.Time, bool) {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/simtime"
 )
 
@@ -37,7 +36,8 @@ type VMBootConfig struct {
 	// the VM runs at SteadyDemand indefinitely. Per-slice demand is
 	// capped at Period — a VM cannot use more than one core.
 	Phases []VMBootPhase
-	// Sink receives the VM's I/O syscalls (nil: untraced).
+	// Sink is where the VM's task starts tracing its I/O syscalls
+	// (nil: untraced).
 	Sink SyscallSink
 	// OnRequest receives one Request per completed demand slice (nil:
 	// unobserved). The slice deadline is the period, so a VM falling
@@ -71,28 +71,14 @@ func DefaultVMBootConfig(name string, steadyUtil float64) VMBootConfig {
 // tenant of the cluster scenarios: a realm scaling out sees a boot
 // storm before the new capacity earns its keep.
 type VMBoot struct {
-	cfg     VMBootConfig
-	sd      *sched.Scheduler
-	r       *rng.Source
-	lt      laneTimers
-	task    *sched.Task
-	base    simtime.Time
-	slices  int
-	started bool
-	stopped bool
+	app
+	cfg    VMBootConfig
+	r      *rng.Source
+	base   simtime.Time
+	slices int
 }
 
-// MoveLane implements LaneMover: re-arm the slice grid on the
-// destination lane and emit future syscalls into its tracer.
-func (v *VMBoot) MoveLane(dst *sim.Engine, sink SyscallSink) {
-	v.lt.move(dst)
-	if sink != nil {
-		v.cfg.Sink = sink
-	}
-}
-
-// NewVMBoot prepares a VM. The task exists from construction (so PID
-// filters can be installed); the boot sequence begins at Start.
+// NewVMBoot prepares a VM; the boot sequence begins at Start.
 func NewVMBoot(sd *sched.Scheduler, r *rng.Source, cfg VMBootConfig) *VMBoot {
 	if cfg.Period <= 0 {
 		panic(fmt.Sprintf("workload: vmboot %q: period %v must be positive", cfg.Name, cfg.Period))
@@ -105,19 +91,12 @@ func NewVMBoot(sd *sched.Scheduler, r *rng.Source, cfg VMBootConfig) *VMBoot {
 			panic(fmt.Sprintf("workload: vmboot %q: phase %q needs positive multiplier and length", cfg.Name, ph.Name))
 		}
 	}
-	v := &VMBoot{cfg: cfg, sd: sd, r: r, lt: laneTimers{eng: sd.Engine()}, task: sd.NewTask(cfg.Name)}
+	v := &VMBoot{app: newApp(sd, cfg.Name, cfg.Sink), cfg: cfg, r: r}
 	if cfg.OnRequest != nil {
 		v.task.OnJobComplete = observeCompletion(cfg.OnRequest, cfg.Period)
 	}
 	return v
 }
-
-// Name returns the VM's configured name.
-func (v *VMBoot) Name() string { return v.cfg.Name }
-
-// Task returns the underlying scheduler task (the unit a Tuner
-// manages).
-func (v *VMBoot) Task() *sched.Task { return v.task }
 
 // Slices returns the number of demand slices released so far.
 func (v *VMBoot) Slices() int { return v.slices }
@@ -157,30 +136,14 @@ func (v *VMBoot) mult(elapsed simtime.Duration) float64 {
 // Start begins the boot sequence at the given instant (clamped to the
 // present).
 func (v *VMBoot) Start(at simtime.Time) {
-	if v.started {
-		panic("workload: VMBoot started twice")
-	}
-	v.started = true
-	if now := v.lt.now(); at < now {
-		at = now
-	}
-	v.base = at
-	next := at
-	var slice func()
-	slice = func() {
-		if v.stopped {
-			return
-		}
+	v.base = v.start("VMBoot", at)
+	next := v.base
+	v.repeat(next, func() simtime.Time {
 		v.release(v.lt.now())
 		next = next.Add(v.cfg.Period)
-		v.lt.at(next, slice)
-	}
-	v.lt.at(next, slice)
+		return next
+	})
 }
-
-// Stop quiesces the VM: the next scheduled demand slice becomes a
-// no-op. Idempotent; safe before Start.
-func (v *VMBoot) Stop() { v.stopped = true }
 
 // release queues one demand slice: the phase multiplier times the
 // steady demand, jittered, capped at the period. Boot-phase slices
@@ -201,20 +164,9 @@ func (v *VMBoot) release(now simtime.Time) {
 	}
 	demand := simtime.Duration(d)
 	j := sched.NewJob(now, demand, now.Add(v.cfg.Period))
-	if v.cfg.Sink != nil {
-		pid := v.task.PID()
-		if m != 1 { // booting: disk traffic
-			j.AddHook(0, func(at simtime.Time) {
-				if ov := v.cfg.Sink.Syscall(at, pid, int(SysRead)); ov > 0 {
-					j.ExtendDemand(ov)
-				}
-			})
-		}
-		j.AddHook(demand, func(at simtime.Time) {
-			if ov := v.cfg.Sink.Syscall(at, pid, int(SysNanosleep)); ov > 0 {
-				j.ExtendDemand(ov)
-			}
-		})
+	if m != 1 { // booting: disk traffic
+		v.syscall(j, 0, SysRead)
 	}
+	v.syscall(j, demand, SysNanosleep)
 	v.task.Release(j)
 }

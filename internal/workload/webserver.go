@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/sched"
-	"repro/internal/sim"
 	"repro/internal/simtime"
 )
 
@@ -25,7 +24,8 @@ type WebServerConfig struct {
 	// Deadline is the per-request response deadline, measured from the
 	// request's arrival; missed responses show up in Task().Stats().
 	Deadline simtime.Duration
-	// Sink receives the request/response system calls (nil: untraced).
+	// Sink is where the server's task starts tracing its
+	// request/response system calls (nil: untraced).
 	Sink SyscallSink
 	// OnRequest receives one Request per completed response (nil:
 	// unobserved).
@@ -53,29 +53,14 @@ func DefaultWebServerConfig(name string) WebServerConfig {
 // that gives the telemetry pipeline something spikier to chart than
 // the periodic players.
 type WebServer struct {
-	cfg     WebServerConfig
-	sd      *sched.Scheduler
-	r       *rng.Source
-	lt      laneTimers
-	task    *sched.Task
-	served  int
-	bursts  int
-	started bool
-	stopped bool
+	app
+	cfg    WebServerConfig
+	r      *rng.Source
+	served int
+	bursts int
 }
 
-// MoveLane implements LaneMover: re-arm the burst loop on the
-// destination lane and emit future syscalls into its tracer.
-func (s *WebServer) MoveLane(dst *sim.Engine, sink SyscallSink) {
-	s.lt.move(dst)
-	if sink != nil {
-		s.cfg.Sink = sink
-	}
-}
-
-// NewWebServer prepares a web server. The task exists from
-// construction (so PID filters can be installed); no requests arrive
-// until Start.
+// NewWebServer prepares a web server; no requests arrive until Start.
 func NewWebServer(sd *sched.Scheduler, r *rng.Source, cfg WebServerConfig) *WebServer {
 	if cfg.MeanThink <= 0 {
 		panic(fmt.Sprintf("workload: webserver %q: mean think time %v must be positive", cfg.Name, cfg.MeanThink))
@@ -86,19 +71,12 @@ func NewWebServer(sd *sched.Scheduler, r *rng.Source, cfg WebServerConfig) *WebS
 	if cfg.MeanService <= 0 {
 		panic(fmt.Sprintf("workload: webserver %q: mean service demand %v must be positive", cfg.Name, cfg.MeanService))
 	}
-	s := &WebServer{cfg: cfg, sd: sd, r: r, lt: laneTimers{eng: sd.Engine()}, task: sd.NewTask(cfg.Name)}
+	s := &WebServer{app: newApp(sd, cfg.Name, cfg.Sink), cfg: cfg, r: r}
 	if cfg.OnRequest != nil {
 		s.task.OnJobComplete = observeCompletion(cfg.OnRequest, cfg.Deadline)
 	}
 	return s
 }
-
-// Name returns the server's configured name.
-func (s *WebServer) Name() string { return s.cfg.Name }
-
-// Task returns the underlying scheduler task (the unit a Tuner
-// manages).
-func (s *WebServer) Task() *sched.Task { return s.task }
 
 // Served returns the number of requests released so far.
 func (s *WebServer) Served() int { return s.served }
@@ -106,17 +84,10 @@ func (s *WebServer) Served() int { return s.served }
 // Bursts returns the number of arrival bursts so far.
 func (s *WebServer) Bursts() int { return s.bursts }
 
-// Start begins the arrival process at the given instant.
+// Start begins the arrival process at the given instant (clamped to
+// the present).
 func (s *WebServer) Start(at simtime.Time) {
-	if s.started {
-		panic("workload: WebServer started twice")
-	}
-	s.started = true
-	var burst func()
-	burst = func() {
-		if s.stopped {
-			return
-		}
+	s.repeat(s.start("WebServer", at), func() simtime.Time {
 		s.bursts++
 		// Geometric burst size with the configured mean: each extra
 		// request follows with probability 1 - 1/Burst.
@@ -131,18 +102,9 @@ func (s *WebServer) Start(at simtime.Time) {
 		if gap < simtime.Microsecond {
 			gap = simtime.Microsecond
 		}
-		s.lt.after(gap, burst)
-	}
-	if at < s.lt.now() {
-		at = s.lt.now()
-	}
-	s.lt.at(at, burst)
+		return now.Add(gap)
+	})
 }
-
-// Stop quiesces the arrival process: the next scheduled burst becomes
-// a no-op. Requests already queued on the task are unaffected.
-// Idempotent; safe before Start.
-func (s *WebServer) Stop() { s.stopped = true }
 
 // release queues one request: an exponentially sized job with a
 // response deadline, emitting a read() on accept and a write() when
@@ -159,18 +121,7 @@ func (s *WebServer) release(now simtime.Time) {
 		dl = now.Add(s.cfg.Deadline)
 	}
 	j := sched.NewJob(now, d, dl)
-	if s.cfg.Sink != nil {
-		pid := s.task.PID()
-		j.AddHook(0, func(at simtime.Time) {
-			if ov := s.cfg.Sink.Syscall(at, pid, int(SysRead)); ov > 0 {
-				j.ExtendDemand(ov)
-			}
-		})
-		j.AddHook(d, func(at simtime.Time) {
-			if ov := s.cfg.Sink.Syscall(at, pid, int(SysWrite)); ov > 0 {
-				j.ExtendDemand(ov)
-			}
-		})
-	}
+	s.syscall(j, 0, SysRead)
+	s.syscall(j, d, SysWrite)
 	s.task.Release(j)
 }

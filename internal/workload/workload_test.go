@@ -228,7 +228,7 @@ func TestReservedPeriodicMeetsDeadlines(t *testing.T) {
 	r := rng.New(8)
 	rp := workload.StartReservedPeriodic(sd, r, "rt", 645*simtime.Microsecond, 4300*simtime.Microsecond, 0.97, 0)
 	eng.RunUntil(simtime.Time(5 * simtime.Second))
-	st := rp.Task.Stats()
+	st := rp.Task().Stats()
 	if st.Completed < 1000 {
 		t.Fatalf("completed %d jobs", st.Completed)
 	}
@@ -295,8 +295,8 @@ func TestStartLoadSpawnsAllReservations(t *testing.T) {
 	}
 	eng.RunUntil(simtime.Time(2 * simtime.Second))
 	for _, a := range apps {
-		if a.Task.Stats().Missed != 0 {
-			t.Errorf("load task %v missed deadlines", a.Task)
+		if a.Task().Stats().Missed != 0 {
+			t.Errorf("load task %v missed deadlines", a.Task())
 		}
 	}
 }
@@ -408,5 +408,81 @@ func TestWebServerUtilisationScalesWithService(t *testing.T) {
 	}
 	if math.Abs(hi-0.60) > 0.15 {
 		t.Errorf("heavy traffic consumed %.3f of the CPU, want ~0.60", hi)
+	}
+}
+
+// TestMoveLaneSinkRule checks the one sink rule of every kind's
+// MoveLane: a move repoints a traced task's sink, leaves an untraced
+// task untraced, and keeps the current sink when given none.
+func TestMoveLaneSinkRule(t *testing.T) {
+	type mover interface {
+		workload.LaneMover
+		Task() *sched.Task
+	}
+	r := rng.New(5)
+	for _, k := range []struct {
+		name      string
+		traceable bool
+		build     func(sd *sched.Scheduler, sink workload.SyscallSink) mover
+	}{
+		{"player", true, func(sd *sched.Scheduler, sink workload.SyscallSink) mover {
+			cfg := workload.MP3PlayerConfig("mp3")
+			cfg.Sink = sink
+			return workload.NewPlayer(sd, r.Split(), cfg)
+		}},
+		{"webserver", true, func(sd *sched.Scheduler, sink workload.SyscallSink) mover {
+			cfg := workload.DefaultWebServerConfig("web")
+			cfg.Sink = sink
+			return workload.NewWebServer(sd, r.Split(), cfg)
+		}},
+		{"gameloop", true, func(sd *sched.Scheduler, sink workload.SyscallSink) mover {
+			cfg := workload.DefaultGameLoopConfig("game")
+			cfg.Sink = sink
+			return workload.NewGameLoop(sd, r.Split(), cfg)
+		}},
+		{"vmboot", true, func(sd *sched.Scheduler, sink workload.SyscallSink) mover {
+			cfg := workload.DefaultVMBootConfig("vm", 0.2)
+			cfg.Sink = sink
+			return workload.NewVMBoot(sd, r.Split(), cfg)
+		}},
+		{"noise", true, func(sd *sched.Scheduler, sink workload.SyscallSink) mover {
+			return workload.NewNoise(sd, r.Split(), "noise", 50*ms, 2*ms, sink)
+		}},
+		{"transcoder", true, func(sd *sched.Scheduler, sink workload.SyscallSink) mover {
+			cfg := workload.DefaultTranscoderConfig("ffmpeg")
+			cfg.Sink = sink
+			return workload.NewTranscoder(sd, r.Split(), cfg)
+		}},
+		{"reserved periodic", false, func(sd *sched.Scheduler, _ workload.SyscallSink) mover {
+			return workload.StartReservedPeriodic(sd, r.Split(), "rt", ms, 10*ms, 0.5, 0)
+		}},
+	} {
+		for _, traced := range []bool{false, true} {
+			if traced && !k.traceable {
+				continue
+			}
+			var sink workload.SyscallSink
+			if traced {
+				sink = ktrace.NewBuffer(ktrace.QTrace, 16)
+			}
+			eng, sd := newSim()
+			m := k.build(sd, sink)
+			if got := m.Task().Sink(); got != sink {
+				t.Errorf("%s (traced %v): task starts with sink %v, want %v", k.name, traced, got, sink)
+			}
+			m.MoveLane(eng, nil)
+			if got := m.Task().Sink(); got != sink {
+				t.Errorf("%s (traced %v): a move without a sink changed it to %v", k.name, traced, got)
+			}
+			dst := ktrace.NewBuffer(ktrace.QTrace, 16)
+			m.MoveLane(sim.New(), dst)
+			want := workload.SyscallSink(nil)
+			if traced {
+				want = dst
+			}
+			if got := m.Task().Sink(); got != want {
+				t.Errorf("%s (traced %v): sink after the move is %v, want %v", k.name, traced, got, want)
+			}
+		}
 	}
 }

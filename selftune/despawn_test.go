@@ -116,3 +116,24 @@ func TestDespawnRejectsSharedGroupMembers(t *testing.T) {
 		t.Error("Despawn of a TuneShared member succeeded")
 	}
 }
+
+// TestDespawnTranscoderBeforeItsStart despawns a transcoder whose
+// deferred start is still pending. Despawn's Stop must turn that start
+// into a no-op: the task has left the scheduler, so releasing its job
+// would crash the simulation.
+func TestDespawnTranscoderBeforeItsStart(t *testing.T) {
+	sys := newSystem(t, selftune.WithSeed(3))
+	h, err := sys.Spawn("transcoder")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Start(selftune.Time(selftune.Second))
+	sys.Run(100 * selftune.Millisecond)
+	if err := sys.Despawn(h); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(2 * selftune.Second)
+	if n := len(sys.Core(0).Scheduler().Tasks()); n != 0 {
+		t.Errorf("%d tasks left on the core after the despawn", n)
+	}
+}

@@ -232,7 +232,7 @@ func TestSingleEngineMigrateLeavesTracerAndSink(t *testing.T) {
 	if got := sys.Tracer().Snapshot(); !slices.Equal(got, ring) {
 		t.Errorf("shared tracer changed across a single-engine move: %d -> %d events", len(ring), len(got))
 	}
-	if got := player.Player().Config().Sink; got != workload.SyscallSink(sink) {
+	if got := player.Player().Task().Sink(); got != workload.SyscallSink(sink) {
 		t.Errorf("player sink is %T after the move, want the custom sink", got)
 	}
 	recorded := sink.n

@@ -32,7 +32,7 @@ func TestSpawnUnknownKind(t *testing.T) {
 	}
 }
 
-// registerTestKinds registers the kinds the registry tests spawn. The
+// registerTestKinds registers the kinds the tests spawn. The
 // registry is process-wide and refuses a second registration, so it
 // runs once per process: the tests then pass when repeated (-count)
 // and in any order (-shuffle). TestAllKindsRunUnderAllPolicies skips
@@ -51,6 +51,12 @@ var registerTestKinds = sync.OnceFunc(func() {
 	})
 	selftune.Register("test-nil-kind", func(env selftune.Env, spec selftune.SpawnSpec) (selftune.Workload, error) {
 		return nil, nil
+	})
+	selftune.Register("test-cbs-job", func(env selftune.Env, spec selftune.SpawnSpec) (selftune.Workload, error) {
+		srv := env.Scheduler.NewServer(spec.Name, 5*selftune.Millisecond, 10*selftune.Millisecond, selftune.HardCBS)
+		task := env.Scheduler.NewTask(spec.Name)
+		task.AttachTo(srv, 0)
+		return &cbsJob{sd: env.Scheduler, srv: srv, task: task}, nil
 	})
 })
 

@@ -136,7 +136,7 @@ func retainedAts(s Snapshot) map[string][]selftune.Time {
 // TestSeriesCapacity bounds every retained series to its most recent
 // entries, oldest first, without touching the counters and histograms,
 // across wrap-around of the ring; the unbounded default keeps every
-// event in order.
+// event in order, also across its blocks.
 func TestSeriesCapacity(t *testing.T) {
 	series := []string{"ticks:x", "exhausts", "loads", "domains", "moves", "batches", "rejects", "requests"}
 	for _, tc := range []struct {
@@ -149,6 +149,7 @@ func TestSeriesCapacity(t *testing.T) {
 		{"capacity 4", []CollectorOption{WithSeriesCapacity(4)}, 2*4 + 3, 4},
 		{"capacity 4 below bound", []CollectorOption{WithSeriesCapacity(4)}, 3, 3},
 		{"unbounded", nil, 37, 37},
+		{"unbounded across blocks", nil, 2*ringBlock + 37, 2*ringBlock + 37},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewCollector(append([]CollectorOption{WithDomains([]int{0, 1})}, tc.opts...)...)

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/ktrace"
+	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/workload"
 	"repro/selftune"
 )
 
@@ -362,6 +365,85 @@ func TestTransferRejectedBySupervisorChangesNothing(t *testing.T) {
 			b.Run(1 * selftune.Second)
 			if got := h.Player().Frames(); got <= frames {
 				t.Errorf("workload stalled on the source after rejected Transfer: %d frames, had %d", got, frames)
+			}
+		})
+	}
+}
+
+// cbsJob is the "test-cbs-job" kind: a hard (5 ms, 10 ms) reservation
+// whose task gets one 5 ms job at Start, due 10 ms later. Servers names
+// the reservation a move carries; MoveLane has nothing to carry once
+// the job is released.
+type cbsJob struct {
+	sd   *selftune.Scheduler
+	srv  *selftune.Server
+	task *selftune.Task
+}
+
+func (c *cbsJob) Name() string                                     { return c.task.Name() }
+func (c *cbsJob) Servers() []*selftune.Server                      { return []*selftune.Server{c.srv} }
+func (c *cbsJob) MoveLane(dst *sim.Engine, _ workload.SyscallSink) {}
+
+func (c *cbsJob) Start(at selftune.Time) {
+	c.sd.Engine().At(at, func() {
+		c.task.Release(sched.NewJob(at, 5*selftune.Millisecond, at.Add(10*selftune.Millisecond)))
+	})
+}
+
+// TestTransferKeepsDestinationReservations runs the counterexample of
+// sched's TestMoveKeepsDestinationReservations through System.Transfer
+// between two 1-CPU machines. On the source, Y and X (each 5 ms every
+// 10 ms, hint 0.5) get a job at 0; Y wins the EDF tie, so X is still
+// starved at 5 ms, when it moves with q = 5 ms and d = 10 ms. On the
+// destination, Z (3.6 ms every 8 ms) has a 3.6 ms job released at 4 ms
+// and due at 12 ms. The move passes admission (0.45 + 0.5), so it must
+// not cost Z its deadline: Z finishes at 7.6 ms, as without the move.
+func TestTransferKeepsDestinationReservations(t *testing.T) {
+	registerTestKinds()
+	const ms = selftune.Millisecond
+	for _, mode := range moveModes {
+		t.Run(mode.name, func(t *testing.T) {
+			src, err := selftune.NewSystem(append([]selftune.Option{selftune.WithSeed(1)}, mode.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(src.Close)
+			dst, err := selftune.NewSystem(append([]selftune.Option{
+				selftune.WithSeed(2), selftune.WithPIDOffset(1_000_000_000)}, mode.opts...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(dst.Close)
+			var x *selftune.Handle
+			for _, name := range []string{"Y", "X"} {
+				h, err := src.Spawn("test-cbs-job", selftune.SpawnName(name), selftune.SpawnHint(0.5))
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Start(0)
+				x = h
+			}
+			zs := dst.Core(0).Scheduler()
+			z := zs.NewServer("Z", 3600*selftune.Microsecond, 8*ms, selftune.HardCBS)
+			zTask := zs.NewTask("Z")
+			zTask.AttachTo(z, 0)
+			var done selftune.Time
+			zTask.OnJobComplete = func(_ *sched.Job, now selftune.Time) { done = now }
+			zs.Engine().At(selftune.Time(4*ms), func() {
+				zTask.Release(sched.NewJob(zs.Engine().Now(), 3600*selftune.Microsecond, selftune.Time(12*ms)))
+			})
+
+			src.Run(5 * ms)
+			dst.Run(5 * ms)
+			if _, err := src.Transfer(x, dst); err != nil {
+				t.Fatalf("Transfer: %v", err)
+			}
+			dst.Run(25 * ms)
+			if done != selftune.Time(7600*selftune.Microsecond) {
+				t.Errorf("Z's job due at 12ms finished at %v, want 7.6ms", done)
+			}
+			if zTask.Stats().Missed != 0 {
+				t.Errorf("Z missed %d deadlines", zTask.Stats().Missed)
 			}
 		})
 	}

@@ -84,14 +84,10 @@ type Scheduler struct {
 	// paper's Sec. 6 proposes as an alternative tracing source.
 	transitionHook func(t *Task, ready bool, now simtime.Time)
 
-	// exhaustHook, if set, observes every server budget exhaustion,
+	// exhaustBus, if set, observes every server budget exhaustion,
 	// before the CBS-mode recovery (throttle or postpone) runs. It is
-	// the simulated qres budget-overrun notification and belongs to
-	// the end user; embedding layers must use exhaustBus.
-	exhaustHook func(srv *Server, now simtime.Time)
-	// exhaustBus is a second exhaustion observer reserved for the
-	// observation bus of an embedding system, so user code calling
-	// SetExhaustHook cannot sever it.
+	// the simulated qres budget-overrun notification, and the
+	// observation bus of an embedding system owns it.
 	exhaustBus func(srv *Server, now simtime.Time)
 }
 
@@ -243,15 +239,10 @@ func (sd *Scheduler) TotalReservedBandwidth() float64 {
 	return u
 }
 
-// SetExhaustHook installs fn as the budget-exhaustion observer, fired
-// before the CBS-mode recovery runs. The hook must only read scheduler
-// state; mutating it re-entrantly is a bug. Passing nil clears it.
-func (sd *Scheduler) SetExhaustHook(fn func(srv *Server, now simtime.Time)) {
-	sd.exhaustHook = fn
-}
-
-// SetExhaustBus installs the embedding system's exhaustion observer.
-// It fires alongside (before) the user hook and survives SetExhaustHook.
+// SetExhaustBus installs the embedding system's budget-exhaustion
+// observer, fired before the CBS-mode recovery runs. It must only read
+// scheduler state; mutating it re-entrantly is a bug. Passing nil
+// clears it.
 func (sd *Scheduler) SetExhaustBus(fn func(srv *Server, now simtime.Time)) {
 	sd.exhaustBus = fn
 }

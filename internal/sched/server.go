@@ -237,9 +237,6 @@ func (s *Server) exhaust(now simtime.Time) {
 	if s.sched.exhaustBus != nil {
 		s.sched.exhaustBus(s, now)
 	}
-	if s.sched.exhaustHook != nil {
-		s.sched.exhaustHook(s, now)
-	}
 	switch s.mode {
 	case SoftCBS:
 		s.q = s.budget

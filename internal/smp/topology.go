@@ -5,15 +5,13 @@ package smp
 // equidistant, which makes migrations free — but on real hardware a
 // move across a NUMA boundary forfeits cache warmth and memory
 // locality. A Topology gives the balancing policies the structure they
-// need to price that in: which cores share a domain, and how far apart
-// two cores are.
+// need to price that in: which cores share a domain.
 //
 // The model is deliberately flat-hierarchical: a machine is a
-// partition of its cores into domains (nodes), distance is 0 within a
-// domain and 1 across. That is enough to express "prefer intra-node
-// steals, charge for crossing" without committing to a particular
-// interconnect; a deeper hierarchy can refine Distance later without
-// touching its callers.
+// partition of its cores into domains (nodes), and callers read each
+// core's domain from the per-core domain map (DomainMap). That is
+// enough to express "prefer intra-node steals, charge for crossing"
+// without committing to a particular interconnect.
 
 import "fmt"
 
@@ -126,29 +124,6 @@ func (t Topology) DomainMap(cores int) []int {
 	return out
 }
 
-// DomainOf returns the domain index of the given core (0 for the zero
-// value or an uncovered core).
-func (t Topology) DomainOf(core int) int {
-	for d, node := range t.Domains {
-		for _, c := range node {
-			if c == core {
-				return d
-			}
-		}
-	}
-	return 0
-}
-
-// Distance returns the migration distance between two cores: 0 within
-// a domain, 1 across domains. The zero value puts every core in one
-// domain, so its distances are all 0.
-func (t Topology) Distance(a, b int) int {
-	if t.Empty() || t.DomainOf(a) == t.DomainOf(b) {
-		return 0
-	}
-	return 1
-}
-
 // clone returns a deep copy, so a Machine's topology cannot be
 // mutated through a slice the caller kept.
 func (t Topology) clone() Topology {
@@ -216,17 +191,6 @@ func (m *Machine) NumDomains() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.topo.NumDomains()
-}
-
-// Distance returns the migration distance between two cores: 0 within
-// a domain, 1 across.
-func (m *Machine) Distance(a, b int) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.domainAt(a) == m.domainAt(b) {
-		return 0
-	}
-	return 1
 }
 
 // CrossNodeMigrations returns how many successful migrations crossed

@@ -63,7 +63,7 @@ func TestTopologyUniformShapes(t *testing.T) {
 	}
 }
 
-func TestTopologyDomainMapAndDistance(t *testing.T) {
+func TestTopologyDomainMap(t *testing.T) {
 	topo := Topology{Domains: [][]int{{0, 2}, {1, 3}}}
 	want := []int{0, 1, 0, 1}
 	got := topo.DomainMap(4)
@@ -71,19 +71,12 @@ func TestTopologyDomainMapAndDistance(t *testing.T) {
 		if got[c] != d {
 			t.Errorf("DomainMap[%d] = %d, want %d", c, got[c], d)
 		}
-		if topo.DomainOf(c) != d {
-			t.Errorf("DomainOf(%d) = %d, want %d", c, topo.DomainOf(c), d)
-		}
-	}
-	if topo.Distance(0, 2) != 0 || topo.Distance(1, 3) != 0 {
-		t.Error("intra-domain distance is not 0")
-	}
-	if topo.Distance(0, 1) != 1 || topo.Distance(2, 3) != 1 {
-		t.Error("cross-domain distance is not 1")
 	}
 	var zero Topology
-	if zero.Distance(0, 99) != 0 {
-		t.Error("zero-value topology has non-zero distances")
+	for c, d := range zero.DomainMap(4) {
+		if d != 0 {
+			t.Errorf("zero-value topology puts core %d in domain %d, want 0", c, d)
+		}
 	}
 }
 
@@ -145,7 +138,7 @@ func TestMachineCrossNodeCounter(t *testing.T) {
 
 // TestMachineSingleDomainEqualsFlat pins the degenerate case: a
 // machine with an explicit single-domain topology behaves exactly like
-// one that never heard of topologies — zero distances, one domain,
+// one that never heard of topologies — one domain holding every core,
 // and no migration ever counted as cross-node.
 func TestMachineSingleDomainEqualsFlat(t *testing.T) {
 	flat := newMachine(sim.New(), 4)
@@ -157,8 +150,8 @@ func TestMachineSingleDomainEqualsFlat(t *testing.T) {
 		if m.NumDomains() != 1 {
 			t.Errorf("NumDomains = %d, want 1", m.NumDomains())
 		}
-		if m.Distance(0, 3) != 0 {
-			t.Error("single-domain machine has non-zero distance")
+		if m.DomainOf(0) != m.DomainOf(3) {
+			t.Error("single-domain machine puts cores 0 and 3 in different domains")
 		}
 		migrateOne(t, m, 0, 3)
 		if m.CrossNodeMigrations() != 0 {

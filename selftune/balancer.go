@@ -25,8 +25,8 @@ package selftune
 // The Balancer is an interface, so policies are pluggable: the
 // built-ins (BalanceReactive, BalanceWorkStealing and, in topology.go,
 // BalanceTopologyAware) cover pull, multi-migration de-consolidation
-// and cost-based placement, and WithBalancer accepts any user
-// implementation.
+// and cost-based placement through one greedy planner (planPush), and
+// WithBalancer accepts any user implementation.
 //
 // With any balancer configured, admission is machine-wide: a spawn
 // that fails worst-fit placement builds an admission Snapshot (its
@@ -108,18 +108,6 @@ func (s Snapshot) Distance(a, b int) int {
 		return 0
 	}
 	return 1
-}
-
-// NumDomains returns how many cache/NUMA domains the snapshot's cores
-// span (1 without a topology).
-func (s Snapshot) NumDomains() int {
-	max := 0
-	for _, d := range s.Domain {
-		if d > max {
-			max = d
-		}
-	}
-	return max + 1
 }
 
 // Unit is one migration unit of a Snapshot: the set of CBS servers
@@ -216,7 +204,7 @@ func (b *reactiveBalancer) Plan(snap Snapshot) []Move {
 		return nil
 	}
 	b.streak = 0
-	return planPush(snap, 1, "imbalance")
+	return planPush(snap, 1, "imbalance", 0)
 }
 
 type workStealingBalancer struct{}
@@ -235,16 +223,24 @@ func (workStealingBalancer) Plan(snap Snapshot) []Move {
 	if snap.Reason == PlanAdmissionReason {
 		return PlanAdmission(snap)
 	}
-	return planPush(snap, stealMax*len(snap.Loads), "steal")
+	return planPush(snap, stealMax*len(snap.Loads), "steal", 0)
 }
 
-// planPush is the greedy shared by the built-in policies: repeatedly
-// move the biggest migratable unit of the (planned) hottest core that
-// fits on the (planned) coldest one without overshooting the gap,
-// until the planned spread is under the threshold or max moves are
-// planned. The per-destination claim count is bounded by stealMax so
-// a single cold core cannot soak up the whole plan.
-func planPush(snap Snapshot, max int, reason string) []Move {
+// planPush is the one greedy planner behind the built-in policies: it
+// repeatedly moves the best (unit, destination) pair off the
+// planned-hottest core, scored
+//
+//	score = charge × (1 − cost × distance)
+//
+// until the gap to the planned-coldest core still allowed to claim is
+// within the threshold, or max moves are planned. A candidate must
+// reduce the pairwise imbalance (charge under the gap: moving more
+// would just invert it) and fit the destination's bound; ties go to
+// the colder destination, so one node fills evenly. With cost > 0,
+// shared-reservation groups (TuneShared) never leave their domain.
+// Each destination claims at most stealMax units per plan, so a single
+// cold core cannot soak up the whole plan.
+func planPush(snap Snapshot, max int, reason string, cost float64) []Move {
 	loads := append([]float64(nil), snap.Loads...)
 	unitCore := make([]int, len(snap.Units))
 	for i, u := range snap.Units {
@@ -254,8 +250,6 @@ func planPush(snap Snapshot, max int, reason string) []Move {
 	claims := make([]int, len(loads))
 	var moves []Move
 	for len(moves) < max {
-		// Planned-coldest core still allowed to claim, planned-hottest
-		// core overall.
 		hi, lo := -1, -1
 		for i, l := range loads {
 			if hi < 0 || l > loads[hi] {
@@ -265,38 +259,43 @@ func planPush(snap Snapshot, max int, reason string) []Move {
 				lo = i
 			}
 		}
-		if hi < 0 || lo < 0 || hi == lo {
+		if lo < 0 || loads[hi]-loads[lo] <= snap.Threshold {
 			break
 		}
-		gap := loads[hi] - loads[lo]
-		if gap <= snap.Threshold {
-			break
-		}
-		// Biggest unused migratable unit on the hot core that fits on
-		// the cold one without overshooting (moving more than the gap
-		// would just invert the imbalance).
-		best, bestCharge := -1, 0.0
+		best, bestDest, bestScore := -1, -1, 0.0
 		for i, u := range snap.Units {
-			if used[i] || unitCore[i] != hi || !u.Migratable {
+			if used[i] || unitCore[i] != hi || !u.Migratable || u.Charge <= 0 {
 				continue
 			}
-			if u.Charge <= bestCharge || u.Charge >= gap {
-				continue
+			for dest := range loads {
+				if dest == hi || claims[dest] >= stealMax || u.Charge >= loads[hi]-loads[dest] ||
+					loads[dest]+u.Charge > snap.ULub[dest]+1e-9 {
+					continue
+				}
+				dist := snap.Distance(hi, dest)
+				if cost > 0 && dist > 0 && u.Kind == "shared" {
+					continue
+				}
+				score := u.Charge * (1 - cost*float64(dist))
+				if best >= 0 && (score < bestScore || (score == bestScore && loads[dest] >= loads[bestDest])) {
+					continue
+				}
+				best, bestDest, bestScore = i, dest, score
 			}
-			if loads[lo]+u.Charge > snap.ULub[lo]+1e-9 {
-				continue
-			}
-			best, bestCharge = i, u.Charge
 		}
 		if best < 0 {
 			break
 		}
+		// A non-positive score still moves: the gap is above the
+		// threshold and this is the cheapest step down, the cross-node
+		// fallback when the hot core's own node has no room left.
+		charge := snap.Units[best].Charge
 		used[best] = true
-		unitCore[best] = lo
-		loads[hi] -= bestCharge
-		loads[lo] += bestCharge
-		claims[lo]++
-		moves = append(moves, Move{Unit: best, To: lo, Reason: reason})
+		unitCore[best] = bestDest
+		loads[hi] -= charge
+		loads[bestDest] += charge
+		claims[bestDest]++
+		moves = append(moves, Move{Unit: best, To: bestDest, Reason: reason})
 	}
 	return moves
 }

@@ -144,39 +144,6 @@ func TestUnobservedSystemsMatchObservedOnes(t *testing.T) {
 	}
 }
 
-// TestUserExhaustHookDoesNotSeverBus installs a user exhaust hook on
-// the core's scheduler and checks observers still receive
-// BudgetExhaustedEvents (the bus uses its own slot).
-func TestUserExhaustHookDoesNotSeverBus(t *testing.T) {
-	sys := newSystem(t, selftune.WithSeed(6))
-	app, err := sys.Spawn("video",
-		selftune.SpawnUtil(0.4),
-		selftune.Tuned(selftune.DefaultTunerConfig()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var busEvents, userEvents int
-	sys.Subscribe(selftune.ObserverFunc(func(e selftune.Event) {
-		if e.Kind == selftune.BudgetExhaustedEvent {
-			busEvents++
-		}
-	}))
-	sys.Core(0).Scheduler().SetExhaustHook(func(srv *selftune.Server, now selftune.Time) {
-		userEvents++
-	})
-	app.Start(0)
-	sys.Run(5 * selftune.Second)
-	if busEvents == 0 {
-		t.Error("user SetExhaustHook severed observer exhaustion events")
-	}
-	if userEvents == 0 {
-		t.Error("user exhaust hook never fired")
-	}
-	if busEvents != userEvents {
-		t.Errorf("bus saw %d exhaustions, user hook %d", busEvents, userEvents)
-	}
-}
-
 // TestSamplerRetiresWithoutObservers cancels the only observer and
 // checks the load sampler stops rescheduling itself, then restarts on
 // the next subscription. The System runs no workloads, so every engine

@@ -105,7 +105,3 @@ func DefaultTunerConfig() TunerConfig { return core.DefaultConfig() }
 // coresPerNode each (the last node takes the remainder). coresPerNode
 // <= 0 selects the default of 8 cores per node.
 func UniformTopology(cores, coresPerNode int) Topology { return smp.Uniform(cores, coresPerNode) }
-
-// FlatTopology returns the degenerate single-domain topology — every
-// core in one node, the behaviour of a machine without WithTopology.
-func FlatTopology(cores int) Topology { return smp.Flat(cores) }

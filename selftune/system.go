@@ -127,9 +127,8 @@ func NewSystem(opts ...Option) (*System, error) {
 			return nil, fmt.Errorf("selftune: WithTopology: %w", err)
 		}
 	}
-	// Every core's exhaustion bus slot feeds the observer bus (the
-	// user-facing SetExhaustHook slot stays free); a no-op until
-	// someone subscribes.
+	// Every core's exhaustion slot feeds the observer bus; a no-op
+	// until someone subscribes.
 	for i := 0; i < s.machine.Cores(); i++ {
 		s.machine.Core(i).SetExhaustBus(func(srv *sched.Server, now Time) {
 			s.emit(i, Event{Kind: BudgetExhaustedEvent, Core: i, Source: srv.Name()})

@@ -6,12 +6,13 @@ package selftune
 // multiprocessor simulation lets them get away with — but on real
 // hardware a move across a NUMA boundary forfeits cache warmth and
 // memory locality. With WithTopology installed, the Snapshot carries
-// each core's domain, and this policy scores every candidate move by
-// what it gains (bandwidth taken off the hottest core) minus what it
-// costs (a distance-weighted fraction of the moved bandwidth). The
-// result: intra-node steals win while a node has room, crossing a node
-// boundary happens only when the spread cannot come down any other
-// way, and TuneShared groups never leave their domain at all.
+// each core's domain, and this policy runs the stealing planner with
+// every candidate move scored by what it gains (bandwidth taken off
+// the hottest core) minus what it costs (a distance-weighted fraction
+// of the moved bandwidth). The result: intra-node steals win while a
+// node has room, crossing a node boundary happens only when the spread
+// cannot come down any other way, and TuneShared groups never leave
+// their domain at all.
 
 // DefaultCrossNodeCost is the fraction of a unit's bandwidth a
 // cross-node move forfeits in the default BalanceTopologyAware scoring
@@ -30,18 +31,19 @@ type topologyAware struct {
 }
 
 // BalanceTopologyAware returns the cost-based placement policy over
-// the machine topology (WithTopology): on every balance tick it moves
-// units off the hottest core like the work-stealing policy, but each
+// the machine topology (WithTopology): on every balance tick it plans
+// like the work-stealing policy, and stops where it stops, but each
 // candidate (unit, destination) pair is scored
 //
 //	score = charge × (1 − cost × distance)
 //
-// with distance 0 inside a cache/NUMA domain and 1 across — so
-// intra-node destinations are preferred, cross-node moves happen only
-// when a node saturates (no intra-node destination can take the load),
-// and shared-reservation groups (TuneShared) keep hard affinity to
-// their domain. On a machine without a topology every distance is 0
-// and the policy degenerates to plain greedy stealing.
+// with distance 0 inside a cache/NUMA domain and 1 across, and cost
+// DefaultCrossNodeCost — so intra-node destinations are preferred,
+// cross-node moves happen only when a node saturates (no intra-node
+// destination can take the load), and shared-reservation groups
+// (TuneShared) keep hard affinity to their domain. On a machine
+// without a topology every distance is 0 and the policy degenerates
+// to plain greedy stealing.
 func BalanceTopologyAware() Balancer { return topologyAware{cost: DefaultCrossNodeCost} }
 
 func (topologyAware) Name() string { return "topology-aware" }
@@ -50,73 +52,5 @@ func (b topologyAware) Plan(snap Snapshot) []Move {
 	if snap.Reason == PlanAdmissionReason {
 		return PlanAdmission(snap)
 	}
-	loads := append([]float64(nil), snap.Loads...)
-	unitCore := make([]int, len(snap.Units))
-	for i, u := range snap.Units {
-		unitCore[i] = u.Core
-	}
-	used := make([]bool, len(snap.Units))
-	claims := make([]int, len(loads))
-	maxMoves := stealMax * len(loads)
-	var moves []Move
-	for len(moves) < maxMoves {
-		if spread(loads) <= snap.Threshold {
-			break
-		}
-		hi := 0
-		for i, l := range loads {
-			if l > loads[hi] {
-				hi = i
-			}
-		}
-		// Best-scoring (unit, destination) pair off the hot core. A
-		// candidate must actually reduce the pairwise imbalance (charge
-		// under the gap) and fit the destination's bound; among the
-		// survivors the score decides, ties going to the colder
-		// destination so one node fills evenly.
-		best, bestDest, bestScore, bestDestLoad := -1, -1, 0.0, 0.0
-		for i, u := range snap.Units {
-			if used[i] || unitCore[i] != hi || !u.Migratable || u.Charge <= 0 {
-				continue
-			}
-			for dest := range loads {
-				if dest == hi || claims[dest] >= stealMax {
-					continue
-				}
-				if u.Charge >= loads[hi]-loads[dest] {
-					continue
-				}
-				if loads[dest]+u.Charge > snap.ULub[dest]+1e-9 {
-					continue
-				}
-				dist := snap.Distance(hi, dest)
-				if dist > 0 && u.Kind == "shared" {
-					// Group affinity: a shared-reservation application's
-					// threads stay co-located within their domain, whatever
-					// the pressure.
-					continue
-				}
-				score := u.Charge * (1 - b.cost*float64(dist))
-				if best >= 0 && (score < bestScore ||
-					(score == bestScore && loads[dest] >= bestDestLoad)) {
-					continue
-				}
-				best, bestDest, bestScore, bestDestLoad = i, dest, score, loads[dest]
-			}
-		}
-		if best < 0 {
-			break
-		}
-		// A non-positive score still moves: the spread is above the
-		// threshold and this is the cheapest step down — the cross-node
-		// fallback when the hot core's own node has no room left.
-		charge := snap.Units[best].Charge
-		used[best] = true
-		unitCore[best] = bestDest
-		loads[hi] -= charge
-		loads[bestDest] += charge
-		claims[bestDest]++
-		moves = append(moves, Move{Unit: best, To: bestDest, Reason: "numa"})
-	}
-	return moves
+	return planPush(snap, stealMax*len(snap.Loads), "numa", b.cost)
 }

@@ -8,7 +8,7 @@ package feedback
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/simtime"
 )
@@ -37,9 +37,10 @@ type QuantilePredictor struct {
 	P float64
 	N int
 
-	ring []simtime.Duration
-	next int
-	full bool
+	ring   []simtime.Duration
+	sorted []simtime.Duration // Predict's scratch copy of ring
+	next   int
+	full   bool
 }
 
 // NewQuantilePredictor returns a quantile predictor over the last n
@@ -51,7 +52,7 @@ func NewQuantilePredictor(p float64, n int) *QuantilePredictor {
 	if n <= 0 {
 		panic("feedback: window size must be positive")
 	}
-	return &QuantilePredictor{P: p, N: n, ring: make([]simtime.Duration, 0, n)}
+	return &QuantilePredictor{P: p, N: n, ring: make([]simtime.Duration, 0, n), sorted: make([]simtime.Duration, 0, n)}
 }
 
 // Observe implements Predictor.
@@ -73,15 +74,14 @@ func (q *QuantilePredictor) Predict() simtime.Duration {
 	if n == 0 {
 		return 0
 	}
-	sorted := make([]simtime.Duration, n)
-	copy(sorted, q.ring)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	q.sorted = append(q.sorted[:0], q.ring...)
+	slices.Sort(q.sorted)
 	j := int(float64(q.N)*(1-q.P) + 0.5) // how many maxima to skip
 	idx := n - 1 - j
 	if idx < 0 {
 		idx = 0
 	}
-	return sorted[idx]
+	return q.sorted[idx]
 }
 
 // Reset implements Predictor.

@@ -153,6 +153,7 @@ type Background struct {
 	n       int
 	started bool
 	apps    []*ReservedPeriodic
+	servers []*sched.Server // apps' servers, built once at Start
 }
 
 // MoveLane implements LaneMover: forward the move to every spawned
@@ -185,6 +186,9 @@ func (b *Background) Start(at simtime.Time) {
 		at = now
 	}
 	b.apps = MakeLoadAt(b.sd, b.r, b.util, b.n, at)
+	for _, a := range b.apps {
+		b.servers = append(b.servers, a.Server)
+	}
 }
 
 // Stop quiesces every reserved periodic task of the load: release
@@ -198,16 +202,9 @@ func (b *Background) Stop() {
 
 // Servers returns the load's CBS servers (nil before Start) — the set
 // a migration must carry together, since the load is one application.
-func (b *Background) Servers() []*sched.Server {
-	if len(b.apps) == 0 {
-		return nil
-	}
-	out := make([]*sched.Server, len(b.apps))
-	for i, a := range b.apps {
-		out[i] = a.Server
-	}
-	return out
-}
+// The slice belongs to the load: callers read it and must not modify
+// it or append to it.
+func (b *Background) Servers() []*sched.Server { return b.servers }
 
 // StartCPUHog creates a best-effort task with a single effectively
 // infinite job, useful to keep the CPU saturated in tests.

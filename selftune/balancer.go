@@ -393,54 +393,49 @@ type migUnit struct {
 // unitFor builds the live migration unit containing h: its shared
 // group when it has one, otherwise the handle alone.
 func (s *System) unitFor(h *Handle) *migUnit {
-	if h.shared != nil {
-		return s.sharedUnit(h.shared)
-	}
-	return s.handleUnit(h)
-}
-
-func (s *System) sharedUnit(g *sharedGroup) *migUnit {
-	u := &migUnit{
-		name:    g.handles[0].Name(),
-		kind:    "shared",
-		core:    g.handles[0].core,
-		group:   sched.Group{Servers: []*sched.Server{g.handles[0].tuner.Server()}},
-		handles: g.handles,
-		tuner:   g.handles[0].tuner,
-	}
-	for _, h := range g.handles {
-		u.hint += h.hint
-	}
+	u := new(migUnit)
+	u.set(h)
 	return u
 }
 
-func (s *System) handleUnit(h *Handle) *migUnit {
-	u := &migUnit{
-		name:    h.Name(),
-		kind:    h.kind,
-		core:    h.core,
-		hint:    h.hint,
-		handles: []*Handle{h},
-		tuner:   h.tuner,
+// set makes u the migration unit containing h, reusing u's slices.
+// The handle and server lists are copied in, never aliased: a shared
+// group's handles and a workload's Servers() belong to their owners,
+// and the next set appends over u's storage.
+func (u *migUnit) set(h *Handle) {
+	*u = migUnit{
+		handles: u.handles[:0],
+		group:   sched.Group{Servers: u.group.Servers[:0], Tasks: u.group.Tasks[:0]},
 	}
+	if g := h.shared; g != nil {
+		lead := g.handles[0]
+		u.name, u.kind, u.core, u.tuner = lead.Name(), "shared", lead.core, lead.tuner
+		u.group.Servers = append(u.group.Servers, lead.tuner.Server())
+		u.handles = append(u.handles, g.handles...)
+		for _, m := range g.handles {
+			u.hint += m.hint
+		}
+		return
+	}
+	u.name, u.kind, u.core, u.hint, u.tuner = h.Name(), h.kind, h.core, h.hint, h.tuner
+	u.handles = append(u.handles, h)
 	if h.tuner != nil {
-		u.group.Servers = []*sched.Server{h.tuner.Server()}
-		return u
+		u.group.Servers = append(u.group.Servers, h.tuner.Server())
+		return
 	}
 	// Untuned: the workload's own reservations (a started multi-server
 	// load), or its single server or bare task.
 	if sb, ok := h.w.(interface{ Servers() []*sched.Server }); ok {
-		u.group.Servers = sb.Servers()
+		u.group.Servers = append(u.group.Servers, sb.Servers()...)
 	} else if tn, ok := h.w.(Tunable); ok {
 		if t := tn.Task(); t != nil {
 			if t.Server() != nil {
-				u.group.Servers = []*sched.Server{t.Server()}
+				u.group.Servers = append(u.group.Servers, t.Server())
 			} else {
-				u.group.Tasks = []*sched.Task{t}
+				u.group.Tasks = append(u.group.Tasks, t)
 			}
 		}
 	}
-	return u
 }
 
 // rehome re-registers the unit's tuner, if it has one, with core `to`
@@ -499,13 +494,14 @@ func carryLane(u *migUnit, src *System, from int, dst *System, to int) {
 }
 
 // units enumerates the machine's migration units in spawn order,
-// shared groups collapsed to one unit each. The result reuses a
-// per-System buffer; it is only valid until the next call. Group
-// dedup uses a generation counter instead of a per-call map — the
-// enumeration runs on every balance tick.
+// shared groups collapsed to one unit each. The enumeration runs on
+// every balance tick, so it allocates only to grow: the units and
+// their slices live in per-System storage, rebuilt in place, and the
+// result is only valid until the next call. Group dedup uses a
+// generation counter instead of a per-call map.
 func (s *System) units() []*migUnit {
 	s.unitsGen++
-	out := s.unitsBuf[:0]
+	n := 0
 	for _, h := range s.handles {
 		if h.shared != nil {
 			if h.shared.seenGen == s.unitsGen {
@@ -513,10 +509,13 @@ func (s *System) units() []*migUnit {
 			}
 			h.shared.seenGen = s.unitsGen
 		}
-		out = append(out, s.unitFor(h))
+		if n == len(s.unitsBuf) {
+			s.unitsBuf = append(s.unitsBuf, new(migUnit))
+		}
+		s.unitsBuf[n].set(h)
+		n++
 	}
-	s.unitsBuf = out
-	return out
+	return s.unitsBuf[:n]
 }
 
 // snapshot freezes the planning view over the given live units. The

@@ -604,11 +604,13 @@ func (c *Cluster) Run(horizon selftune.Duration) {
 // advance brings every machine engine to the next tick boundary, then
 // merges the staged cross-machine effects at the barrier. With
 // parallelism 1 the machines advance serially in index order; with
-// more, the Cluster's persistent worker pool claims machines off a
-// shared counter — the workers park on a channel between ticks, so a
-// tick costs one wakeup per worker instead of one goroutine spawn
-// (the old per-tick goroutines cost more than they saved on short
-// ticks; see BenchmarkClusterParallelTicks). Both paths produce
+// more, the Cluster's persistent worker pool deals each worker a
+// block of machines, the same block every tick, and a worker that
+// runs out steals half of another's remainder — the workers park on a
+// channel between ticks, so a tick costs one wakeup per worker
+// instead of one goroutine spawn (the old per-tick goroutines cost
+// more than they saved on short ticks; see
+// BenchmarkClusterParallelTicks). Both paths produce
 // identical state: machines share nothing mutable between tick
 // boundaries (placements, despawns and realm accounting all happen in
 // the serial control phase before the advance), each machine's event

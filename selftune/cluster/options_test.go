@@ -44,7 +44,7 @@ func TestParallelismOption(t *testing.T) {
 		t.Errorf("Parallelism() = %d, want 3", got)
 	}
 	// ...but never exceeds the fleet: workers beyond the machine count
-	// would only spin on the empty claim counter.
+	// would never be dealt a machine.
 	c, err = New(WithMachines(2), WithParallelism(64))
 	if err != nil {
 		t.Fatalf("New: %v", err)

@@ -40,7 +40,7 @@ func (s *System) Despawn(h *Handle) error {
 	// Build the unit before retiring the tuner: it is the same set of
 	// servers and tasks a migration would carry, which is exactly what
 	// must leave the scheduler.
-	u := s.handleUnit(h)
+	u := s.unitFor(h)
 	if h.tuner != nil {
 		h.tuner.Retire()
 		h.tuner = nil

@@ -189,34 +189,37 @@ func TestFencesAndWorkers(t *testing.T) {
 
 // TestFenceAllocatesNothing checks that crossing a causality fence
 // allocates nothing: a warm 4-core laned System advanced by one worker
-// — the shape of every fleet machine — runs 1 ms chunks, each ending
-// in one fence, without allocating. The lanes carry untuned periodic
-// load, whose job path is allocation-free once its pools are warm.
+// — the shape of every fleet machine — and by two, whose fences go
+// through the worker pool, runs 1 ms chunks, each ending in one fence,
+// without allocating. The lanes carry untuned periodic load, whose
+// job path is allocation-free once its pools are warm.
 func TestFenceAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts need the pools of a non-race build")
 	}
-	sys, err := NewSystem(WithSeed(5), WithCPUs(4), WithCoreParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	for c := 0; c < sys.CPUs(); c++ {
-		h, err := sys.Spawn("rtload", OnCore(c), SpawnUtil(0.3))
+	for _, workers := range []int{1, 2} {
+		sys, err := NewSystem(WithSeed(5), WithCPUs(4), WithCoreParallelism(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Start(0)
-	}
-	sys.Run(Second)
-	fences, steps := sys.Fences(), sys.Steps()
-	if n := testing.AllocsPerRun(100, func() { sys.Run(Millisecond) }); n != 0 {
-		t.Errorf("a fenced Run(1ms) allocates %v times, want 0", n)
-	}
-	if got := sys.Fences() - fences; got != 101 {
-		t.Errorf("101 Run(1ms) calls crossed %d fences, want 101", got)
-	}
-	if sys.Steps() == steps {
-		t.Fatal("no event ran while measuring")
+		for c := 0; c < sys.CPUs(); c++ {
+			h, err := sys.Spawn("rtload", OnCore(c), SpawnUtil(0.3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Start(0)
+		}
+		sys.Run(Second)
+		fences, steps := sys.Fences(), sys.Steps()
+		if n := testing.AllocsPerRun(100, func() { sys.Run(Millisecond) }); n != 0 {
+			t.Errorf("%d workers: a fenced Run(1ms) allocates %v times, want 0", workers, n)
+		}
+		if got := sys.Fences() - fences; got != 101 {
+			t.Errorf("%d workers: 101 Run(1ms) calls crossed %d fences, want 101", workers, got)
+		}
+		if sys.Steps() == steps {
+			t.Fatalf("%d workers: no event ran while measuring", workers)
+		}
+		sys.Close()
 	}
 }

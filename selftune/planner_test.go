@@ -137,3 +137,53 @@ func TestPoliciesPlanAlikeOnFlatTopologies(t *testing.T) {
 		t.Error("no generated snapshot ran a core out of claims: the generator lost its teeth")
 	}
 }
+
+// TestBalanceTickReusesUnits pins the allocations of one balance tick
+// on the benchmark's dense shape: 64 cores under work stealing, one
+// multi-server rtload per core and a webserver on every fourth, warm
+// after 2 s and settled so that the measured ticks plan no move. The
+// migration units and their handle and server slices live in
+// per-System storage reused from tick to tick; building them afresh
+// cost three allocations per unit, 240 of such a tick's 244. What
+// remains is the planner's own scratch.
+func TestBalanceTickReusesUnits(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need the pools of a non-race build")
+	}
+	sys, err := NewSystem(WithSeed(1), WithCPUs(64), WithCoreParallelism(2), WithBalancer(BalanceWorkStealing()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	for c := 0; c < sys.CPUs(); c++ {
+		h, err := sys.Spawn("rtload", OnCore(c), SpawnUtil(0.35))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Start(0)
+		if c%4 == 0 {
+			h, err := sys.Spawn("webserver", OnCore(c), SpawnUtil(0.2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Start(0)
+		}
+	}
+	sys.Run(2 * Second)
+	for i := 0; sys.runBalancer(PlanPeriodic, 0) > 0; i++ {
+		if i == 100 {
+			t.Fatal("the balancer still moves units after 100 ticks")
+		}
+	}
+	if n := len(sys.units()); n != 80 {
+		t.Fatalf("%d migration units, want 80", n)
+	}
+	moved := sys.Migrations()
+	n := testing.AllocsPerRun(20, func() { sys.runBalancer(PlanPeriodic, 0) })
+	if sys.Migrations() != moved {
+		t.Fatal("a measured tick moved a unit")
+	}
+	if n > 4 {
+		t.Errorf("one balance tick allocates %v times, want at most 4 (planPush's scratch)", n)
+	}
+}

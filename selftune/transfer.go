@@ -56,7 +56,7 @@ func (h *Handle) liveUnit() (*migUnit, error) {
 		return nil, fmt.Errorf("selftune: Transfer %q: kind %q cannot carry its timers across machines",
 			h.Name(), h.kind)
 	}
-	u := h.sys.handleUnit(h)
+	u := h.sys.unitFor(h)
 	if u.group.Empty() {
 		return nil, fmt.Errorf("selftune: Transfer %q: nothing to carry yet (start it first)", h.Name())
 	}

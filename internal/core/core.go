@@ -263,16 +263,14 @@ func newTuner(sd *sched.Scheduler, sup *supervisor.Supervisor, tracer *ktrace.Bu
 		tasks:  tasks,
 		period: cfg.InitialPeriod,
 	}
-	// Register with the supervisor before creating the server: a
-	// rejected registration must not leave an orphan reservation on
-	// the scheduler.
-	if sup != nil {
-		client, ok := sup.Register(t.name, cfg.MinBandwidth)
-		if !ok {
-			return nil, fmt.Errorf("core: supervisor rejected registration of %s", tasks[0].Name())
-		}
-		t.client = client
+	// Claim the bandwidth floor before creating the server: a rejected
+	// registration must not leave an orphan reservation on the
+	// scheduler.
+	client, err := t.Claim(sup)
+	if err != nil {
+		return nil, err
 	}
+	t.client = client
 	t.server = sd.NewServer(t.name, cfg.InitialBudget, cfg.InitialPeriod, cfg.Mode)
 	for i, task := range tasks {
 		task.AttachTo(t.server, prios[i])
@@ -283,32 +281,37 @@ func newTuner(sd *sched.Scheduler, sup *supervisor.Supervisor, tracer *ktrace.Bu
 	return t, nil
 }
 
-// Rehome points the tuner at a new core after its managed server has
-// moved there (as the commit of sched.Scheduler.MoveAll): it registers
-// a client with the new core's supervisor under the configured
-// bandwidth floor, releases the old core's claim, and re-submits the
-// current reservation so the new supervisor's admission accounts for
-// it (applying any compression the new core's contention forces). On a
-// machine whose cores run on separate engine lanes, the pending
-// activation moves to the new core's lane at the same instant. The
-// controller history, period estimates and analyser windows all
-// survive — the application did not change, only where it runs.
-// Rehome fails without side effects when the new supervisor rejects
-// the registration, and MoveAll then moves the server back.
-func (t *Tuner) Rehome(newSched *sched.Scheduler, newSup *supervisor.Supervisor) error {
-	if newSched == nil {
-		return fmt.Errorf("core: Rehome to a nil scheduler")
+// Claim registers the tuner with sup under the configured bandwidth
+// floor: the supervisor's admission step (Sec. 4, Eq. 1), and the only
+// step of a move that may refuse. It changes nothing but sup, so a
+// move asks for it before its server leaves the old core and, once the
+// server has moved, hands the returned client to Rehome. A nil sup
+// (unsupervised operation) claims nothing and never refuses.
+func (t *Tuner) Claim(sup *supervisor.Supervisor) (*supervisor.Client, error) {
+	if sup == nil {
+		return nil, nil
 	}
+	client, ok := sup.Register(t.name, t.cfg.MinBandwidth)
+	if !ok {
+		return nil, fmt.Errorf("core: supervisor rejected registration of %s", t.tasks[0].Name())
+	}
+	return client, nil
+}
+
+// Rehome points the tuner at newSched, the core its managed server has
+// moved to, and at client, the claim Claim made with that core's
+// supervisor newSup. It releases the old core's claim and re-submits
+// the current reservation through the new one, so the new supervisor's
+// admission accounts for it (applying any compression the new core's
+// contention forces). On a machine whose cores run on separate engine
+// lanes, the pending activation moves to the new core's lane at the
+// same instant. The controller history, period estimates and analyser
+// windows all survive — the application did not change, only where it
+// runs. Rehome cannot fail; it panics if the server is not on
+// newSched.
+func (t *Tuner) Rehome(newSched *sched.Scheduler, newSup *supervisor.Supervisor, client *supervisor.Client) {
 	if !newSched.Owns(t.server) {
-		return fmt.Errorf("core: Rehome of %s before its server moved", t.tasks[0].Name())
-	}
-	var client *supervisor.Client
-	if newSup != nil {
-		c, ok := newSup.Register(t.name, t.cfg.MinBandwidth)
-		if !ok {
-			return fmt.Errorf("core: new supervisor rejected registration of %s", t.tasks[0].Name())
-		}
-		client = c
+		panic(fmt.Sprintf("core: Rehome of %s before its server moved", t.tasks[0].Name()))
 	}
 	t.releaseClaim()
 	t.sup, t.client = newSup, client
@@ -318,7 +321,6 @@ func (t *Tuner) Rehome(newSched *sched.Scheduler, newSup *supervisor.Supervisor)
 		t.tickEv = newEng.At(t.tickAt, t.tickFn)
 	}
 	t.sd = newSched
-	return nil
 }
 
 // releaseClaim gives the tuner's supervisor claim back.

@@ -9,6 +9,30 @@ import (
 	"repro/internal/supervisor"
 )
 
+// move carries the tuner's server from rg's core to newSd the way a
+// machine does: the tuner's claim on newSup is the move's one step that
+// may refuse, and the tuner rehomes once the server has moved.
+func move(rg *rig, tuner *core.Tuner, newSd *sched.Scheduler, newSup *supervisor.Supervisor) error {
+	var client *supervisor.Client
+	claim := func() (err error) {
+		client, err = tuner.Claim(newSup)
+		return err
+	}
+	if err := rg.sd.MoveAll(sched.Group{Servers: []*sched.Server{tuner.Server()}}, newSd, claim); err != nil {
+		return err
+	}
+	tuner.Rehome(newSd, newSup, client)
+	return nil
+}
+
+// rehomePanics reports whether Rehome refuses to point the tuner at a
+// core its server is not on.
+func rehomePanics(tuner *core.Tuner, sd *sched.Scheduler, sup *supervisor.Supervisor) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	tuner.Rehome(sd, sup, nil)
+	return false
+}
+
 func TestRehomeMovesSupervisorClaim(t *testing.T) {
 	rg := newRig(7)
 	player := rg.newVideoPlayer(0.25)
@@ -27,12 +51,11 @@ func TestRehomeMovesSupervisorClaim(t *testing.T) {
 		t.Fatal("no bandwidth claimed on the old supervisor")
 	}
 
-	// Move the server to a fresh core, rehoming the tuner as the commit.
+	// Move the server to a fresh core, claiming there first.
 	newSd := sched.New(sched.Config{Engine: rg.eng, PIDBase: 1_001_000})
 	newSup := supervisor.New(1)
-	g := sched.Group{Servers: []*sched.Server{tuner.Server()}}
-	if err := rg.sd.MoveAll(g, newSd, func() error { return tuner.Rehome(newSd, newSup) }); err != nil {
-		t.Fatalf("MoveAll with Rehome: %v", err)
+	if err := move(rg, tuner, newSd, newSup); err != nil {
+		t.Fatalf("move with Claim and Rehome: %v", err)
 	}
 	if got := rg.sup.TotalGranted(); got != 0 {
 		t.Errorf("old supervisor still holds %.3f after Rehome", got)
@@ -73,12 +96,11 @@ func TestMultiTunerRehomeMovesSupervisorClaim(t *testing.T) {
 
 	newSd := sched.New(sched.Config{Engine: rg.eng, PIDBase: 1_001_000})
 	newSup := supervisor.New(1)
-	if err := tuner.Rehome(newSd, newSup); err == nil {
+	if !rehomePanics(tuner, newSd, newSup) {
 		t.Fatal("Rehome before the server moved succeeded")
 	}
-	g := sched.Group{Servers: []*sched.Server{tuner.Server()}}
-	if err := rg.sd.MoveAll(g, newSd, func() error { return tuner.Rehome(newSd, newSup) }); err != nil {
-		t.Fatalf("MoveAll with Rehome: %v", err)
+	if err := move(rg, tuner, newSd, newSup); err != nil {
+		t.Fatalf("move with Claim and Rehome: %v", err)
 	}
 	if got := rg.sup.TotalGranted(); got != 0 {
 		t.Errorf("old supervisor still holds %.3f after Rehome", got)
@@ -112,21 +134,22 @@ func TestRehomeRejectionLeavesOldClaim(t *testing.T) {
 		t.Fatal("setup: squatter rejected")
 	}
 	claimed := rg.sup.TotalGranted()
-	g := sched.Group{Servers: []*sched.Server{tuner.Server()}}
-	if err := rg.sd.MoveAll(g, newSd, func() error { return tuner.Rehome(newSd, crowded) }); err == nil {
-		t.Fatal("move with Rehome onto a saturated supervisor succeeded")
+	if err := move(rg, tuner, newSd, crowded); err == nil {
+		t.Fatal("move with Claim onto a saturated supervisor succeeded")
 	}
-	// The refusal moved the server back, and the old claim survives.
+	// The refused claim kept the server home, and the old claim survives.
 	if !rg.sd.Owns(tuner.Server()) {
 		t.Fatal("refused move left the server off its old core")
 	}
 	if got := rg.sup.TotalGranted(); got != claimed {
 		t.Errorf("old supervisor holds %.3f after the refused move, want %.3f", got, claimed)
 	}
-	if err := tuner.Rehome(newSd, supervisor.New(1)); err == nil {
+	if !rehomePanics(tuner, newSd, supervisor.New(1)) {
 		t.Error("Rehome while the server is still home succeeded")
 	}
-	if err := tuner.Rehome(rg.sd, rg.sup); err != nil {
-		t.Fatalf("Rehome home again: %v", err)
+	client, err := tuner.Claim(rg.sup)
+	if err != nil {
+		t.Fatalf("Claim home again: %v", err)
 	}
+	tuner.Rehome(rg.sd, rg.sup, client)
 }

@@ -13,7 +13,8 @@ import (
 
 // TestGroupMigrationCarriesEveryMember moves a mixed group — two live
 // CBS servers and one bare best-effort task with backlog — across
-// cores and checks every member arrives with its state intact.
+// cores and checks that the claim runs while every member is still on
+// the old core and that every member arrives with its state intact.
 func TestGroupMigrationCarriesEveryMember(t *testing.T) {
 	eng, a, b := twoCores(t)
 	s1 := a.NewServer("g1", 10*ms, 100*ms, sched.HardCBS)
@@ -35,13 +36,14 @@ func TestGroupMigrationCarriesEveryMember(t *testing.T) {
 	q1, d1 := s1.RemainingBudget(), s1.Deadline()
 	consumedBefore := bare.Stats().Consumed
 
-	arrived := func() error {
-		if !b.Owns(s1) || !b.Owns(s2) || !slices.Contains(b.Tasks(), bare) {
-			t.Error("commit ran before every member arrived on the new core")
+	claim := func() error {
+		if !a.Owns(s1) || !a.Owns(s2) || !slices.Contains(a.Tasks(), bare) ||
+			b.Owns(s1) || b.Owns(s2) || slices.Contains(b.Tasks(), bare) {
+			t.Error("claim ran after a member left the old core")
 		}
 		return nil
 	}
-	if err := a.MoveAll(g, b, arrived); err != nil {
+	if err := a.MoveAll(g, b, claim); err != nil {
 		t.Fatalf("MoveAll: %v", err)
 	}
 	if !b.Owns(s1) || !b.Owns(s2) || a.Owns(s1) || a.Owns(s2) {
@@ -439,14 +441,15 @@ func TestRefusedMoveKeepsEDFOrder(t *testing.T) {
 	}
 }
 
-// TestRefusedMoveKeepsBestEffortOrder checks that a refused move puts
-// a bare task back in its place in the best-effort round robin. A, B
-// and C each get a 1s job at t=0 and share the CPU in 10ms quanta; at
-// 5ms, with A's slice settled, the round robin holds C, B, A. A move
-// refused then, of an idle server that no best-effort task belongs to
-// or of B itself, must resume the round robin in that order.
+// TestRefusedMoveKeepsBestEffortOrder checks that a refused move
+// leaves the best-effort round robin exactly as it was. A, B and C
+// each get a 1s job at t=0 and share the CPU in 10ms quanta. A move
+// refused at 5ms, of an idle server that no best-effort task belongs
+// to or of B itself, must neither change the order in which the round
+// robin runs them nor cut the running task's quantum short: each task
+// has the CPU time at 100ms it has without the move.
 func TestRefusedMoveKeepsBestEffortOrder(t *testing.T) {
-	run := func(moveB bool) string {
+	run := func(move string) (string, [3]simtime.Duration) {
 		eng, a, b := twoCores(t)
 		idle := a.NewServer("idle", ms, 10*ms, sched.HardCBS)
 		var tasks []*sched.Task
@@ -458,32 +461,45 @@ func TestRefusedMoveKeepsBestEffortOrder(t *testing.T) {
 				task.Release(sched.NewJob(0, simtime.Duration(simtime.Second), simtime.Never))
 			}
 		})
-		eng.At(simtime.Time(5*ms), func() {
-			g := single(idle)
-			if moveB {
-				g = sched.Group{Tasks: tasks[1:2]}
-			}
-			if err := a.MoveAll(g, b, func() error { return errors.New("refused") }); err == nil {
-				t.Fatal("MoveAll accepted a refusing commit")
-			}
-		})
+		if move != "" {
+			eng.At(simtime.Time(5*ms), func() {
+				g := single(idle)
+				if move == "B" {
+					g = sched.Group{Tasks: tasks[1:2]}
+				}
+				if err := a.MoveAll(g, b, func() error { return errors.New("refused") }); err == nil {
+					t.Fatal("MoveAll accepted a refusing claim")
+				}
+			})
+		}
 		var order string
 		for at := 10 * ms; at <= 60*ms; at += 10 * ms {
 			eng.RunUntil(simtime.Time(at))
 			order += a.Running().Name()
+		}
+		eng.RunUntil(simtime.Time(100 * ms))
+		var cpu [3]simtime.Duration
+		for i, task := range tasks {
+			cpu[i] = task.Stats().Consumed
 		}
 		for _, sd := range []*sched.Scheduler{a, b} {
 			if err := sd.Validate(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return order
+		return order, cpu
 	}
-	want := run(false)
+	want, wantCPU := run("")
 	if want != "CBACBA" {
-		t.Fatalf("after a refused move of an idle server the round robin ran %s, want CBACBA", want)
+		t.Fatalf("without a move the round robin ran %s, want CBACBA", want)
 	}
-	if got := run(true); got != want {
-		t.Errorf("after a refused move of B the round robin ran %s, want %s", got, want)
+	for _, move := range []string{"idle", "B"} {
+		got, cpu := run(move)
+		if got != want {
+			t.Errorf("after a refused move of %s the round robin ran %s, want %s", move, got, want)
+		}
+		if cpu != wantCPU {
+			t.Errorf("after a refused move of %s A, B and C had %v of CPU at 100ms, want %v", move, cpu, wantCPU)
+		}
 	}
 }

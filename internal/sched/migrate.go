@@ -23,16 +23,16 @@ package sched
 //
 // A Group is the only thing that migrates. DetachAll takes one off its
 // scheduler for good (a departing workload) and MoveAll carries one to
-// another scheduler, and back if the caller's commit refuses. Both
-// validate the group once, up front, so the per-member steps below
-// cannot fail.
+// another scheduler once the caller's claim on the destination has
+// accepted it. Both validate the group once, up front, and MoveAll
+// asks for the claim before any member leaves, so the per-member steps
+// below cannot fail and no move is ever undone.
 
 import (
 	"fmt"
 	"slices"
 
 	"repro/internal/sim"
-	"repro/internal/simtime"
 )
 
 // Owns reports whether srv currently belongs to this scheduler.
@@ -172,75 +172,29 @@ func (sd *Scheduler) DetachAll(g Group) error {
 	return nil
 }
 
-// movedServer is what MoveAll restores of a server whose move was
-// refused: its EDF tie-break id, and the (q, d) pair and replenishment
-// count that adopt's wake-up rule may have renewed.
-type movedServer struct {
-	id             int
-	q              simtime.Duration
-	d              simtime.Time
-	replenishments int
-}
-
 // MoveAll moves the group, every server with its CBS state, from this
-// scheduler to dst and then runs commit, the caller's last step that
-// may refuse (nil never refuses). On a refusal the group moves back,
-// this scheduler's servers and tasks return to their old order, so its
-// reserved bandwidth sums to the same float, every server gets its old
-// id and its old (q, d) back, so EDF ties break as before, the
-// best-effort round robin resumes in the order it had once the running
-// slice settled, and MoveAll returns commit's error. commit must not
-// add or remove servers or tasks on either scheduler. MoveAll is
-// called like DetachAll; schedulers on different engines must rest at
-// the same instant.
-func (sd *Scheduler) MoveAll(g Group, dst *Scheduler, commit func() error) error {
+// scheduler to dst. It validates the group and dst, then runs claim,
+// the caller's one step that may refuse (nil never refuses), and only
+// then detaches and adopts: a refused claim returns its error with
+// neither scheduler touched, and once claim accepts the move cannot
+// fail. claim must not touch either scheduler. MoveAll is called like
+// DetachAll; schedulers on different engines must rest at the same
+// instant.
+func (sd *Scheduler) MoveAll(g Group, dst *Scheduler, claim func() error) error {
 	if err := sd.checkGroup(g, "MoveAll"); err != nil {
 		return err
 	}
 	if dst.busy {
 		return fmt.Errorf("sched: MoveAll into a scheduler inside dispatch")
 	}
-	sd.suspend()
-	sd.undoServers = append(sd.undoServers[:0], sd.servers...)
-	sd.undoTasks = append(sd.undoTasks[:0], sd.tasks...)
-	sd.undoBE = append(sd.undoBE[:0], sd.beQ.items()...)
-	srcNext, dstNext := sd.nextSrvID, dst.nextSrvID
+	if claim != nil {
+		if err := claim(); err != nil {
+			return err
+		}
+	}
 	sd.detachAll(g)
-	sd.undoMoved = sd.undoMoved[:0]
-	for _, srv := range g.Servers {
-		sd.undoMoved = append(sd.undoMoved, movedServer{srv.id, srv.q, srv.d, srv.stats.Replenishments})
-	}
 	dst.adoptAll(g)
-	var err error
-	if commit != nil {
-		err = commit()
-	}
-	if err != nil {
-		dst.detachAll(g)
-		sd.adoptAll(g)
-		sd.servers = append(sd.servers[:0], sd.undoServers...)
-		sd.tasks = append(sd.tasks[:0], sd.undoTasks...)
-		for i, srv := range g.Servers {
-			u := sd.undoMoved[i]
-			srv.id, srv.q, srv.d, srv.stats.Replenishments = u.id, u.q, u.d, u.replenishments
-			if srv.heapIndex >= 0 {
-				sd.edfFix(srv)
-			}
-		}
-		sd.nextSrvID, dst.nextSrvID = srcNext, dstNext
-		sd.suspend()
-		for sd.beQ.len() > 0 {
-			sd.beQ.pop().beQueued = false
-		}
-		for _, t := range sd.undoBE {
-			sd.beWake(t)
-		}
-		sd.dispatch()
-	}
-	clear(sd.undoServers)
-	clear(sd.undoTasks)
-	clear(sd.undoBE)
-	return err
+	return nil
 }
 
 // checkGroup checks that g can leave this scheduler: it is non-empty,

@@ -70,14 +70,6 @@ type Scheduler struct {
 	nextSrvID int
 	nextPID   int
 
-	// undoServers, undoTasks, undoBE and undoMoved hold the server,
-	// task and best-effort queue order and the moving servers' own
-	// state that MoveAll restores when its commit refuses.
-	undoServers []*Server
-	undoTasks   []*Task
-	undoBE      []*Task
-	undoMoved   []movedServer
-
 	// transitionHook, if set, observes task state transitions
 	// (blocked -> ready and ready -> blocked). It is the simulated
 	// equivalent of the ftrace sched_wakeup/sched_switch events the

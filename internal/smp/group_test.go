@@ -109,8 +109,8 @@ func TestMigrateGroupAllOrNothing(t *testing.T) {
 		t.Errorf("Migrations() = %d after rejection", m.Migrations())
 	}
 
-	// The same unit fits once the blocker shrinks; rollback must not
-	// have corrupted the accounts.
+	// The same unit fits once the blocker shrinks; the rejection must
+	// not have corrupted the accounts.
 	m.Release(1, 0.4)
 	if err := smp.MoveGroup(g, m, 0, m, 1, 0.6, nil); err != nil {
 		t.Fatalf("group migration after freeing room: %v", err)

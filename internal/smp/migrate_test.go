@@ -84,26 +84,26 @@ func twoMachines(t *testing.T) (src, dst *smp.Machine, srv *sched.Server) {
 	return src, dst, srv
 }
 
-// TestMoveGroupBetweenMachines: the destination carries the full
-// admission charge while commit runs, the source keeps its hint until
-// the move settles, and afterwards only the hint stays charged on the
-// destination. A move to another machine counts as no migration of
-// either machine.
+// TestMoveGroupBetweenMachines: while the claim runs, the unit is
+// still on its source core, which carries its 0.4 reservation, and the
+// destination carries the full admission charge in flight. Afterwards
+// only the hint stays charged on the destination. A move to another
+// machine counts as no migration of either machine.
 func TestMoveGroupBetweenMachines(t *testing.T) {
 	src, dst, srv := twoMachines(t)
 	var dstDuring, srcDuring float64
-	commit := func() error {
+	claim := func() error {
 		dstDuring, srcDuring = dst.Load(1), src.Load(0)
 		return nil
 	}
-	if err := smp.MoveGroup(single(srv), src, 0, dst, 1, 0.3, commit); err != nil {
+	if err := smp.MoveGroup(single(srv), src, 0, dst, 1, 0.3, claim); err != nil {
 		t.Fatalf("MoveGroup: %v", err)
 	}
 	if math.Abs(dstDuring-0.5) > 1e-9 {
-		t.Errorf("destination load %v while commit ran, want the 0.1 hint plus the 0.4 charge", dstDuring)
+		t.Errorf("destination load %v while the claim ran, want the 0.1 hint plus the 0.4 charge", dstDuring)
 	}
-	if math.Abs(srcDuring-0.3) > 1e-9 {
-		t.Errorf("source load %v while commit ran, want its 0.3 hint", srcDuring)
+	if math.Abs(srcDuring-0.4) > 1e-9 {
+		t.Errorf("source load %v while the claim ran, want the unit's 0.4 reservation", srcDuring)
 	}
 	if !dst.Core(1).Owns(srv) {
 		t.Error("server not owned by the destination")

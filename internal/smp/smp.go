@@ -196,20 +196,20 @@ func Charge(hint, reserved float64) float64 { return max(hint, reserved) }
 // machine's cores) or another machine resting at the same simulated
 // instant (a live cross-machine move).
 //
-// It is one all-or-nothing transaction. Admission is checked and the
-// destination charged in one step: the unit's Charge must fit under
-// the destination supervisor's bound, and it stays on the
-// destination's load as an in-flight charge until the move settles.
-// One sched.Scheduler.MoveAll then moves the unit to the destination
-// with its CBS state and runs commit — the caller's last step that
-// may refuse, such as re-registering a tuner with the destination
-// supervisor. On success the in-flight charge folds into the
-// destination's hint account, the source core gives up the hint and
-// only the hint stays charged on the destination. On any refusal the
-// unit goes back to its place on its core and the in-flight charge is
-// dropped, so both machines' load ledgers are exactly as they were,
-// bit for bit. A nil commit never refuses.
-func MoveGroup(g sched.Group, src *Machine, from int, dst *Machine, to int, hint float64, commit func() error) error {
+// It is one all-or-nothing transaction that decides before it acts.
+// Admission is checked and the destination charged in one step: the
+// unit's Charge must fit under the destination supervisor's bound, and
+// it stays on the destination's load as an in-flight charge until the
+// move settles. One sched.Scheduler.MoveAll then runs claim — the
+// caller's one step that may refuse, such as registering a tuner with
+// the destination supervisor — while the unit is still on its core,
+// and moves the unit with its CBS state once claim accepts. On success
+// the in-flight charge folds into the destination's hint account, the
+// source core gives up the hint and only the hint stays charged on the
+// destination. On any refusal nothing has moved and the in-flight
+// charge is dropped, so both machines' load ledgers are exactly as
+// they were, bit for bit. A nil claim never refuses.
+func MoveGroup(g sched.Group, src *Machine, from int, dst *Machine, to int, hint float64, claim func() error) error {
 	if from < 0 || from >= len(src.cores) || to < 0 || to >= len(dst.cores) {
 		return fmt.Errorf("smp: migrate from core %d of %d to core %d of %d: out of range",
 			from, len(src.cores), to, len(dst.cores))
@@ -240,7 +240,7 @@ func MoveGroup(g sched.Group, src *Machine, from int, dst *Machine, to int, hint
 	dst.inflight[to] += charge
 	dst.mu.Unlock()
 
-	if err := src.cores[from].MoveAll(g, dst.cores[to], commit); err != nil {
+	if err := src.cores[from].MoveAll(g, dst.cores[to], claim); err != nil {
 		dst.mu.Lock()
 		dst.inflight[to] -= charge
 		dst.mu.Unlock()
@@ -250,12 +250,12 @@ func MoveGroup(g sched.Group, src *Machine, from int, dst *Machine, to int, hint
 	return nil
 }
 
-// settle books a move that committed: the in-flight charge folds into
+// settle books a move that completed: the in-flight charge folds into
 // the destination's hint account, the admission overcharge above the
 // hint leaves it again, and the hint leaves the source core. A move
 // between one machine's cores counts as a migration. Folding the
 // charge and releasing the overcharge, rather than adding the hint,
-// keeps every committed move's ledger bits those of the Place-then-
+// keeps every completed move's ledger bits those of the Place-then-
 // Release arithmetic live transfers have always used.
 func settle(src *Machine, from int, dst *Machine, to int, hint, charge float64) {
 	dst.mu.Lock()

@@ -15,17 +15,22 @@ import (
 var raceEnabled bool
 
 // TestWorkloadJobPathAllocatesNothing checks that a traced workload's
-// steady-state job path allocates nothing: a webserver, a game loop in
-// a soft reservation, a VM past its boot ramp and a noise source share
-// one scheduler and trace into one 4096-event QTrace ring. Each job
-// carries its system calls as data and the scheduler issues them, so
-// once warm a release, its calls, the overhead they charge and the
-// completion reuse storage only.
+// steady-state job path allocates nothing. Each job carries its system
+// calls as data and the scheduler issues them, so once warm a release,
+// a jitter-deferred release, its calls, the overhead they charge and
+// the completion reuse storage only. Two scenarios, each tracing into
+// one 4096-event QTrace ring: a webserver, a game loop in a soft
+// reservation, a VM past its boot ramp and a noise source sharing one
+// scheduler, and a video player whose release jitter defers every
+// frame, on a scheduler of its own. The player has one to two dozen
+// calls per frame where the others have one or two, and recycled jobs
+// come from one shared pool, so beside them it would keep receiving
+// jobs whose call lists must still grow.
 func TestWorkloadJobPathAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts need the pools of a non-race build")
 	}
-	eng, sd := newSim()
+	_, sd := newSim()
 	buf := ktrace.NewBuffer(ktrace.QTrace, 4096)
 	r := rng.New(3)
 
@@ -37,15 +42,33 @@ func TestWorkloadJobPathAllocatesNothing(t *testing.T) {
 	vm.Sink = buf
 	game := workload.NewGameLoop(sd, r.Split(), gl)
 	game.Task().AttachTo(sd.NewServer("game", 5*ms, 16*ms, sched.SoftCBS), 0)
-	apps := []interface {
-		Start(simtime.Time)
-		Task() *sched.Task
-	}{
+	checkJobPathAllocatesNothing(t, sd, buf, []startable{
 		workload.NewWebServer(sd, r.Split(), ws),
 		game,
 		workload.NewVMBoot(sd, r.Split(), vm),
 		workload.NewNoise(sd, r.Split(), "noise", 50*ms, 2*ms, buf),
-	}
+	})
+
+	_, sd = newSim()
+	buf = ktrace.NewBuffer(ktrace.QTrace, 4096)
+	video := workload.VideoPlayerConfig("video", 0.3)
+	video.Sink = buf
+	checkJobPathAllocatesNothing(t, sd, buf, []startable{workload.NewPlayer(sd, rng.New(3), video)})
+}
+
+// startable is a workload the allocation checks start and observe.
+type startable interface {
+	Start(simtime.Time)
+	Task() *sched.Task
+}
+
+// checkJobPathAllocatesNothing starts the workloads on sd at 0, runs 3s
+// to warm up, and fails unless 100 ms chunks of simulation after that
+// allocate nothing while every workload completes a job and buf traces
+// a call.
+func checkJobPathAllocatesNothing(t *testing.T, sd *sched.Scheduler, buf *ktrace.Buffer, apps []startable) {
+	t.Helper()
+	eng := sd.Engine()
 	for _, a := range apps {
 		a.Start(0)
 	}

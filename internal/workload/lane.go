@@ -56,11 +56,6 @@ func (lt *laneTimers) at(t simtime.Time, fn func()) {
 	lt.slots = append(lt.slots, s)
 }
 
-// after schedules fn d from now on the current lane.
-func (lt *laneTimers) after(d simtime.Duration, fn func()) {
-	lt.at(lt.eng.Now().Add(d), fn)
-}
-
 // move re-arms every pending timer on dst and makes it the current
 // lane. Both engines must rest at the same instant (a fence), so every
 // pending slot is strictly in the future on dst too. A fired slot's

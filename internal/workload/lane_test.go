@@ -41,7 +41,7 @@ func TestLaneMoveLeavesNoHandleOnTheOldLane(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 1000; i++ {
-		lt.after(1, fn)
+		lt.at(lt.now().Add(1), fn)
 		dst.Step()
 	}
 	wg.Wait()

@@ -100,6 +100,18 @@ type Player struct {
 	mixCum   []float64
 
 	emits []emit // the frame being dressed; reused across frames
+
+	// Frames whose release jitter defers them, in the order their
+	// releases were armed; releaseFn releases one when it falls due.
+	deferred  []deferredFrame
+	releaseFn func()
+}
+
+// deferredFrame is a frame's job and the instant its jittered release
+// falls due.
+type deferredFrame struct {
+	at  simtime.Time
+	job *sched.Job
 }
 
 // emit is one system call of a frame: call nr at execution offset off.
@@ -150,6 +162,21 @@ func NewPlayer(sd *sched.Scheduler, r *rng.Source, cfg PlayerConfig) *Player {
 		panic("workload: player demand must be positive")
 	}
 	p := &Player{app: newApp(sd, cfg.Name, cfg.Sink), cfg: cfg, r: r}
+	// A deferred release fires at its frame's instant; frames falling
+	// due together fire in the order they were armed, so the first one
+	// due now is this release's.
+	p.releaseFn = func() {
+		now := p.lt.now()
+		i := 0
+		for p.deferred[i].at != now {
+			i++
+		}
+		j := p.deferred[i].job
+		p.deferred = slices.Delete(p.deferred, i, i+1)
+		if !p.stopped {
+			p.task.Release(j)
+		}
+	}
 	p.task.OnJobComplete = func(j *sched.Job, now simtime.Time) {
 		p.finishes = append(p.finishes, now)
 		// The frame is displayed at its slot of the output time grid
@@ -234,13 +261,9 @@ func (p *Player) releaseFrame() {
 
 	// Apply release jitter by deferring the actual release slightly.
 	if jit := p.cfg.ReleaseJitter; jit > 0 {
-		d := simtime.Duration(p.r.Int63n(int64(2 * jit)))
-		p.lt.after(d, func() {
-			if p.stopped {
-				return
-			}
-			p.task.Release(j)
-		})
+		at := now.Add(simtime.Duration(p.r.Int63n(int64(2 * jit))))
+		p.deferred = append(p.deferred, deferredFrame{at, j})
+		p.lt.at(at, p.releaseFn)
 	} else {
 		p.task.Release(j)
 	}

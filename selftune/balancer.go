@@ -10,8 +10,9 @@ package selftune
 // per-core loads and bounds plus the list of migration *units* — hands
 // it to the configured Balancer, and executes the returned moves
 // through the migration machinery of internal/smp and internal/sched
-// (batched per destination, all-or-nothing per unit, tuners
-// re-registered on arrival, rejections rolled back).
+// (batched per destination, all-or-nothing per unit, a tuner's
+// registration with the destination supervisor claimed before the unit
+// leaves its core, so a rejection moves nothing).
 //
 // A migration unit is the set of CBS servers and tasks that must
 // change cores together: a tuned workload (one server), a TuneShared
@@ -40,6 +41,7 @@ import (
 
 	"repro/internal/sched"
 	"repro/internal/smp"
+	"repro/internal/supervisor"
 	"repro/internal/workload"
 )
 
@@ -438,24 +440,6 @@ func (u *migUnit) set(h *Handle) {
 	}
 }
 
-// rehome re-registers the unit's tuner, if it has one, with core `to`
-// of dst after the unit's reservations arrived there: the supervisor
-// claim and the sampling tick move (Rehome registers with the new
-// supervisor before releasing the old claim, so a rejection leaves the
-// tuner intact on its source core), and the tick publisher, which
-// captured the previous core, is rebuilt so TunerTickEvents report
-// where the workload now runs.
-func (u *migUnit) rehome(dst *System, to int) error {
-	if u.tuner == nil {
-		return nil
-	}
-	if err := u.tuner.Rehome(dst.machine.Core(to), dst.machine.Supervisor(to)); err != nil {
-		return err
-	}
-	u.tuner.BusTick = dst.tickPublisher(to, u.tuner.Task().Name())
-	return nil
-}
-
 // carryLane moves a unit's lane-bound state after its reservations and
 // tuner moved from core `from` of src to core `to` of dst: each member
 // workload's self-timers re-arm on the destination engine and its sink
@@ -701,16 +685,29 @@ func (s *System) move(u *migUnit, to int, reason string) error {
 
 // moveUnit moves one unit from its core of s to core `to` of dst — the
 // one transaction behind Migrate, the balancer's batches and Transfer.
-// The unit's reservations move admission-checked and its tuner
-// re-registers with the destination supervisor as the transaction's
-// commit (smp.MoveGroup); a refusal leaves both machines as they were.
-// Then the lane-bound state follows (carryLane) and the unit's handles
-// record their new core.
+// The unit's reservations move admission-checked, with its tuner's
+// registration with the destination supervisor as the move's claim
+// (smp.MoveGroup); a refusal leaves both machines as they were. Then
+// the tuner switches to the new claim and core, its tick publisher,
+// which captured the previous core, is rebuilt so TunerTickEvents
+// report where the workload now runs, the lane-bound state follows
+// (carryLane) and the unit's handles record their new core.
 func (s *System) moveUnit(u *migUnit, dst *System, to int) error {
 	from := u.core
-	if err := smp.MoveGroup(u.group, s.machine, from, dst.machine, to, u.hint,
-		func() error { return u.rehome(dst, to) }); err != nil {
+	var claim func() error
+	var client *supervisor.Client
+	if u.tuner != nil {
+		claim = func() (err error) {
+			client, err = u.tuner.Claim(dst.machine.Supervisor(to))
+			return err
+		}
+	}
+	if err := smp.MoveGroup(u.group, s.machine, from, dst.machine, to, u.hint, claim); err != nil {
 		return err
+	}
+	if u.tuner != nil {
+		u.tuner.Rehome(dst.machine.Core(to), dst.machine.Supervisor(to), client)
+		u.tuner.BusTick = dst.tickPublisher(to, u.tuner.Task().Name())
 	}
 	carryLane(u, s, from, dst, to)
 	u.core = to

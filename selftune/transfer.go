@@ -4,12 +4,13 @@ package selftune
 // (sched.Scheduler.MoveAll carrying CBS budget/deadline/throttle state,
 // workload.LaneMover carrying self-timers and syscall sinks,
 // ktrace.Buffer.Inject carrying undownloaded evidence,
-// core.Tuner.Rehome carrying the sampling tick and supervisor claim)
-// extended across System boundaries. Transfer moves one spawned
-// workload from this System to another at the same simulated instant
-// through the same transaction as a move between cores
-// (smp.MoveGroup), admission-checked and all-or-nothing: on any error
-// both machines are exactly as they were.
+// core.Tuner.Claim and Rehome moving the supervisor claim and the
+// sampling tick) extended across System boundaries. Transfer moves one
+// spawned workload from this System to another at the same simulated
+// instant through the same transaction as a move between cores
+// (smp.MoveGroup), admission-checked and all-or-nothing: every step
+// that may refuse runs before anything moves, so on any error both
+// machines are exactly as they were.
 //
 // Both Systems must rest at the same simulated time — in a cluster
 // that is the lockstep control fence, where every machine engine and
@@ -71,18 +72,19 @@ func (h *Handle) liveUnit() (*migUnit, error) {
 // the destination engine and its syscall sink repoints at the
 // destination tracer (workload.LaneMover); the tasks' undownloaded
 // syscall evidence transfers between tracers (ktrace.Buffer.Inject);
-// an attached Tuner rehomes to the destination core's scheduler and
-// supervisor with its sampling tick carried across
-// (core.Tuner.Rehome) and downloads from the destination tracer
-// from now on. Request and tuner events publish on dst's observer bus
+// an attached Tuner registers with the destination core's supervisor
+// before anything moves (core.Tuner.Claim), then rehomes to the
+// destination core's scheduler with its sampling tick carried across
+// (core.Tuner.Rehome) and downloads from the destination tracer from
+// now on. Request and tuner events publish on dst's observer bus
 // after the move.
 //
 // The destination core is the one worst-fit placement would pick for
 // the migration charge (the larger of the handle's hint and its
 // reserved bandwidth), and the move is the same transaction as a
 // Migrate between cores (smp.MoveGroup): on any refusal — no room,
-// supervisor rejection of the tuner — both machines are left exactly
-// as they were. Both Systems must rest at the same simulated instant;
+// or the destination supervisor rejecting the tuner's claim — nothing
+// has moved. Both Systems must rest at the same simulated instant;
 // handles in a TuneShared group, workloads without LaneMover and an
 // rtload before Start are not transferable (see LiveMovable) — callers
 // fall back to despawn/respawn for those. Transfer carries a workload

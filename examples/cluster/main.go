@@ -133,10 +133,3 @@ promise), and the rejects largely disappear. The telemetry tables are
 the same machinery that reports on a single machine: machines play the
 cores, realms play the tuned tasks.`)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -15,6 +15,9 @@ package cluster
 // state-carrying migrations between cores.
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/selftune"
 )
 
@@ -99,37 +102,58 @@ func FleetWorstFit(threshold float64, maxMoves int) ClusterBalancer {
 	return &fleetWorstFit{threshold: threshold, maxMoves: maxMoves}
 }
 
+// fleetPlan is the scaffold both built-in fleet policies plan
+// through: a working copy of the hint ledger and the moves planned so
+// far, which are also the IDs a policy may not plan twice. Plan runs
+// every fleet tick, so both buffers are reused and a warm Plan
+// allocates nothing.
+type fleetPlan struct {
+	used []float64
+	plan []Placement
+}
+
+// start resets the scaffold for one Plan call and returns the ledger
+// copy.
+func (p *fleetPlan) start(snap FleetSnapshot) []float64 {
+	p.used = append(p.used[:0], snap.MachineUsed...)
+	p.plan = p.plan[:0]
+	return p.used
+}
+
+// planned reports whether job id already moves in this plan.
+func (p *fleetPlan) planned(id int) bool {
+	return slices.ContainsFunc(p.plan, func(m Placement) bool { return m.Job == id })
+}
+
+// move plans job id (charged hint) from machine from to machine to,
+// shifting the ledger copy.
+func (p *fleetPlan) move(id, from, to int, hint float64, reason string) {
+	p.plan = append(p.plan, Placement{Job: id, To: to, Reason: reason})
+	p.used[from] -= hint
+	p.used[to] += hint
+}
+
+// sorted returns the plan ordered by job ID. A plan never holds an ID
+// twice, so the unstable sort has one result.
+func (p *fleetPlan) sorted() []Placement {
+	slices.SortFunc(p.plan, func(a, b Placement) int { return cmp.Compare(a.Job, b.Job) })
+	return p.plan
+}
+
 type fleetWorstFit struct {
 	threshold float64
 	maxMoves  int
-
-	// Reused planning buffers: Plan runs every fleet tick, and the
-	// hot path must not allocate (the PR 7 zero-alloc discipline).
-	used  []float64
-	moved []int // job IDs already planned this call
-	plan  []Placement
+	fleetPlan
 }
 
 func (f *fleetWorstFit) Name() string { return "fleet-worst-fit" }
-
-func (f *fleetWorstFit) hasMoved(id int) bool {
-	for _, m := range f.moved {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
 
 func (f *fleetWorstFit) Plan(snap FleetSnapshot) []Placement {
 	if len(snap.MachineUsed) < 2 || snap.MachineCap <= 0 {
 		return nil
 	}
-	used := append(f.used[:0], snap.MachineUsed...)
-	f.used = used
-	f.moved = f.moved[:0]
-	plan := f.plan[:0]
-	for len(plan) < f.maxMoves {
+	used := f.start(snap)
+	for len(f.plan) < f.maxMoves {
 		hot, cold := 0, 0
 		for i := range used {
 			if used[i] > used[hot] {
@@ -151,7 +175,7 @@ func (f *fleetWorstFit) Plan(snap FleetSnapshot) []Placement {
 		best := -1
 		var bestHint float64
 		for _, j := range snap.Jobs {
-			if j.Machine != hot || j.Hint > half || f.hasMoved(j.ID) {
+			if j.Machine != hot || j.Hint > half || f.planned(j.ID) {
 				continue
 			}
 			if j.Hint > bestHint || (j.Hint == bestHint && (best < 0 || j.ID < best)) {
@@ -164,24 +188,9 @@ func (f *fleetWorstFit) Plan(snap FleetSnapshot) []Placement {
 		if used[cold]+bestHint > snap.MachineCap {
 			break
 		}
-		plan = append(plan, Placement{Job: best, To: cold, Reason: "drain-hot"})
-		f.moved = append(f.moved, best)
-		used[hot] -= bestHint
-		used[cold] += bestHint
+		f.move(best, hot, cold, bestHint, "drain-hot")
 	}
-	sortPlacements(plan)
-	f.plan = plan
-	return plan
-}
-
-// sortPlacements orders a plan by job ID — insertion sort, since plans
-// are a handful of moves and sort.Slice would allocate on a hot path.
-func sortPlacements(plan []Placement) {
-	for i := 1; i < len(plan); i++ {
-		for j := i; j > 0 && plan[j].Job < plan[j-1].Job; j-- {
-			plan[j], plan[j-1] = plan[j-1], plan[j]
-		}
-	}
+	return f.sorted()
 }
 
 // BalanceSLOAware returns the SLO-chasing fleet policy: instead of
@@ -242,23 +251,11 @@ type sloAware struct {
 	backoff int
 	skip    int
 
-	// Reused planning buffers (see fleetWorstFit).
-	press []float64
-	used  []float64
-	moved []int
-	plan  []Placement
+	press []float64 // reused pressure ledger
+	fleetPlan
 }
 
 func (b *sloAware) Name() string { return "slo-aware" }
-
-func (b *sloAware) hasMoved(id int) bool {
-	for _, m := range b.moved {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
 
 func (b *sloAware) Plan(snap FleetSnapshot) []Placement {
 	if len(snap.MachineLoads) < 2 || snap.MachineCap <= 0 {
@@ -292,7 +289,7 @@ func (b *sloAware) Plan(snap FleetSnapshot) []Placement {
 		return nil
 	}
 	realm := snap.Realms[tardy].Name
-	used := append(b.used[:0], snap.MachineUsed...)
+	used := b.start(snap)
 	// Pressure is the worse of the two ledgers per machine: the mean
 	// core load (actual reservations — catches under-hinted jobs) and
 	// the hint mass with the tardy realm's own share inflated (its
@@ -313,14 +310,12 @@ func (b *sloAware) Plan(snap FleetSnapshot) []Placement {
 		}
 		press[i] = l
 	}
-	b.press, b.used = press, used
-	b.moved = b.moved[:0]
-	plan := b.plan[:0]
+	b.press = press
 	// loadShift approximates how much one job's hint moves a machine's
 	// mean core load (MachineCap is cores x U_lub, so hint/MachineCap
 	// is within U_lub of exact — plenty for greedy planning).
 	loadShift := func(hint float64) float64 { return hint / snap.MachineCap }
-	for len(plan) < b.maxMoves {
+	for len(b.plan) < b.maxMoves {
 		cold := 0
 		for i := range press {
 			if press[i] < press[cold] {
@@ -333,7 +328,7 @@ func (b *sloAware) Plan(snap FleetSnapshot) []Placement {
 		best, bestFrom := -1, -1
 		var bestHint float64
 		for _, j := range snap.Jobs {
-			if j.Realm != realm || j.Machine == cold || b.hasMoved(j.ID) {
+			if j.Realm != realm || j.Machine == cold || b.planned(j.ID) {
 				continue
 			}
 			// The move must leave the source above the destination by
@@ -355,14 +350,11 @@ func (b *sloAware) Plan(snap FleetSnapshot) []Placement {
 		if best < 0 {
 			break
 		}
-		plan = append(plan, Placement{Job: best, To: cold, Reason: "slo-steal"})
-		b.moved = append(b.moved, best)
-		used[bestFrom] -= bestHint
-		used[cold] += bestHint
+		b.move(best, bestFrom, cold, bestHint, "slo-steal")
 		press[bestFrom] -= loadShift(sloAwareInflate * bestHint)
 		press[cold] += loadShift(sloAwareInflate * bestHint)
 	}
-	if len(plan) > 0 {
+	if len(b.plan) > 0 {
 		// Severity is cumulative (run-long quantiles), so "did the last
 		// wave help" is the only honest progress signal: a wave that did
 		// not buy the improvement ratio doubles the backoff, one that
@@ -380,7 +372,5 @@ func (b *sloAware) Plan(snap FleetSnapshot) []Placement {
 		}
 		b.lastSev = worst
 	}
-	sortPlacements(plan)
-	b.plan = plan
-	return plan
+	return b.sorted()
 }

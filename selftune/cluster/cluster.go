@@ -76,7 +76,6 @@ type options struct {
 	fleetBal    ClusterBalancer
 	fleetEvery  selftune.Duration
 	scaler      *AutoscalerConfig
-	statsEvery  selftune.Duration
 	colOpts     []telemetry.CollectorOption
 	machineTel  bool
 	machineColO []telemetry.CollectorOption
@@ -89,7 +88,6 @@ func defaultClusterOptions() options {
 		cores:      8,
 		detail:     1,
 		fleetEvery: 500 * selftune.Millisecond,
-		statsEvery: 1 * selftune.Second,
 	}
 }
 
@@ -253,7 +251,7 @@ func WithRequestStats() Option {
 	}
 }
 
-// job is one admitted, resident request.
+// job is one admitted request; a nil handle marks it departed.
 type job struct {
 	id      int
 	realm   *Realm
@@ -263,7 +261,6 @@ type job struct {
 	machine int
 	handle  *selftune.Handle
 	depart  selftune.Time
-	pos     int // index in Cluster.active
 }
 
 // departHeap orders resident jobs by departure instant (job id breaks
@@ -298,6 +295,11 @@ type Cluster struct {
 	col      *telemetry.Collector
 	parallel int            // advance workers per tick
 	pool     *workpool.Pool // persistent tick-advance workers
+	// advanceMachine runs machine i up to tickAt, the boundary of the
+	// tick being advanced; it is built once, so a tick allocates
+	// nothing to advance the fleet.
+	tickAt         selftune.Time
+	advanceMachine func(int)
 
 	// Machine event staging: stage i subscribes to machine i — every
 	// machine under WithMachineTelemetry, the detail machines under
@@ -313,8 +315,7 @@ type Cluster struct {
 	tickN int
 
 	jobSeq  int
-	jobs    map[int]*job // lookup only; never iterated
-	active  []*job       // resident jobs, swap-removed on depart
+	active  []*job // resident jobs, ascending by ID
 	departQ departHeap
 
 	fleetEveryTicks int
@@ -359,7 +360,6 @@ func New(opts ...Option) (*Cluster, error) {
 		mused:       make([]float64, o.machines),
 		mcap:        float64(o.cores),
 		rand:        rng.New(o.seed),
-		jobs:        make(map[int]*job),
 		realmByName: make(map[string]*Realm),
 	}
 	c.parallel = o.parallel
@@ -398,6 +398,10 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	c.col = telemetry.NewCollector(o.colOpts...)
 	c.pool = workpool.New(c.parallel)
+	c.advanceMachine = func(i int) {
+		m := c.machines[i]
+		m.Run(c.tickAt.Sub(m.Now()))
+	}
 	// Only detail machines Start workloads, so only they can complete
 	// requests; request stats alone subscribe just those, since a
 	// subscription starts a machine's load sampler.
@@ -413,7 +417,7 @@ func New(opts ...Option) (*Cluster, error) {
 		c.machines[i].Subscribe(&c.stages[i])
 	}
 	c.fleetEveryTicks = c.ticksOf(o.fleetEvery)
-	every := o.statsEvery
+	every := statsEvery
 	if o.scaler != nil {
 		every = o.scaler.Every
 	}
@@ -424,6 +428,10 @@ func New(opts ...Option) (*Cluster, error) {
 // tick is the cluster control tick: the granularity of arrivals,
 // departures, balancing and scaling.
 const tick = 100 * selftune.Millisecond
+
+// statsEvery is how often the realms' reservation trajectories fold
+// without an autoscaler; with one they fold at its decision cadence.
+const statsEvery = 1 * selftune.Second
 
 // machinePIDSpan is the PID-space width reserved per machine: far
 // above any per-machine PID (core bases step by 1e6, so 1024 cores at
@@ -620,10 +628,8 @@ func (c *Cluster) Run(horizon selftune.Duration) {
 // machine-index order. The pool's completion barrier orders every
 // worker's writes before the merge and the next control phase.
 func (c *Cluster) advance(next selftune.Time) {
-	c.pool.Run(len(c.machines), func(i int) {
-		m := c.machines[i]
-		m.Run(next.Sub(m.Now()))
-	})
+	c.tickAt = next
+	c.pool.Run(len(c.machines), c.advanceMachine)
 	// Merge barrier: fold the staged per-machine event streams in
 	// machine-index order. Draining on the serial path too keeps the
 	// fold order — and the collectors' bytes — parallelism-invariant.
@@ -651,7 +657,10 @@ func (c *Cluster) foldMachineEvent(e selftune.Event) {
 }
 
 // processDepartures despawns every job whose residency ended at or
-// before the current tick boundary.
+// before the current tick boundary, in (depart, id) order, so the
+// float ledgers subtract in the same order on every run. The departed
+// jobs then leave the resident list in one pass that keeps its ID
+// order.
 func (c *Cluster) processDepartures() {
 	for len(c.departQ) > 0 && c.departQ[0].depart <= c.now {
 		j := heap.Pop(&c.departQ).(*job)
@@ -661,13 +670,9 @@ func (c *Cluster) processDepartures() {
 		c.mused[j.machine] -= j.hint
 		j.realm.used -= j.hint
 		j.realm.departed++
-		// Swap-remove from the active list, keeping positions current.
-		last := len(c.active) - 1
-		c.active[j.pos] = c.active[last]
-		c.active[j.pos].pos = j.pos
-		c.active = c.active[:last]
-		delete(c.jobs, j.id)
+		j.handle = nil
 	}
+	c.active = slices.DeleteFunc(c.active, func(j *job) bool { return j.handle == nil })
 }
 
 // generateArrivals draws each realm's Poisson arrivals for this tick
@@ -685,7 +690,7 @@ func (c *Cluster) generateArrivals() {
 			if service < selftune.Millisecond {
 				service = selftune.Millisecond
 			}
-			a := arrival{spec: spec, service: service, at: c.now}
+			a := arrival{spec: spec, service: service}
 			r.arrived++
 			if len(r.queue) == 0 && c.admit(r, a) {
 				continue
@@ -774,10 +779,8 @@ func (c *Cluster) admit(r *Realm, a arrival) bool {
 			machine: best,
 			handle:  h,
 			depart:  c.now.Add(a.service),
-			pos:     len(c.active),
 		}
-		c.active = append(c.active, j)
-		c.jobs[j.id] = j
+		c.active = append(c.active, j) // IDs only grow: the list stays ascending
 		heap.Push(&c.departQ, j)
 		c.mused[best] += hint
 		r.used += hint
@@ -837,10 +840,11 @@ func (c *Cluster) rebalance() {
 		perDestReason[i] = ""
 	}
 	for _, p := range plan {
-		j := c.jobs[p.Job]
-		if j == nil || p.To < 0 || p.To >= len(c.machines) || p.To == j.machine {
+		at, ok := slices.BinarySearchFunc(c.active, p.Job, func(j *job, id int) int { return cmp.Compare(j.id, id) })
+		if !ok || p.To < 0 || p.To >= len(c.machines) || p.To == c.active[at].machine {
 			continue
 		}
+		j := c.active[at]
 		if c.mused[p.To]+j.hint > c.mcap+1e-9 {
 			continue
 		}
@@ -997,12 +1001,4 @@ func (c *Cluster) snapshotInto(snap *FleetSnapshot) {
 			Hint:    j.hint,
 		})
 	}
-	sortJobs(snap.Jobs)
-}
-
-// sortJobs orders a job list by ID (insertion order is perturbed by
-// swap-removal on departure). IDs are unique, so the unstable sort
-// yields the one ascending order.
-func sortJobs(js []JobStat) {
-	slices.SortFunc(js, func(a, b JobStat) int { return cmp.Compare(a.ID, b.ID) })
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/selftune"
@@ -387,9 +388,9 @@ func TestSeededDeterminism(t *testing.T) {
 
 // TestSnapshotJobsSortedAfterScatteredDepartures admits hundreds of
 // jobs whose exponential service times make them depart in scattered
-// order, so swap-removal leaves the resident list out of ID order; the
-// fleet snapshot must still list exactly the resident jobs, strictly
-// ascending by ID.
+// order, not in the order they arrived; the resident list must stay
+// strictly ascending by ID, and the fleet snapshot must list exactly
+// the resident jobs in that order.
 func TestSnapshotJobsSortedAfterScatteredDepartures(t *testing.T) {
 	c := testCluster(t, WithMachines(8), WithCores(16), WithDetail(0))
 	if _, err := c.AddRealm(RealmConfig{
@@ -401,15 +402,25 @@ func TestSnapshotJobsSortedAfterScatteredDepartures(t *testing.T) {
 	c.Run(4 * selftune.Second)
 
 	resident := make(map[int]bool, len(c.active))
-	scrambled := false
 	for i, j := range c.active {
 		resident[j.id] = true
-		if i > 0 && j.id < c.active[i-1].id {
-			scrambled = true
+		if i > 0 && j.id <= c.active[i-1].id {
+			t.Fatalf("resident list not strictly ascending at %d: %d after %d", i, j.id, c.active[i-1].id)
 		}
 	}
-	if len(resident) < 200 || !scrambled {
-		t.Fatalf("scenario too tame: %d residents, scrambled=%v", len(resident), scrambled)
+	// IDs are dense, so the departed jobs are [1, jobSeq] minus the
+	// residents. Departures were scattered if one of them left after a
+	// job that is still resident had arrived.
+	lastDeparted := 0
+	for id := c.jobSeq; id > 0; id-- {
+		if !resident[id] {
+			lastDeparted = id
+			break
+		}
+	}
+	if len(resident) < 200 || len(c.active) == 0 || lastDeparted <= c.active[0].id {
+		t.Fatalf("scenario too tame: %d residents of %d issued, largest departed ID %d",
+			len(resident), c.jobSeq, lastDeparted)
 	}
 	jobs := c.Snapshot().Jobs
 	if len(jobs) != len(resident) {
@@ -484,6 +495,101 @@ func TestFleetReplacementAccounting(t *testing.T) {
 	c.Run(12 * selftune.Second)
 	if c.Resident() != 0 || r.Used() != 0 {
 		t.Fatalf("resident=%d used=%.3f after drain despite shuffling", c.Resident(), r.Used())
+	}
+}
+
+// stalePlanner waits until a job it saw in its previous snapshot has
+// departed, then returns one plan of five placements the executor must
+// skip (that departed job, an ID never issued, a negative ID, a
+// destination out of range, a job's own machine) around one valid
+// move, and plans nothing afterwards.
+type stalePlanner struct {
+	prev  []int // job IDs in the previous snapshot, ascending
+	fired bool
+}
+
+func (s *stalePlanner) Name() string { return "stale" }
+func (s *stalePlanner) Plan(snap FleetSnapshot) []Placement {
+	if s.fired {
+		return nil
+	}
+	departed := -1
+	for _, id := range s.prev {
+		if !slices.ContainsFunc(snap.Jobs, func(j JobStat) bool { return j.ID == id }) {
+			departed = id
+			break
+		}
+	}
+	s.prev = s.prev[:0]
+	for _, j := range snap.Jobs {
+		s.prev = append(s.prev, j.ID)
+	}
+	var onHot []JobStat // resident jobs on the machine with more hint mass
+	hot, cold := 0, 1
+	if snap.MachineUsed[1] > snap.MachineUsed[0] {
+		hot, cold = 1, 0
+	}
+	for _, j := range snap.Jobs {
+		if j.Machine == hot {
+			onHot = append(onHot, j)
+		}
+	}
+	if departed < 0 || len(onHot) < 3 {
+		return nil
+	}
+	s.fired = true
+	return []Placement{
+		{Job: departed, To: cold},
+		{Job: 1 << 40, To: cold}, // never issued
+		{Job: -1, To: cold},
+		{Job: onHot[0].ID, To: len(snap.MachineUsed)},
+		{Job: onHot[1].ID, To: hot},
+		{Job: onHot[2].ID, To: cold}, // the valid move
+	}
+}
+
+// TestRebalanceSkipsStalePlacements: a plan may name jobs that are no
+// longer resident, IDs that never were, and destinations that make no
+// move; the executor skips each of them and runs only the valid move,
+// so every counter rises by one and the hint ledger still balances.
+func TestRebalanceSkipsStalePlacements(t *testing.T) {
+	planner := &stalePlanner{}
+	c := testCluster(t,
+		WithDetail(0),
+		WithFleetBalancer(planner),
+		WithFleetBalanceInterval(100*selftune.Millisecond),
+	)
+	r, err := c.AddRealm(RealmConfig{
+		Name: "churn", Reservation: 2, Rate: 40,
+		Mix: []WorkloadSpec{{Kind: "webserver", Hint: 0.1, Service: Exp(500 * selftune.Millisecond)}},
+	})
+	if err != nil {
+		t.Fatalf("AddRealm: %v", err)
+	}
+	c.Run(2 * selftune.Second)
+
+	if !planner.fired {
+		t.Fatal("no job departed between two plans — the stale placements were never issued")
+	}
+	if got := c.Replacements(); got != 1 {
+		t.Errorf("cluster executed %d re-placements, want only the valid move", got)
+	}
+	if got := r.Stats().Replaced; got != 1 {
+		t.Errorf("realm counted %d re-placements, want 1", got)
+	}
+	if got := c.Collector().Snapshot().Migrations; got != 1 {
+		t.Errorf("collector folded %d migration events, want 1", got)
+	}
+	snap := c.Snapshot()
+	var machineSum, jobSum float64
+	for _, u := range snap.MachineUsed {
+		machineSum += u
+	}
+	for _, j := range snap.Jobs {
+		jobSum += j.Hint
+	}
+	if diff := machineSum - jobSum; diff > 1e-9 || diff < -1e-9 {
+		t.Fatalf("machine accounting %.4f disagrees with resident jobs %.4f", machineSum, jobSum)
 	}
 }
 

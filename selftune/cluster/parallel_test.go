@@ -119,3 +119,38 @@ func TestParallelClusterRace(t *testing.T) {
 		t.Fatalf("machine collector sees %d cores, want 4", tel.Cores)
 	}
 }
+
+// raceEnabled is set by the race build, under which sync.Pool drops a
+// random share of its puts, so recycled jobs allocate again.
+var raceEnabled bool
+
+// TestTickAdvanceAllocatesNothing pins the fleet advance: the closure
+// that runs a machine to the tick boundary is built once and the
+// pool's batch lives in the pool, so advancing a warm fleet by a tick
+// allocates nothing, on one worker or on two.
+func TestTickAdvanceAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts need the pools of a non-race build")
+	}
+	for _, workers := range []int{1, 2} {
+		c := testCluster(t, WithMachines(4), WithCores(4), WithDetail(4), WithParallelism(workers))
+		if _, err := c.AddRealm(RealmConfig{
+			Name: "rt", Reservation: 6, Rate: 20,
+			Mix: []WorkloadSpec{{Kind: "rtload", Hint: 0.25, Util: 0.25, Service: Fixed(time30s)}},
+		}); err != nil {
+			t.Fatalf("AddRealm: %v", err)
+		}
+		c.Run(3 * selftune.Second)
+		steps := c.Steps()
+		if n := testing.AllocsPerRun(20, func() {
+			c.now = c.now.Add(tick)
+			c.advance(c.now)
+		}); n != 0 {
+			t.Errorf("%d workers: a tick advance allocates %v times, want 0", workers, n)
+		}
+		if c.Steps() == steps {
+			t.Fatalf("%d workers: no event ran while measuring", workers)
+		}
+		c.Close()
+	}
+}

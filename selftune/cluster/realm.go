@@ -61,7 +61,6 @@ type RealmConfig struct {
 type arrival struct {
 	spec    int // index into cfg.Mix
 	service selftune.Duration
-	at      selftune.Time // arrival instant
 }
 
 // Realm is a tenant: a capacity reservation sliced across the fleet, a

@@ -132,6 +132,14 @@ type Tuner struct {
 
 	windows []*spectrum.Window // one per task; nil without rate detection
 
+	// The detect step's storage, reused by every activation: the
+	// drained events, their instants, the amplitudes and the peak
+	// heuristic's scratch.
+	drained  []ktrace.Event
+	times    []simtime.Time
+	spec     spectrum.Spectrum
+	detector spectrum.Detector
+
 	// shared selects how the period is learned: per-thread verdicts
 	// frozen at the smallest period (NewShared) or per-task hysteresis
 	// (New).
@@ -443,7 +451,7 @@ func (t *Tuner) tick() {
 			t.holdGrowths++
 			for i, task := range t.tasks {
 				if t.tracer != nil {
-					t.tracer.DrainPID(task.PID())
+					t.drained = t.tracer.AppendDrainPID(t.drained[:0], task.PID())
 				}
 				t.windows[i].Reset()
 			}
@@ -497,11 +505,14 @@ func (t *Tuner) tick() {
 // events and the verdict is periodic.
 func (t *Tuner) detect(now simtime.Time, i int) (float64, bool) {
 	w := t.windows[i]
-	w.Observe(now, ktrace.Timestamps(t.tracer.DrainPID(t.tasks[i].PID())))
+	t.drained = t.tracer.AppendDrainPID(t.drained[:0], t.tasks[i].PID())
+	t.times = ktrace.AppendTimestamps(t.times[:0], t.drained)
+	w.Observe(now, t.times)
 	if w.Events() < t.cfg.MinEvents {
 		return 0, false
 	}
-	det := spectrum.Detect(w.Spectrum(), t.cfg.Detect)
+	w.SpectrumInto(&t.spec)
+	det := t.detector.Detect(&t.spec, t.cfg.Detect)
 	return det.Frequency, det.Periodic && det.Frequency > 0
 }
 

@@ -218,10 +218,7 @@ func (b *Buffer) Drain() []Event {
 // consuming them.
 func (b *Buffer) Snapshot() []Event {
 	out := make([]Event, 0, b.count)
-	start := b.head - b.count
-	if start < 0 {
-		start += len(b.ring)
-	}
+	start := b.start()
 	for i := 0; i < b.count; i++ {
 		out = append(out, b.ring[(start+i)%len(b.ring)])
 	}
@@ -233,12 +230,8 @@ func (b *Buffer) Snapshot() []Event {
 // compacts them within the ring and returns one exactly-sized slice,
 // nil when the process has nothing buffered.
 func (b *Buffer) DrainPID(pid int) []Event {
-	start := b.head - b.count
-	if start < 0 {
-		start += len(b.ring)
-	}
 	mine := 0
-	for i, p := 0, start; i < b.count; i++ {
+	for i, p := 0, b.start(); i < b.count; i++ {
 		if b.ring[p].PID == pid {
 			mine++
 		}
@@ -249,11 +242,17 @@ func (b *Buffer) DrainPID(pid int) []Event {
 	if mine == 0 {
 		return nil
 	}
-	out := make([]Event, 0, mine)
-	w := start // the next kept event's slot; never ahead of p
-	for i, p := 0, start; i < b.count; i++ {
+	return b.AppendDrainPID(make([]Event, 0, mine), pid)
+}
+
+// AppendDrainPID is DrainPID appending the process's events to dst,
+// for a caller that reuses its storage from one download to the next.
+func (b *Buffer) AppendDrainPID(dst []Event, pid int) []Event {
+	n := len(dst)
+	w := b.start() // the next kept event's slot; never ahead of p
+	for i, p := 0, w; i < b.count; i++ {
 		if e := b.ring[p]; e.PID == pid {
-			out = append(out, e)
+			dst = append(dst, e)
 		} else {
 			b.ring[w] = e
 			if w++; w == len(b.ring) {
@@ -264,9 +263,18 @@ func (b *Buffer) DrainPID(pid int) []Event {
 			p = 0
 		}
 	}
-	b.count -= mine
+	b.count -= len(dst) - n
 	b.head = w
-	return out
+	return dst
+}
+
+// start returns the ring slot of the oldest buffered event.
+func (b *Buffer) start() int {
+	start := b.head - b.count
+	if start < 0 {
+		start += len(b.ring)
+	}
+	return start
 }
 
 // Inject appends already recorded events to the buffer, preserving
@@ -296,9 +304,13 @@ func (b *Buffer) Histogram() map[int]int {
 // Timestamps extracts just the instants from a batch of events, the
 // form consumed by the period analyser.
 func Timestamps(events []Event) []simtime.Time {
-	out := make([]simtime.Time, len(events))
-	for i, e := range events {
-		out[i] = e.At
+	return AppendTimestamps(make([]simtime.Time, 0, len(events)), events)
+}
+
+// AppendTimestamps is Timestamps appending the instants to dst.
+func AppendTimestamps(dst []simtime.Time, events []Event) []simtime.Time {
+	for _, e := range events {
+		dst = append(dst, e.At)
 	}
-	return out
+	return dst
 }

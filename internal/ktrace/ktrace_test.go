@@ -177,8 +177,8 @@ func refDrainPID(b *Buffer, pid int) []Event {
 }
 
 // TestDrainPIDMatchesReference drives DrainPID and the reference on
-// twin buffers through random Syscall, DrainPID, Drain and Inject
-// sequences on rings small enough to wrap and drop, and compares the
+// twin buffers through random Syscall, DrainPID, AppendDrainPID, Drain
+// and Inject sequences on rings small enough to wrap and drop, and compares the
 // observable state after every step.
 func TestDrainPIDMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewPCG(4, 5))
@@ -196,10 +196,19 @@ func TestDrainPIDMatchesReference(t *testing.T) {
 				pid, nr := 1+r.IntN(4), r.IntN(3)
 				got.Syscall(now, pid, nr)
 				want.Syscall(now, pid, nr)
-			case k < 8:
+			case k < 7:
 				pid := 1 + r.IntN(5) // 5 is never recorded
 				op = fmt.Sprintf("DrainPID(%d)", pid)
 				gotOut, wantOut = got.DrainPID(pid), refDrainPID(want, pid)
+			case k < 8:
+				pid := 1 + r.IntN(5)
+				op = fmt.Sprintf("AppendDrainPID(%d)", pid)
+				prefix := []Event{{At: -1, PID: 9}, {At: -2, PID: 9}}[:r.IntN(3)]
+				out := got.AppendDrainPID(slices.Clone(prefix), pid)
+				if !slices.Equal(out[:len(prefix)], prefix) {
+					t.Fatalf("capacity %d, step %d, %s: dst prefix %v became %v", capacity, step, op, prefix, out[:len(prefix)])
+				}
+				gotOut, wantOut = out[len(prefix):], refDrainPID(want, pid)
 			case k < 9:
 				op = "Drain"
 				gotOut, wantOut = got.Drain(), want.Drain()

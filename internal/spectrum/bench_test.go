@@ -77,3 +77,30 @@ func BenchmarkWindowObserveTune(b *testing.B) {
 		observe()
 	}
 }
+
+// BenchmarkKernel prices the analyser's spectrum update, the layer one
+// tuner activation spends its time in: 88 events added and the same 88
+// removed on the default band, as one Observe of the tune workload
+// does, anchors included. ns_per_term is the cost per event and bin,
+// the unit of Eq. 3, for each row loop; run it at -cpu 1.
+func BenchmarkKernel(b *testing.B) {
+	events := make([]simtime.Time, 88)
+	for k := range events {
+		events[k] = simtime.Time(10 * simtime.Second).Add(simtime.Duration(k) * 200 * simtime.Millisecond / 88)
+	}
+	for _, avx2 := range []bool{false, true} {
+		b.Run("rows="+pathName(avx2), func(b *testing.B) {
+			if avx2 && !haveAVX2 {
+				b.Skip("no AVX2 on this host")
+			}
+			inc := NewIncremental(DefaultBand)
+			inc.avx2 = avx2
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inc.update(events, events)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(inc.Ops()), "ns_per_term")
+		})
+	}
+}

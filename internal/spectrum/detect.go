@@ -88,6 +88,19 @@ type Detection struct {
 // Detect runs the paper's six-step peak-detection heuristic on the
 // spectrum.
 func Detect(s *Spectrum, cfg DetectConfig) Detection {
+	return new(Detector).Detect(s, cfg)
+}
+
+// A Detector runs Detect on storage it keeps from call to call, so a
+// warm Detector allocates nothing. The zero value is ready to use.
+type Detector struct {
+	peaks      []int
+	candidates []float64
+}
+
+// Detect is the package's Detect on the Detector's storage: the
+// returned Candidates are overwritten by the next call.
+func (dt *Detector) Detect(s *Spectrum, cfg DetectConfig) Detection {
 	if cfg.KMax <= 0 {
 		cfg.KMax = DefaultDetect.KMax
 	}
@@ -107,12 +120,13 @@ func Detect(s *Spectrum, cfg DetectConfig) Detection {
 	// ordered by frequency. Scanning the whole transform costs F
 	// element visits (first term of Eq. 5).
 	det.Scanned += int64(n)
-	var peaks []int
+	peaks := dt.peaks[:0]
 	for i := 1; i < n-1; i++ {
 		if s.Amp[i] > s.Amp[i-1] && s.Amp[i] >= s.Amp[i+1] {
 			peaks = append(peaks, i)
 		}
 	}
+	dt.peaks = peaks
 
 	// Step 3: discard peaks below α times the maximum amplitude (see
 	// the Alpha field for why the maximum, not the mean).
@@ -160,6 +174,7 @@ func Detect(s *Spectrum, cfg DetectConfig) Detection {
 	// integer multiple of the actual one").
 	best, bestScore := -1, math.Inf(-1)
 	halfBins := int(math.Round(cfg.Epsilon / s.Band.DeltaF))
+	det.Candidates = dt.candidates[:0]
 	for _, pi := range peaks {
 		fi := s.Band.Freq(pi)
 		det.Candidates = append(det.Candidates, fi)
@@ -208,6 +223,8 @@ func Detect(s *Spectrum, cfg DetectConfig) Detection {
 			best = pi
 		}
 	}
+
+	dt.candidates = det.Candidates
 
 	// Step 6: the candidate with the highest harmonic support wins.
 	det.Periodic = true

@@ -2,7 +2,10 @@ package spectrum
 
 import (
 	"math"
+	"os"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -11,9 +14,25 @@ import (
 
 // raceEnabled is set by the race build. The race detector slows the
 // kernel's arithmetic about tenfold, so under it the reference tests
-// replay a 6 s train instead of 30 s: enough to run every forced split
-// concurrently.
+// replay a 6 s train instead of 30 s.
 var raceEnabled bool
+
+// rowPaths are the row loops the tests force in turn: rowsGo, and
+// rowsAVX2 where the host has AVX2.
+func rowPaths(t *testing.T) []bool {
+	if !haveAVX2 {
+		t.Log("no AVX2 on this host: only the Go rows run")
+		return []bool{false}
+	}
+	return []bool{false, true}
+}
+
+func pathName(avx2 bool) string {
+	if avx2 {
+		return "avx2"
+	}
+	return "go"
+}
 
 // sincosTerms is the per-bin loop the kernel replaced, one math.Sincos
 // of ω_i·t per bin: the accuracy reference.
@@ -35,8 +54,8 @@ func anchoredTerms(band Band, t float64, cos, sin []float64) {
 			sin[i], cos[i] = math.Sincos(w * t)
 			continue
 		}
-		cos[i] = cos[i-1]*dc - sin[i-1]*ds
-		sin[i] = sin[i-1]*dc + cos[i-1]*ds
+		cos[i] = float64(cos[i-1]*dc) - float64(sin[i-1]*ds)
+		sin[i] = float64(sin[i-1]*dc) + float64(cos[i-1]*ds)
 	}
 }
 
@@ -117,6 +136,16 @@ type bins struct {
 	re, im []float64
 }
 
+// binsOf copies inc's event count and accumulators in bin order.
+func binsOf(inc *Incremental) bins {
+	n := inc.band.Bins()
+	b := bins{inc.events, make([]float64, n), make([]float64, n)}
+	for i := range b.re {
+		b.re[i], b.im[i] = inc.re[inc.at(i)], inc.im[inc.at(i)]
+	}
+	return b
+}
+
 // replayTune feeds train to observe in 200 ms batches, then one batch
 // observed so late (three horizons after the last event) that all of
 // it is already past the cutoff, and collects what observe returns.
@@ -172,23 +201,23 @@ func TestObserveMatchesEventMajorReference(t *testing.T) {
 		if last := want[len(want)-1]; last.events != 0 {
 			t.Fatalf("%s: the late batch left %d events in the reference", sc.name, last.events)
 		}
-		for _, split := range []int{1, 2, 3, 7} {
+		for _, avx2 := range rowPaths(t) {
 			w := NewWindow(sc.band, h)
-			w.inc.split = split
+			w.inc.avx2 = avx2
 			got := replayTune(sc.train, h, func(now simtime.Time, batch []simtime.Time) bins {
 				w.Observe(now, batch)
-				return bins{w.Events(), slices.Clone(w.inc.re), slices.Clone(w.inc.im)}
+				return binsOf(w.inc)
 			})
 			for k := range want {
 				if got[k].events != want[k].events {
-					t.Fatalf("%s, split %d, Observe %d: %d events, reference %d",
-						sc.name, split, k, got[k].events, want[k].events)
+					t.Fatalf("%s, %s rows, Observe %d: %d events, reference %d",
+						sc.name, pathName(avx2), k, got[k].events, want[k].events)
 				}
 				for i := range want[k].re {
 					if math.Float64bits(got[k].re[i]) != math.Float64bits(want[k].re[i]) ||
 						math.Float64bits(got[k].im[i]) != math.Float64bits(want[k].im[i]) {
-						t.Fatalf("%s, split %d, Observe %d, bin %d: kernel (%v, %v), reference (%v, %v)",
-							sc.name, split, k, i, got[k].re[i], got[k].im[i], want[k].re[i], want[k].im[i])
+						t.Fatalf("%s, %s rows, Observe %d, bin %d: kernel (%v, %v), reference (%v, %v)",
+							sc.name, pathName(avx2), k, i, got[k].re[i], got[k].im[i], want[k].re[i], want[k].im[i])
 					}
 				}
 			}
@@ -223,14 +252,18 @@ func TestObserveStaysWithinBoundOfSincos(t *testing.T) {
 	const u = 0x1p-53
 	for _, sc := range referenceScenarios() {
 		ref := newRefWindow(sc.band, h, sincosTerms)
-		w := NewWindow(sc.band, h)
+		paths := rowPaths(t)
+		windows := make([]*Window, len(paths))
+		for p, avx2 := range paths {
+			windows[p] = NewWindow(sc.band, h)
+			windows[p].inc.avx2 = avx2
+		}
 		ops, peak := 0, 0
 		var worst, share float64 // the largest deviation, and the largest share of its bound
 		replayTune(sc.train, h, func(now simtime.Time, batch []simtime.Time) bins {
 			before := len(ref.buf)
 			peak = max(peak, before+len(batch))
 			ref.observe(now, batch)
-			w.Observe(now, batch)
 			ops += 2*len(batch) + before - len(ref.buf)
 
 			bound := 2 * u * float64(peak+1) * float64(ops)
@@ -239,13 +272,17 @@ func TestObserveStaysWithinBoundOfSincos(t *testing.T) {
 				d := 2 * math.Pi * sc.band.DeltaF * e.Seconds()
 				bound += 8*u*x + 2*(block-1)*u*d + 10*block*u
 			}
-			for i := range ref.re {
-				dev := max(math.Abs(w.inc.re[i]-ref.re[i]), math.Abs(w.inc.im[i]-ref.im[i]))
-				if dev > bound {
-					t.Fatalf("%s, t=%v, bin %d: kernel deviates %.3g from per-bin math.Sincos, bound %.3g",
-						sc.name, now, i, dev, bound)
+			for p, w := range windows {
+				w.Observe(now, batch)
+				got := binsOf(w.inc)
+				for i := range ref.re {
+					dev := max(math.Abs(got.re[i]-ref.re[i]), math.Abs(got.im[i]-ref.im[i]))
+					if dev > bound {
+						t.Fatalf("%s, %s rows, t=%v, bin %d: kernel deviates %.3g from per-bin math.Sincos, bound %.3g",
+							sc.name, pathName(paths[p]), now, i, dev, bound)
+					}
+					worst, share = max(worst, dev), max(share, dev/bound)
 				}
-				worst, share = max(worst, dev), max(share, dev/bound)
 			}
 			return bins{}
 		})
@@ -255,7 +292,6 @@ func TestObserveStaysWithinBoundOfSincos(t *testing.T) {
 
 func TestObserveAllocatesNothingWhenWarm(t *testing.T) {
 	w := NewWindow(DefaultBand, 2*simtime.Second)
-	w.inc.split = 1
 	batch := make([]simtime.Time, 88)
 	now := simtime.Time(0)
 	observe := func() {
@@ -270,5 +306,76 @@ func TestObserveAllocatesNothingWhenWarm(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(20, observe); a != 0 {
 		t.Errorf("warm Observe allocates %v times per call, want 0", a)
+	}
+}
+
+// TestRowsAVX2MatchesGo holds rows on rowsAVX2 to rowsGo bit for bit on
+// random accumulators and anchors, comparing re, im, c and s: every
+// lane count from 1 to 19, so groups of eight, groups of four and a Go
+// tail all run, each with every row count from 1 to 64, a stride with
+// up to two lanes of padding, both signs, and events from t = 0 to
+// 10^6 s.
+func TestRowsAVX2MatchesGo(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no AVX2 on this host")
+	}
+	r := rng.New(11)
+	band := Band{FMin: r.Uniform(0, 5), FMax: 1000, DeltaF: 0.1}
+	for lanes := 1; lanes <= 19; lanes++ {
+		for n := 1; n <= block; n++ {
+			stride := lanes + r.Intn(3)
+			sec := 0.0
+			if n > 1 {
+				sec = math.Pow(10, r.Uniform(-3, 6))
+			}
+			sign := 1.0
+			if r.Bool(0.5) {
+				sign = -1
+			}
+			c, s := make([]float64, lanes), make([]float64, lanes)
+			for j := range c {
+				sj, cj := math.Sincos(2 * math.Pi * band.Freq(j*block) * sec)
+				c[j], s[j] = sign*cj, sign*sj
+			}
+			ds, dc := math.Sincos(2 * math.Pi * band.DeltaF * sec)
+			re, im := make([]float64, n*stride), make([]float64, n*stride)
+			for i := range re {
+				re[i], im[i] = r.Uniform(-500, 500), r.Uniform(-500, 500)
+			}
+			goRe, goIm, goC, goS := slices.Clone(re), slices.Clone(im), slices.Clone(c), slices.Clone(s)
+			rows(re, im, c, s, dc, ds, n, stride, true)
+			rows(goRe, goIm, goC, goS, dc, ds, n, stride, false)
+			for _, pair := range [][2][]float64{{re, goRe}, {im, goIm}, {c, goC}, {s, goS}} {
+				for i := range pair[0] {
+					if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+						t.Fatalf("%d lanes, %d rows, stride %d, t=%v s, sign %v: AVX2 %v, Go %v at index %d",
+							lanes, n, stride, sec, sign, pair[0][i], pair[1][i], i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAVX2SelectedWhereTheHostHasIt fails when the host's CPU flags
+// list AVX2 but the analyser runs the Go rows, so a broken CPUID check
+// cannot leave the tests exercising only the fallback.
+func TestAVX2SelectedWhereTheHostHasIt(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the AVX2 rows are amd64 only")
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no CPU flags to compare with: %v", err)
+	}
+	host := false
+	for _, line := range strings.Split(string(info), "\n") {
+		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			host = slices.Contains(strings.Fields(flags), "avx2")
+			break
+		}
+	}
+	if host && !NewIncremental(DefaultBand).avx2 {
+		t.Error("the host's CPU flags list AVX2, but the analyser runs the Go rows")
 	}
 }

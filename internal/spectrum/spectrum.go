@@ -10,21 +10,21 @@
 // implementation counts those operations so the complexity claims can
 // be tested, not just trusted.
 //
-// One batched kernel serves Compute, Incremental and Window. Per event
-// it takes one math.Sincos of the bin step δω·t (δω = 2π·DeltaF) and
-// one of ω_b·t at the first bin b of every 64-bin block, and reaches
-// the other bins by rotation: 17 transcendental calls per event on the
-// default band instead of 991. Each bin receives its events in order,
-// the batch added and then the expired events removed, and its term
-// for an event depends only on the event and the bin, so no bit
-// depends on how events are batched or how the bins are split. A batch
-// of at least 49152 exponentials (events × bins, ~50 events on the
-// default band) is split into runtime.GOMAXPROCS(0) ranges of whole
-// blocks computed concurrently; a smaller batch, or any batch at
-// GOMAXPROCS 1, runs inline. Against a per-bin math.Sincos the
-// deviation is dominated by the rounding of the per-bin argument ω_i·t
-// itself (kernel_test.go derives the bound). Ops still counts N·F
-// exponentials per batch (Eq. 3).
+// One kernel serves Compute, Incremental and Window. Per event it takes
+// one math.Sincos of the bin step δω·t (δω = 2π·DeltaF) and one of
+// ω_b·t at the first bin b of every 64-bin block, and reaches the other
+// bins by rotation: 17 transcendental calls per event on the default
+// band instead of 991. The accumulators are kept row by row, row k
+// holding bin k of every block, so the blocks of one event rotate side
+// by side as vector lanes: four per AVX2 instruction on amd64 CPUs that
+// have it (CPUID decides once), and a Go loop of the same IEEE
+// operations elsewhere. Each bin receives its events in order, the
+// batch added and then the expired events removed, and its term for an
+// event depends only on the event and the bin, so no bit depends on how
+// events are batched or on which of the two loops ran. Against a
+// per-bin math.Sincos the deviation is dominated by the rounding of the
+// per-bin argument ω_i·t itself (kernel_test.go derives the bound). Ops
+// still counts N·F exponentials per batch (Eq. 3).
 package spectrum
 
 import (
@@ -128,12 +128,16 @@ func (s *Spectrum) Mean() float64 {
 // Events can also be removed, which Window uses to expire events
 // falling out of the observation horizon.
 type Incremental struct {
-	band   Band
+	band Band
+	dw   float64   // 2π·DeltaF
+	w    []float64 // 2π·Freq at the first bin of each block, one per lane
+	// re and im hold bin j·block+k at k·len(w)+j (see rows); the rows
+	// past the end of a short last block are padding nobody reads.
 	re, im []float64
-	insts  []instant // scratch: the instants of one update
+	c, s   []float64 // scratch: one event's anchors, one per lane
+	avx2   bool      // run rowsAVX2: haveAVX2 unless a test forces rowsGo
 	events int
 	ops    int64
-	split  int // bin ranges per update; 0 chooses by work (tests force it)
 }
 
 // NewIncremental returns an empty incremental analyser over the band.
@@ -141,8 +145,21 @@ func NewIncremental(band Band) *Incremental {
 	if !band.Valid() {
 		panic("spectrum: invalid band")
 	}
-	n := band.Bins()
-	return &Incremental{band: band, re: make([]float64, n), im: make([]float64, n)}
+	lanes := (band.Bins() + block - 1) / block
+	inc := &Incremental{
+		band: band,
+		dw:   2 * math.Pi * band.DeltaF,
+		w:    make([]float64, lanes),
+		re:   make([]float64, lanes*block),
+		im:   make([]float64, lanes*block),
+		c:    make([]float64, lanes),
+		s:    make([]float64, lanes),
+		avx2: haveAVX2,
+	}
+	for j := range inc.w {
+		inc.w[j] = 2 * math.Pi * band.Freq(j*block)
+	}
+	return inc
 }
 
 // Band returns the analysed band.
@@ -162,38 +179,62 @@ func (inc *Incremental) Add(t simtime.Time) { inc.update([]simtime.Time{t}, nil)
 func (inc *Incremental) Remove(t simtime.Time) { inc.update(nil, []simtime.Time{t}) }
 
 // update adds the events in add and then removes those in sub, each
-// in order, with one pass of the kernel over the bins.
+// in order.
 func (inc *Incremental) update(add, sub []simtime.Time) {
-	dw := 2 * math.Pi * inc.band.DeltaF
-	inc.insts = inc.insts[:0]
-	for _, ts := range [2][]simtime.Time{add, sub} {
-		for _, t := range ts {
-			secs := t.Seconds()
-			sin, cos := math.Sincos(dw * secs)
-			inc.insts = append(inc.insts, instant{secs, cos, sin})
-		}
+	for _, t := range add {
+		inc.accumulate(t.Seconds(), 1)
 	}
-	kernel(inc.re, inc.im, inc.band, inc.insts[:len(add)], inc.insts[len(add):], inc.split)
+	for _, t := range sub {
+		inc.accumulate(t.Seconds(), -1)
+	}
 	inc.events += len(add) - len(sub)
-	inc.ops += int64(len(add)+len(sub)) * int64(len(inc.re))
+	inc.ops += int64(len(add)+len(sub)) * int64(inc.band.Bins())
 }
+
+// accumulate adds sign·e^{-jωt} to every bin: one exact anchor per
+// block, the sign folded into it (rounding is symmetric, so rotating
+// −z gives exactly −(z rotated)), and the rows rotate it to the other
+// bins.
+func (inc *Incremental) accumulate(t, sign float64) {
+	for j, w := range inc.w {
+		s, c := math.Sincos(w * t)
+		inc.c[j], inc.s[j] = sign*c, sign*s
+	}
+	ds, dc := math.Sincos(inc.dw * t)
+	rows(inc.re, inc.im, inc.c, inc.s, dc, ds, min(inc.band.Bins(), block), len(inc.w), inc.avx2)
+}
+
+// at returns where bin i sits in re and im.
+func (inc *Incremental) at(i int) int { return i%block*len(inc.w) + i/block }
 
 // Reset clears the accumulators.
 func (inc *Incremental) Reset() {
-	for i := range inc.re {
-		inc.re[i] = 0
-		inc.im[i] = 0
-	}
+	clear(inc.re)
+	clear(inc.im)
 	inc.events = 0
 }
 
 // Spectrum materialises the current amplitude spectrum.
 func (inc *Incremental) Spectrum() *Spectrum {
-	amp := make([]float64, len(inc.re))
-	for i := range amp {
-		amp[i] = math.Hypot(inc.re[i], inc.im[i])
+	s := new(Spectrum)
+	inc.SpectrumInto(s)
+	return s
+}
+
+// SpectrumInto materialises the current amplitude spectrum into s,
+// reusing the storage of s.Amp when it is large enough.
+func (inc *Incremental) SpectrumInto(s *Spectrum) {
+	n := inc.band.Bins()
+	amp := s.Amp
+	if cap(amp) < n {
+		amp = make([]float64, n)
 	}
-	return &Spectrum{Band: inc.band, Amp: amp, Events: inc.events, Ops: inc.ops}
+	amp = amp[:n]
+	for i := range amp {
+		k := inc.at(i)
+		amp[i] = math.Hypot(inc.re[k], inc.im[k])
+	}
+	*s = Spectrum{Band: inc.band, Amp: amp, Events: inc.events, Ops: inc.ops}
 }
 
 // Window is an incremental analyser over a sliding observation horizon
@@ -237,6 +278,10 @@ func (w *Window) Observe(now simtime.Time, events []simtime.Time) {
 
 // Spectrum materialises the spectrum of the events inside the window.
 func (w *Window) Spectrum() *Spectrum { return w.inc.Spectrum() }
+
+// SpectrumInto is Spectrum on the caller's storage, as
+// Incremental.SpectrumInto.
+func (w *Window) SpectrumInto(s *Spectrum) { w.inc.SpectrumInto(s) }
 
 // Reset clears the window.
 func (w *Window) Reset() {

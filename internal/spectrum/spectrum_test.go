@@ -185,14 +185,17 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 	r := rng.New(7)
 	events := diracTrain(r, 30*simtime.Millisecond, 30, []simtime.Duration{0, 28 * simtime.Millisecond}, simtime.Millisecond)
 	batch := Compute(events, DefaultBand)
-	inc := NewIncremental(DefaultBand)
-	for _, e := range events {
-		inc.Add(e)
-	}
-	got := inc.Spectrum()
-	for i := range batch.Amp {
-		if math.Float64bits(batch.Amp[i]) != math.Float64bits(got.Amp[i]) {
-			t.Fatalf("bin %d: batch %v vs incremental %v", i, batch.Amp[i], got.Amp[i])
+	for _, avx2 := range rowPaths(t) {
+		inc := NewIncremental(DefaultBand)
+		inc.avx2 = avx2
+		for _, e := range events {
+			inc.Add(e)
+		}
+		got := inc.Spectrum()
+		for i := range batch.Amp {
+			if math.Float64bits(batch.Amp[i]) != math.Float64bits(got.Amp[i]) {
+				t.Fatalf("%s rows, bin %d: batch %v vs incremental %v", pathName(avx2), i, batch.Amp[i], got.Amp[i])
+			}
 		}
 	}
 }

@@ -81,8 +81,11 @@ func BenchmarkWindowObserveTune(b *testing.B) {
 // BenchmarkKernel prices the analyser's spectrum update, the layer one
 // tuner activation spends its time in: 88 events added and the same 88
 // removed on the default band, as one Observe of the tune workload
-// does, anchors included. ns_per_term is the cost per event and bin,
-// the unit of Eq. 3, for each row loop; run it at -cpu 1.
+// does. The rows= runs time the whole update, anchors included, and
+// report ns_per_term, the cost per event and bin (the unit of Eq. 3);
+// the anchors= runs time the anchors alone, the 16 block anchors and
+// the step of one event, and report ns_per_event. Each runs on the Go
+// path and on the AVX2 path; run it at -cpu 1.
 func BenchmarkKernel(b *testing.B) {
 	events := make([]simtime.Time, 88)
 	for k := range events {
@@ -101,6 +104,23 @@ func BenchmarkKernel(b *testing.B) {
 				inc.update(events, events)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(inc.Ops()), "ns_per_term")
+		})
+	}
+	for _, avx2 := range []bool{false, true} {
+		b.Run("anchors="+pathName(avx2), func(b *testing.B) {
+			if avx2 && !haveAVX2 {
+				b.Skip("no AVX2 on this host")
+			}
+			inc := NewIncremental(DefaultBand)
+			inc.avx2 = avx2
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, t := range events {
+					inc.anchors(t.Seconds(), 1)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(events)), "ns_per_event")
 		})
 	}
 }

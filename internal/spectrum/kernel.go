@@ -10,9 +10,15 @@ package spectrum
 // 0.34 and 0.29 ms on a 2-vCPU Xeon at 2.1 GHz (medians of 5, -cpu 1).
 // At 64 the rotations' share of the error bound is under 1/60 of the
 // argument rounding a per-bin Sincos already carries, and the default
-// band keeps 16 blocks, four AVX2 registers of lanes; larger blocks
-// gain little speed for a growing error term.
+// band keeps 16 blocks: one sixteen-lane pass of rowsAVX2, and with the
+// step five four-lane passes of anchorsAVX2. Larger blocks gain little
+// speed for a growing error term.
 const block = 64
+
+// reduceThreshold is math.Sincos's bound on its short argument
+// reduction (math/trig_reduce.go): from 1<<29 on it reduces by
+// Payne-Hanek, which anchorsAVX2 does not repeat.
+const reduceThreshold = 1 << 29
 
 // rows runs one event's rotation over accumulators laid out row by
 // row: row k holds bin k of every block, so bin j·block+k of re and im

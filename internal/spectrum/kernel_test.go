@@ -309,19 +309,146 @@ func TestObserveAllocatesNothingWhenWarm(t *testing.T) {
 	}
 }
 
+// sameBits reports whether a and b are the same float64, bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestAnchorsAVX2MatchSincos holds the anchors to math.Sincos bit for
+// bit, the sign included:
+//
+//   - through Incremental.anchors on bands of 1 to 19 lanes, each with
+//     FMin 0 (lane 0's argument is exactly 0) and with FMin above it, at
+//     random t in [0, 8·10^5) s and their negatives, and at the last t
+//     whose largest argument is below reduceThreshold and the first t
+//     past it, which must take math.Sincos;
+//   - through anchorsAVX2 with t = ±1, so that w is the argument: every
+//     multiple k·π/4 for k < 64 and random ones up to the threshold,
+//     each with its neighbours one ulp either side, signed zeros, the
+//     smallest subnormal, the largest argument below the threshold, two
+//     arguments that catch a fused Horner step, and ~10^6 random
+//     arguments below the threshold, half spread evenly and half by
+//     their logarithm from 1e-10 (1/8 as many under the race detector).
+//     anchorsAVX2 must not write past len(w).
+func TestAnchorsAVX2MatchSincos(t *testing.T) {
+	if !haveAVX2 {
+		t.Skip("no AVX2 on this host")
+	}
+	r := rng.New(13)
+	for lanes := 1; lanes <= 19; lanes++ {
+		for _, fmin := range []float64{0, r.Uniform(0.1, 5)} {
+			band := Band{FMin: fmin, FMax: fmin + float64((lanes-1)*block+1+r.Intn(block-1))*0.1, DeltaF: 0.1}
+			inc := NewIncremental(band)
+			if inc.lanes != lanes {
+				t.Fatalf("band %+v has %d lanes, want %d", band, inc.lanes, lanes)
+			}
+			check := func(sec, sign float64) {
+				dc, ds := inc.anchors(sec, sign)
+				for j, w := range inc.w[:lanes] {
+					s, c := math.Sincos(w * sec)
+					if !sameBits(inc.c[j], sign*c) || !sameBits(inc.s[j], sign*s) {
+						t.Fatalf("%d lanes, FMin %v, t=%v s, sign %v, lane %d: anchors (%v, %v), math.Sincos (%v, %v)",
+							lanes, fmin, sec, sign, j, inc.c[j], inc.s[j], sign*c, sign*s)
+					}
+				}
+				s, c := math.Sincos(inc.w[lanes] * sec)
+				if !sameBits(dc, c) || !sameBits(ds, s) {
+					t.Fatalf("%d lanes, FMin %v, t=%v s, sign %v: step (%v, %v), math.Sincos (%v, %v)",
+						lanes, fmin, sec, sign, dc, ds, c, s)
+				}
+			}
+			for k := 0; k < 100; k++ {
+				sec, sign := r.Uniform(0, 8e5), 1.0
+				if r.Bool(0.5) {
+					sign = -1
+				}
+				check(sec, sign)
+				check(-sec, sign)
+			}
+			last := reduceThreshold / inc.wmax
+			for inc.wmax*last >= reduceThreshold {
+				last = math.Nextafter(last, 0)
+			}
+			for inc.wmax*math.Nextafter(last, math.Inf(1)) < reduceThreshold {
+				last = math.Nextafter(last, math.Inf(1))
+			}
+			past := math.Nextafter(last, math.Inf(1))
+			if !inc.avx2Anchors(last) || !inc.avx2Anchors(-last) || inc.avx2Anchors(past) || inc.avx2Anchors(-past) {
+				t.Fatalf("%d lanes, FMin %v: threshold not between t=%v s and t=%v s", lanes, fmin, last, past)
+			}
+			for _, sec := range []float64{last, -last, past, -past} {
+				check(sec, 1)
+				check(sec, -1)
+			}
+		}
+	}
+
+	edges := []float64{0, math.Copysign(0, -1), 5e-324, math.Nextafter(reduceThreshold, 0),
+		// Fusing the third Horner step into one multiply-add changes the
+		// cosine here (the first) and the sine (the second); a search
+		// with math.FMA found them among ~10^8 arguments. The random
+		// arguments below catch a fused fourth or fifth step. A fused
+		// first or second step changed none of ~5·10^8 arguments per
+		// polynomial in the same search.
+		math.Float64frombits(0x418109eca0e12ad7), math.Float64frombits(0x41b0aec3ab9a73f6)}
+	for k := 0; k < 400; k++ {
+		m := float64(k)
+		if k >= 64 {
+			m = math.Floor(r.Uniform(64, reduceThreshold*4/math.Pi))
+		}
+		x := m * (math.Pi / 4)
+		edges = append(edges, math.Nextafter(x, 0), x, math.Nextafter(x, math.Inf(1)))
+	}
+	const batch = 4096
+	args := make([]float64, batch)
+	c, s := make([]float64, batch+4), make([]float64, batch+4)
+	rounds := 256 // ~10^6 arguments
+	if raceEnabled {
+		rounds = 32
+	}
+	for round := 0; round < rounds; round++ {
+		n := copy(args, edges[min(round*batch, len(edges)):])
+		for i := n; i < batch; i++ {
+			if i%2 == 0 {
+				args[i] = math.Pow(10, r.Uniform(-10, math.Log10(reduceThreshold)))
+			} else {
+				args[i] = r.Uniform(0, reduceThreshold)
+			}
+		}
+		for _, tt := range []float64{1, -1} {
+			for _, sign := range []float64{1, -1} {
+				for i := batch; i < batch+4; i++ {
+					c[i], s[i] = 42, 42
+				}
+				anchorsAVX2(args, c[:batch], s[:batch], tt, sign)
+				for j, x := range args {
+					ws, wc := math.Sincos(x * tt)
+					if !sameBits(c[j], sign*wc) || !sameBits(s[j], sign*ws) {
+						t.Fatalf("argument %v (%#x), sign %v: anchorsAVX2 (%v, %v), math.Sincos (%v, %v)",
+							x*tt, math.Float64bits(x*tt), sign, c[j], s[j], sign*wc, sign*ws)
+					}
+				}
+				for i := batch; i < batch+4; i++ {
+					if c[i] != 42 || s[i] != 42 {
+						t.Fatalf("anchorsAVX2 wrote past len(w) at index %d", i)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRowsAVX2MatchesGo holds rows on rowsAVX2 to rowsGo bit for bit on
 // random accumulators and anchors, comparing re, im, c and s: every
-// lane count from 1 to 19, so groups of eight, groups of four and a Go
-// tail all run, each with every row count from 1 to 64, a stride with
-// up to two lanes of padding, both signs, and events from t = 0 to
-// 10^6 s.
+// lane count from 1 to 40, so passes of sixteen (twice from 32 lanes),
+// passes of four and a Go tail all run, each with every row count from
+// 1 to 64, a stride with up to two lanes of padding, both signs, and
+// events from t = 0 to 10^6 s.
 func TestRowsAVX2MatchesGo(t *testing.T) {
 	if !haveAVX2 {
 		t.Skip("no AVX2 on this host")
 	}
 	r := rng.New(11)
 	band := Band{FMin: r.Uniform(0, 5), FMax: 1000, DeltaF: 0.1}
-	for lanes := 1; lanes <= 19; lanes++ {
+	for lanes := 1; lanes <= 40; lanes++ {
 		for n := 1; n <= block; n++ {
 			stride := lanes + r.Intn(3)
 			sec := 0.0
@@ -358,11 +485,13 @@ func TestRowsAVX2MatchesGo(t *testing.T) {
 }
 
 // TestAVX2SelectedWhereTheHostHasIt fails when the host's CPU flags
-// list AVX2 but the analyser runs the Go rows, so a broken CPUID check
-// cannot leave the tests exercising only the fallback.
+// list AVX2 but the analyser runs the Go rows, or computes the anchors
+// of a default-band event anywhere in [0, 8·10^5) s with math.Sincos,
+// so a broken CPUID check or threshold cannot leave the tests
+// exercising only the fallback.
 func TestAVX2SelectedWhereTheHostHasIt(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
-		t.Skip("the AVX2 rows are amd64 only")
+		t.Skip("the AVX2 anchors and rows are amd64 only")
 	}
 	info, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {
@@ -375,7 +504,16 @@ func TestAVX2SelectedWhereTheHostHasIt(t *testing.T) {
 			break
 		}
 	}
-	if host && !NewIncremental(DefaultBand).avx2 {
+	if !host {
+		return
+	}
+	inc := NewIncremental(DefaultBand)
+	if !inc.avx2 {
 		t.Error("the host's CPU flags list AVX2, but the analyser runs the Go rows")
+	}
+	for _, sec := range []float64{0, 1, 30, 1e4, -1e4, 8e5} {
+		if !inc.avx2Anchors(sec) {
+			t.Errorf("the host's CPU flags list AVX2, but the anchors of an event at %v s run math.Sincos", sec)
+		}
 	}
 }

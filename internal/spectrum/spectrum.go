@@ -11,17 +11,21 @@
 // be tested, not just trusted.
 //
 // One kernel serves Compute, Incremental and Window. Per event it takes
-// one math.Sincos of the bin step δω·t (δω = 2π·DeltaF) and one of
-// ω_b·t at the first bin b of every 64-bin block, and reaches the other
-// bins by rotation: 17 transcendental calls per event on the default
-// band instead of 991. The accumulators are kept row by row, row k
-// holding bin k of every block, so the blocks of one event rotate side
-// by side as vector lanes: four per AVX2 instruction on amd64 CPUs that
-// have it (CPUID decides once), and a Go loop of the same IEEE
-// operations elsewhere. Each bin receives its events in order, the
-// batch added and then the expired events removed, and its term for an
-// event depends only on the event and the bin, so no bit depends on how
-// events are batched or on which of the two loops ran. Against a
+// the sine and cosine of the bin step δω·t (δω = 2π·DeltaF) and of
+// ω_b·t at the first bin b of every 64-bin block, each bit-equal to
+// math.Sincos, and reaches the other bins by rotation: 17 anchors per
+// event on the default band instead of 991 transcendental calls. The
+// accumulators are kept row by row, row k holding bin k of every block,
+// so the blocks of one event rotate side by side as vector lanes. On
+// amd64 CPUs with AVX2 (CPUID decides once) both halves run four lanes
+// per instruction: the anchors repeat math.Sincos's own IEEE operations
+// lane by lane, and the rows advance sixteen lanes per pass. Elsewhere,
+// and for an event so late that an anchor's argument reaches
+// math.Sincos's large-argument reduction, math.Sincos and a Go loop of
+// the same operations do the work. Each bin receives its events in
+// order, the batch added and then the expired events removed, and its
+// term for an event depends only on the event and the bin, so no bit
+// depends on how events are batched or on which path ran. Against a
 // per-bin math.Sincos the deviation is dominated by the rounding of the
 // per-bin argument ω_i·t itself (kernel_test.go derives the bound). Ops
 // still counts N·F exponentials per batch (Eq. 3).
@@ -29,6 +33,7 @@ package spectrum
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/simtime"
 )
@@ -128,14 +133,19 @@ func (s *Spectrum) Mean() float64 {
 // Events can also be removed, which Window uses to expire events
 // falling out of the observation horizon.
 type Incremental struct {
-	band Band
-	dw   float64   // 2π·DeltaF
-	w    []float64 // 2π·Freq at the first bin of each block, one per lane
-	// re and im hold bin j·block+k at k·len(w)+j (see rows); the rows
+	band  Band
+	bins  int // band.Bins()
+	lanes int // blocks, one vector lane each
+	// w holds 2π·Freq at the first bin of each block, one per lane, then
+	// the bin step δω = 2π·DeltaF, then zeros up to a multiple of four
+	// entries; wmax is the largest.
+	w    []float64
+	wmax float64
+	// re and im hold bin j·block+k at k·lanes+j (see rows); the rows
 	// past the end of a short last block are padding nobody reads.
 	re, im []float64
-	c, s   []float64 // scratch: one event's anchors, one per lane
-	avx2   bool      // run rowsAVX2: haveAVX2 unless a test forces rowsGo
+	c, s   []float64 // scratch: one event's anchors, one per entry of w
+	avx2   bool      // run the AVX2 anchors and rows: haveAVX2 unless a test forces Go
 	events int
 	ops    int64
 }
@@ -145,20 +155,25 @@ func NewIncremental(band Band) *Incremental {
 	if !band.Valid() {
 		panic("spectrum: invalid band")
 	}
-	lanes := (band.Bins() + block - 1) / block
+	bins := band.Bins()
+	lanes := (bins + block - 1) / block
+	entries := (lanes + 1 + 3) &^ 3
 	inc := &Incremental{
-		band: band,
-		dw:   2 * math.Pi * band.DeltaF,
-		w:    make([]float64, lanes),
-		re:   make([]float64, lanes*block),
-		im:   make([]float64, lanes*block),
-		c:    make([]float64, lanes),
-		s:    make([]float64, lanes),
-		avx2: haveAVX2,
+		band:  band,
+		bins:  bins,
+		lanes: lanes,
+		w:     make([]float64, entries),
+		re:    make([]float64, lanes*block),
+		im:    make([]float64, lanes*block),
+		c:     make([]float64, entries),
+		s:     make([]float64, entries),
+		avx2:  haveAVX2,
 	}
-	for j := range inc.w {
+	for j := 0; j < lanes; j++ {
 		inc.w[j] = 2 * math.Pi * band.Freq(j*block)
 	}
+	inc.w[lanes] = 2 * math.Pi * band.DeltaF
+	inc.wmax = slices.Max(inc.w)
 	return inc
 }
 
@@ -188,7 +203,7 @@ func (inc *Incremental) update(add, sub []simtime.Time) {
 		inc.accumulate(t.Seconds(), -1)
 	}
 	inc.events += len(add) - len(sub)
-	inc.ops += int64(len(add)+len(sub)) * int64(inc.band.Bins())
+	inc.ops += int64(len(add)+len(sub)) * int64(inc.bins)
 }
 
 // accumulate adds sign·e^{-jωt} to every bin: one exact anchor per
@@ -196,16 +211,38 @@ func (inc *Incremental) update(add, sub []simtime.Time) {
 // −z gives exactly −(z rotated)), and the rows rotate it to the other
 // bins.
 func (inc *Incremental) accumulate(t, sign float64) {
-	for j, w := range inc.w {
-		s, c := math.Sincos(w * t)
-		inc.c[j], inc.s[j] = sign*c, sign*s
+	dc, ds := inc.anchors(t, sign)
+	rows(inc.re, inc.im, inc.c[:inc.lanes], inc.s[:inc.lanes], dc, ds, min(inc.bins, block), inc.lanes, inc.avx2)
+}
+
+// anchors sets lane j of c and s to sign·cos and sign·sin of w[j]·t,
+// each bit-equal to math.Sincos, and returns the cosine and sine of the
+// step δω·t.
+func (inc *Incremental) anchors(t, sign float64) (dc, ds float64) {
+	if inc.avx2Anchors(t) {
+		anchorsAVX2(inc.w, inc.c, inc.s, t, sign)
+	} else {
+		for j, w := range inc.w[:inc.lanes+1] {
+			s, c := math.Sincos(w * t)
+			inc.c[j], inc.s[j] = sign*c, sign*s
+		}
 	}
-	ds, dc := math.Sincos(inc.dw * t)
-	rows(inc.re, inc.im, inc.c, inc.s, dc, ds, min(inc.band.Bins(), block), len(inc.w), inc.avx2)
+	// The step carries the sign like the anchors; multiplying by ±1
+	// again undoes it exactly.
+	return sign * inc.c[inc.lanes], sign * inc.s[inc.lanes]
+}
+
+// avx2Anchors reports whether anchors computes an event at t with
+// anchorsAVX2, every entry of w at once: on an AVX2 path, while the
+// largest argument stays below math.Sincos's reduceThreshold (a t that
+// is not finite fails the comparison too). math.Sincos computes the
+// other events one entry at a time.
+func (inc *Incremental) avx2Anchors(t float64) bool {
+	return inc.avx2 && inc.wmax*math.Abs(t) < reduceThreshold
 }
 
 // at returns where bin i sits in re and im.
-func (inc *Incremental) at(i int) int { return i%block*len(inc.w) + i/block }
+func (inc *Incremental) at(i int) int { return i%block*inc.lanes + i/block }
 
 // Reset clears the accumulators.
 func (inc *Incremental) Reset() {
@@ -224,7 +261,7 @@ func (inc *Incremental) Spectrum() *Spectrum {
 // SpectrumInto materialises the current amplitude spectrum into s,
 // reusing the storage of s.Amp when it is large enough.
 func (inc *Incremental) SpectrumInto(s *Spectrum) {
-	n := inc.band.Bins()
+	n := inc.bins
 	amp := s.Amp
 	if cap(amp) < n {
 		amp = make([]float64, n)

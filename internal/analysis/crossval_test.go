@@ -36,7 +36,7 @@ func simulateRMInServer(tasks []analysis.TaskSpec, theta, pi simtime.Duration,
 		next := offsets[i]
 		var release func()
 		release = func() {
-			tk.Release(sched.NewJob(eng.Now(), spec.C, eng.Now().Add(spec.P)))
+			tk.Release(tk.NewJob(eng.Now(), spec.C, eng.Now().Add(spec.P)))
 			next = next.Add(spec.P)
 			eng.At(next, release)
 		}
@@ -117,7 +117,7 @@ func TestSingleTaskAnalysisMatchesSimulation(t *testing.T) {
 		next := simtime.Time(0)
 		var release func()
 		release = func() {
-			tk.Release(sched.NewJob(eng.Now(), task.C, eng.Now().Add(task.P)))
+			tk.Release(tk.NewJob(eng.Now(), task.C, eng.Now().Add(task.P)))
 			next = next.Add(task.P)
 			eng.At(next, release)
 		}
@@ -147,7 +147,7 @@ func TestTightSupplyAlsoSufficientInSimulation(t *testing.T) {
 		next := simtime.Time(0)
 		var release func()
 		release = func() {
-			tk.Release(sched.NewJob(eng.Now(), task.C, eng.Now().Add(task.P)))
+			tk.Release(tk.NewJob(eng.Now(), task.C, eng.Now().Add(task.P)))
 			next = next.Add(task.P)
 			eng.At(next, release)
 		}

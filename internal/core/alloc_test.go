@@ -13,10 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// raceEnabled is set by the race build, under which sync.Pool drops a
-// random quarter of what is put back, so the job pool allocates.
-var raceEnabled bool
-
 // TestWarmActivationAllocatesNothing checks that a locked tuner's
 // activation allocates nothing once warm: the tracer download, the
 // window update, the spectrum, the peak heuristic, the feedback step
@@ -25,9 +21,6 @@ var raceEnabled bool
 // only the activations are counted, and it reserves room in the
 // activation history, which grows by append for the whole run.
 func TestWarmActivationAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts need the pools of a non-race build")
-	}
 	eng := sim.New()
 	sd := sched.New(sched.Config{Engine: eng})
 	tracer := ktrace.NewBuffer(ktrace.QTrace, 1<<16)

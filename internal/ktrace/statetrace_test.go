@@ -18,7 +18,7 @@ func TestStateTracerRecordsTransitions(t *testing.T) {
 	ktrace.AttachStateTracer(sd, buf)
 
 	task := sd.NewTask("t")
-	eng.At(simtime.Time(10*ms), func() { task.Release(sched.NewJob(0, 5*ms, simtime.Never)) })
+	eng.At(simtime.Time(10*ms), func() { task.Release(task.NewJob(0, 5*ms, simtime.Never)) })
 	eng.RunUntil(simtime.Time(simtime.Second))
 
 	events := buf.Drain()
@@ -49,7 +49,7 @@ func TestStateTracerChargesNoOverhead(t *testing.T) {
 		task := sd.NewTask("t")
 		var done simtime.Time
 		task.OnJobComplete = func(_ *sched.Job, now simtime.Time) { done = now }
-		eng.At(0, func() { task.Release(sched.NewJob(0, 100*ms, simtime.Never)) })
+		eng.At(0, func() { task.Release(task.NewJob(0, 100*ms, simtime.Never)) })
 		eng.RunUntil(simtime.Time(simtime.Second))
 		return done
 	}
@@ -69,8 +69,8 @@ func TestStateTracerRespectsFilters(t *testing.T) {
 	b := sd.NewTask("b")
 	buf.FilterPIDs(a.PID())
 	eng.At(0, func() {
-		a.Release(sched.NewJob(0, ms, simtime.Never))
-		b.Release(sched.NewJob(0, ms, simtime.Never))
+		a.Release(a.NewJob(0, ms, simtime.Never))
+		b.Release(b.NewJob(0, ms, simtime.Never))
 	})
 	eng.RunUntil(simtime.Time(simtime.Second))
 
@@ -97,7 +97,7 @@ func TestStateTracerPeriodicTrainIsClean(t *testing.T) {
 	srv := sd.NewServer("rt", 6*ms, 10*ms, sched.HardCBS)
 	rt := sd.NewTask("rt")
 	rt.AttachTo(srv, 0)
-	eng.At(0, func() { rt.Release(sched.NewJob(0, simtime.Duration(10*simtime.Second), simtime.Never)) })
+	eng.At(0, func() { rt.Release(rt.NewJob(0, simtime.Duration(10*simtime.Second), simtime.Never)) })
 
 	task := sd.NewTask("periodic")
 	buf.FilterPIDs(task.PID())
@@ -106,7 +106,7 @@ func TestStateTracerPeriodicTrainIsClean(t *testing.T) {
 	next := simtime.Time(0)
 	var release func()
 	release = func() {
-		task.Release(sched.NewJob(0, 2*ms, simtime.Never))
+		task.Release(task.NewJob(0, 2*ms, simtime.Never))
 		next = next.Add(period)
 		eng.At(next, release)
 	}

@@ -53,7 +53,7 @@ func TestAccessors(t *testing.T) {
 	}
 
 	// Running task and in-flight budget accounting.
-	eng.At(0, func() { task.Release(sched.NewJob(0, 3*ms, simtime.Never)) })
+	eng.At(0, func() { task.Release(task.NewJob(0, 3*ms, simtime.Never)) })
 	eng.At(simtime.Time(ms), func() {
 		if sd.Running() != task {
 			t.Error("Running() should be the task mid-slice")
@@ -71,7 +71,7 @@ func TestAccessors(t *testing.T) {
 	}
 
 	// Job accessors.
-	j := sched.NewJob(0, 10*ms, simtime.Time(50*ms))
+	j := task.NewJob(0, 10*ms, simtime.Time(50*ms))
 	if j.Remaining() != 10*ms || j.Done() != 0 {
 		t.Error("fresh job accounting wrong")
 	}
@@ -100,7 +100,7 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestJobHookOrderEnforced(t *testing.T) {
-	j := sched.NewJob(0, 10*ms, simtime.Never)
+	j := idleTask().NewJob(0, 10*ms, simtime.Never)
 	j.AddSyscall(5*ms, 1)
 	defer func() {
 		if recover() == nil {
@@ -111,7 +111,7 @@ func TestJobHookOrderEnforced(t *testing.T) {
 }
 
 func TestJobHookClamping(t *testing.T) {
-	j := sched.NewJob(0, 10*ms, simtime.Never)
+	j := idleTask().NewJob(0, 10*ms, simtime.Never)
 	j.AddSyscall(-5*ms, 1)  // clamps to 0
 	j.AddSyscall(50*ms, 2)  // clamps to Total
 	j.AddSyscall(500*ms, 3) // still Total: order preserved
@@ -126,5 +126,5 @@ func TestNegativeDemandJobPanics(t *testing.T) {
 			t.Error("negative demand did not panic")
 		}
 	}()
-	sched.NewJob(0, -1, simtime.Never)
+	idleTask().NewJob(0, -1, simtime.Never)
 }

@@ -8,10 +8,6 @@ import (
 	"repro/internal/simtime"
 )
 
-// raceEnabled is set by the race build, under which sync.Pool drops a
-// random quarter of what is put back, so the job pool allocates.
-var raceEnabled bool
-
 // callCounter is a SyscallSink that counts the calls it receives and
 // charges each a microsecond of tracing overhead.
 type callCounter int
@@ -29,9 +25,6 @@ func (c *callCounter) Syscall(simtime.Time, int, int) simtime.Duration {
 // counts the allocations of 100 ms chunks. The release loops re-arm
 // one closure each instead of building one per job.
 func TestJobPathAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts need the pools of a non-race build")
-	}
 	for _, tc := range []struct {
 		name  string
 		build func(eng *sim.Engine, sd *sched.Scheduler)
@@ -101,7 +94,7 @@ func releaseEvery(eng *sim.Engine, t *sched.Task, period simtime.Duration, dress
 	var release func()
 	release = func() {
 		now := eng.Now()
-		j := sched.NewJob(now, demands[k%len(demands)], now.Add(period))
+		j := t.NewJob(now, demands[k%len(demands)], now.Add(period))
 		k++
 		if dress != nil {
 			dress(j)

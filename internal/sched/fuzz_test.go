@@ -50,7 +50,7 @@ func TestQuickRandomOperationsKeepInvariants(t *testing.T) {
 				tk := tasks[r.Intn(len(tasks))]
 				demand := simtime.Duration(r.Int63n(int64(30*ms))) + 1
 				eng.At(at, func() {
-					tk.Release(sched.NewJob(0, demand, eng.Now().Add(100*ms)))
+					tk.Release(tk.NewJob(0, demand, eng.Now().Add(100*ms)))
 				})
 			case 2: // reconfigure a reservation
 				srv := servers[r.Intn(len(servers))]
@@ -63,7 +63,7 @@ func TestQuickRandomOperationsKeepInvariants(t *testing.T) {
 				demand := simtime.Duration(r.Int63n(int64(5*ms))) + 1
 				eng.At(at, func() {
 					for k := 0; k < n; k++ {
-						tk.Release(sched.NewJob(0, demand, simtime.Never))
+						tk.Release(tk.NewJob(0, demand, simtime.Never))
 					}
 				})
 			}
@@ -125,7 +125,7 @@ func TestQuickSoftServersWorkConserving(t *testing.T) {
 			tk := sd.NewTask(fmt.Sprintf("t%d", i))
 			tk.AttachTo(srv, 0)
 			eng.At(0, func() {
-				tk.Release(sched.NewJob(0, simtime.Duration(100*simtime.Second), simtime.Never))
+				tk.Release(tk.NewJob(0, simtime.Duration(100*simtime.Second), simtime.Never))
 			})
 		}
 		eng.RunUntil(simtime.Time(simtime.Second))
@@ -155,7 +155,7 @@ func TestQuickDeterminism(t *testing.T) {
 			if r.Bool(0.4) {
 				target = be
 			}
-			eng.At(at, func() { target.Release(sched.NewJob(0, demand, simtime.Never)) })
+			eng.At(at, func() { target.Release(target.NewJob(0, demand, simtime.Never)) })
 		}
 		eng.RunUntil(simtime.Time(simtime.Second))
 		sig := ""

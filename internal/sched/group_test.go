@@ -27,7 +27,7 @@ func TestGroupMigrationCarriesEveryMember(t *testing.T) {
 	startPeriodic(eng, t2, 20*ms, 80*ms, 0)
 	bare := a.NewTask("bare")
 	eng.At(0, func() {
-		bare.Release(sched.NewJob(0, 300*ms, simtime.Never))
+		bare.Release(bare.NewJob(0, 300*ms, simtime.Never))
 	})
 
 	eng.RunUntil(simtime.Time(210 * ms))
@@ -136,8 +136,8 @@ func TestMoveAllValidatesBeforeMutating(t *testing.T) {
 	hookA.OnJobComplete = func(*sched.Job, simtime.Time) { fromA = a.MoveAll(single(s1), b, nil) }
 	hookB.OnJobComplete = func(*sched.Job, simtime.Time) { intoB = a.MoveAll(single(s1), b, nil) }
 	eng.At(0, func() {
-		hookA.Release(sched.NewJob(0, ms, simtime.Never))
-		hookB.Release(sched.NewJob(0, ms, simtime.Never))
+		hookA.Release(hookA.NewJob(0, ms, simtime.Never))
+		hookB.Release(hookB.NewJob(0, ms, simtime.Never))
 	})
 	eng.RunUntil(simtime.Time(10 * ms))
 	if fromA == nil || intoB == nil {
@@ -204,7 +204,7 @@ func TestBareTaskMigrationMidSlice(t *testing.T) {
 	eng, a, b := twoCores(t)
 	task := a.NewTask("be")
 	eng.At(0, func() {
-		task.Release(sched.NewJob(0, 40*ms, simtime.Never))
+		task.Release(task.NewJob(0, 40*ms, simtime.Never))
 	})
 	var migErr error
 	eng.At(simtime.Time(13*ms), func() {
@@ -270,7 +270,7 @@ func TestMoveAllRandomRefusals(t *testing.T) {
 			task := on.NewTask(fmt.Sprintf("be%d", i))
 			for k, n := 0, 1+r.Intn(3); k < n; k++ {
 				demand := simtime.Duration(5+r.Intn(50)) * ms
-				eng.At(0, func() { task.Release(sched.NewJob(0, demand, simtime.Never)) })
+				eng.At(0, func() { task.Release(task.NewJob(0, demand, simtime.Never)) })
 			}
 			bare = append(bare, task)
 		}
@@ -415,7 +415,7 @@ func TestRefusedMoveKeepsEDFOrder(t *testing.T) {
 		}
 		eng.At(0, func() {
 			for _, task := range tasks {
-				task.Release(sched.NewJob(0, 1*ms, simtime.Time(10*ms)))
+				task.Release(task.NewJob(0, 1*ms, simtime.Time(10*ms)))
 			}
 			if move {
 				err := a.MoveAll(single(tasks[0].Server()), b, func() error { return errors.New("refused") })
@@ -458,7 +458,7 @@ func TestRefusedMoveKeepsBestEffortOrder(t *testing.T) {
 		}
 		eng.At(0, func() {
 			for _, task := range tasks {
-				task.Release(sched.NewJob(0, simtime.Duration(simtime.Second), simtime.Never))
+				task.Release(task.NewJob(0, simtime.Duration(simtime.Second), simtime.Never))
 			}
 		})
 		if move != "" {

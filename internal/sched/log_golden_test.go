@@ -54,10 +54,10 @@ func logScenario(t *testing.T) string {
 	for i := range hogs {
 		hog := a.NewTask(fmt.Sprintf("be%d", i))
 		hogs[i] = hog
-		eng.At(0, func() { hog.Release(sched.NewJob(0, 60*ms, simtime.Never)) })
+		eng.At(0, func() { hog.Release(hog.NewJob(0, 60*ms, simtime.Never)) })
 	}
 	local := b.NewTask("local")
-	eng.At(simtime.Time(5*ms), func() { local.Release(sched.NewJob(0, 10*ms, simtime.Never)) })
+	eng.At(simtime.Time(5*ms), func() { local.Release(local.NewJob(0, 10*ms, simtime.Never)) })
 
 	eng.At(simtime.Time(45*ms), func() { hard.SetParams(ms+ms/2, 10*ms) })
 	eng.At(simtime.Time(83*ms), func() {

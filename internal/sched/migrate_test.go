@@ -85,7 +85,7 @@ func TestMigrateThrottledServerReplenishesOnNewCore(t *testing.T) {
 	task := a.NewTask("starved")
 	task.AttachTo(srv, 0)
 	eng.At(0, func() {
-		task.Release(sched.NewJob(0, 50*ms, simtime.Never))
+		task.Release(task.NewJob(0, 50*ms, simtime.Never))
 	})
 	// By t=10ms the 5ms budget is long gone and the server throttled.
 	eng.RunUntil(simtime.Time(10 * ms))
@@ -114,7 +114,7 @@ func TestMigrateWhileRunningSettlesAccounting(t *testing.T) {
 	task := a.NewTask("run")
 	task.AttachTo(srv, 0)
 	eng.At(0, func() {
-		task.Release(sched.NewJob(0, 40*ms, simtime.Never))
+		task.Release(task.NewJob(0, 40*ms, simtime.Never))
 	})
 	// Migrate mid-slice: the task is executing right now.
 	var migErr error
@@ -192,7 +192,7 @@ func TestMoveKeepsDestinationReservations(t *testing.T) {
 			srvs[name] = a.NewServer(name, 5*ms, 10*ms, sched.HardCBS)
 			task := a.NewTask(name)
 			task.AttachTo(srvs[name], 0)
-			eng.At(0, func() { task.Release(sched.NewJob(0, 5*ms, simtime.Time(10*ms))) })
+			eng.At(0, func() { task.Release(task.NewJob(0, 5*ms, simtime.Time(10*ms))) })
 		}
 		z := b.NewServer("Z", 3600*us, 8*ms, sched.HardCBS)
 		zTask := b.NewTask("Z")
@@ -200,7 +200,7 @@ func TestMoveKeepsDestinationReservations(t *testing.T) {
 		var done simtime.Time
 		zTask.OnJobComplete = func(_ *sched.Job, now simtime.Time) { done = now }
 		eng.At(simtime.Time(4*ms), func() {
-			zTask.Release(sched.NewJob(eng.Now(), 3600*us, simtime.Time(12*ms)))
+			zTask.Release(zTask.NewJob(eng.Now(), 3600*us, simtime.Time(12*ms)))
 		})
 		if move {
 			eng.At(simtime.Time(5*ms), func() {

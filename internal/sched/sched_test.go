@@ -24,7 +24,7 @@ func startPeriodic(eng *sim.Engine, t *sched.Task, c, p simtime.Duration, offset
 	var release func()
 	next := offset
 	release = func() {
-		j := sched.NewJob(eng.Now(), c, eng.Now().Add(p))
+		j := t.NewJob(eng.Now(), c, eng.Now().Add(p))
 		t.Release(j)
 		next = next.Add(p)
 		eng.At(next, release)
@@ -104,7 +104,7 @@ func TestHardCBSBandwidthIsolation(t *testing.T) {
 	task.AttachTo(srv, 0)
 	// One enormous job: always backlogged.
 	eng.At(0, func() {
-		task.Release(sched.NewJob(0, simtime.Duration(1000*simtime.Second), simtime.Never))
+		task.Release(task.NewJob(0, simtime.Duration(1000*simtime.Second), simtime.Never))
 	})
 	horizon := simtime.Time(10 * simtime.Second)
 	eng.RunUntil(horizon)
@@ -129,7 +129,7 @@ func TestSoftCBSPostponesDeadlines(t *testing.T) {
 	task := sd.NewTask("hog")
 	task.AttachTo(srv, 0)
 	eng.At(0, func() {
-		task.Release(sched.NewJob(0, simtime.Duration(simtime.Second), simtime.Never))
+		task.Release(task.NewJob(0, simtime.Duration(simtime.Second), simtime.Never))
 	})
 	eng.RunUntil(simtime.Time(2 * simtime.Second))
 	st := srv.Stats()
@@ -159,7 +159,7 @@ func TestSoftVsHardContention(t *testing.T) {
 	rt := sd.NewTask("rt")
 	rt.AttachTo(hard, 0)
 	eng.At(0, func() {
-		hog.Release(sched.NewJob(0, simtime.Duration(100*simtime.Second), simtime.Never))
+		hog.Release(hog.NewJob(0, simtime.Duration(100*simtime.Second), simtime.Never))
 	})
 	startPeriodic(eng, rt, 20*ms, 100*ms, 0)
 	eng.RunUntil(simtime.Time(10 * simtime.Second))
@@ -176,8 +176,8 @@ func TestBestEffortRoundRobinFairness(t *testing.T) {
 	a := sd.NewTask("a")
 	b := sd.NewTask("b")
 	eng.At(0, func() {
-		a.Release(sched.NewJob(0, simtime.Duration(100*simtime.Second), simtime.Never))
-		b.Release(sched.NewJob(0, simtime.Duration(100*simtime.Second), simtime.Never))
+		a.Release(a.NewJob(0, simtime.Duration(100*simtime.Second), simtime.Never))
+		b.Release(b.NewJob(0, simtime.Duration(100*simtime.Second), simtime.Never))
 	})
 	eng.RunUntil(simtime.Time(10 * simtime.Second))
 	ca, cb := a.Stats().Consumed, b.Stats().Consumed
@@ -196,7 +196,7 @@ func TestReservationPreemptsBestEffort(t *testing.T) {
 	rt := sd.NewTask("rt")
 	rt.AttachTo(srv, 0)
 	eng.At(0, func() {
-		be.Release(sched.NewJob(0, simtime.Duration(100*simtime.Second), simtime.Never))
+		be.Release(be.NewJob(0, simtime.Duration(100*simtime.Second), simtime.Never))
 	})
 	startPeriodic(eng, rt, 60*ms, 100*ms, 0)
 	eng.RunUntil(simtime.Time(10 * simtime.Second))
@@ -251,7 +251,7 @@ func TestProgressHooksFireAtExecutionProgress(t *testing.T) {
 	calls := new(callRecorder)
 	task.SetSink(calls)
 	eng.At(0, func() {
-		j := sched.NewJob(0, 10*ms, simtime.Never)
+		j := task.NewJob(0, 10*ms, simtime.Never)
 		j.AddSyscall(0, 1) // exercise offset-zero calls too
 		j.AddSyscall(5*ms, 2)
 		task.Release(j)
@@ -283,11 +283,11 @@ func TestHookDelayedByContention(t *testing.T) {
 			lt := sd.NewTask("load")
 			lt.AttachTo(lsrv, 0)
 			eng.At(0, func() {
-				lt.Release(sched.NewJob(0, simtime.Duration(10*simtime.Second), simtime.Never))
+				lt.Release(lt.NewJob(0, simtime.Duration(10*simtime.Second), simtime.Never))
 			})
 		}
 		eng.At(0, func() {
-			j := sched.NewJob(0, 10*ms, simtime.Never)
+			j := task.NewJob(0, 10*ms, simtime.Never)
 			j.AddSyscall(5*ms, 1)
 			task.Release(j)
 		})
@@ -312,7 +312,7 @@ func TestSetParamsGrowsBudgetImmediately(t *testing.T) {
 	task := sd.NewTask("t")
 	task.AttachTo(srv, 0)
 	eng.At(0, func() {
-		task.Release(sched.NewJob(0, simtime.Duration(simtime.Second), simtime.Never))
+		task.Release(task.NewJob(0, simtime.Duration(simtime.Second), simtime.Never))
 	})
 	// At t=50ms the server has exhausted its 10ms and is throttled
 	// until t=100ms; raising the budget must resume it immediately.
@@ -339,7 +339,7 @@ func TestSetParamsShrink(t *testing.T) {
 	task := sd.NewTask("t")
 	task.AttachTo(srv, 0)
 	eng.At(0, func() {
-		task.Release(sched.NewJob(0, simtime.Duration(simtime.Second), simtime.Never))
+		task.Release(task.NewJob(0, simtime.Duration(simtime.Second), simtime.Never))
 	})
 	eng.At(simtime.Time(10*ms), func() { srv.SetParams(20*ms, 100*ms) })
 	eng.RunUntil(simtime.Time(simtime.Second))
@@ -378,10 +378,10 @@ func TestCBSWakeupRuleResetsStaleDeadline(t *testing.T) {
 	task.AttachTo(srv, 0)
 	var resp simtime.Duration
 	task.OnJobComplete = func(j *sched.Job, now simtime.Time) { resp = j.ResponseTime() }
-	eng.At(0, func() { task.Release(sched.NewJob(0, 5*ms, simtime.Never)) })
+	eng.At(0, func() { task.Release(task.NewJob(0, 5*ms, simtime.Never)) })
 	// Long idle gap, then another job: it should run immediately.
 	eng.At(simtime.Time(5*simtime.Second), func() {
-		task.Release(sched.NewJob(0, 5*ms, simtime.Never))
+		task.Release(task.NewJob(0, 5*ms, simtime.Never))
 	})
 	eng.RunUntil(simtime.Time(6 * simtime.Second))
 	if task.Stats().Completed != 2 {
@@ -398,9 +398,9 @@ func TestBacklogFIFO(t *testing.T) {
 	var finishes []simtime.Time
 	task.OnJobComplete = func(j *sched.Job, now simtime.Time) { finishes = append(finishes, now) }
 	eng.At(0, func() {
-		task.Release(sched.NewJob(0, 10*ms, simtime.Never))
-		task.Release(sched.NewJob(0, 20*ms, simtime.Never))
-		task.Release(sched.NewJob(0, 5*ms, simtime.Never))
+		task.Release(task.NewJob(0, 10*ms, simtime.Never))
+		task.Release(task.NewJob(0, 20*ms, simtime.Never))
+		task.Release(task.NewJob(0, 5*ms, simtime.Never))
 	})
 	eng.RunUntil(simtime.Time(simtime.Second))
 	want := []simtime.Time{simtime.Time(10 * ms), simtime.Time(30 * ms), simtime.Time(35 * ms)}
@@ -419,7 +419,7 @@ func TestZeroDemandJobCompletesImmediately(t *testing.T) {
 	task := sd.NewTask("t")
 	done := false
 	task.OnJobComplete = func(j *sched.Job, now simtime.Time) { done = true }
-	eng.At(simtime.Time(5*ms), func() { task.Release(sched.NewJob(0, 0, simtime.Never)) })
+	eng.At(simtime.Time(5*ms), func() { task.Release(task.NewJob(0, 0, simtime.Never)) })
 	eng.RunUntil(simtime.Time(10 * ms))
 	if !done {
 		t.Error("zero-demand job never completed")
@@ -455,13 +455,13 @@ func TestDeterministicRuns(t *testing.T) {
 		next := simtime.Time(0)
 		release = func() {
 			c := simtime.Duration(r.Int63n(int64(20*ms)) + int64(ms))
-			task.Release(sched.NewJob(0, c, eng.Now().Add(100*ms)))
+			task.Release(task.NewJob(0, c, eng.Now().Add(100*ms)))
 			next = next.Add(100 * ms)
 			eng.At(next, release)
 		}
 		eng.At(0, release)
 		eng.At(0, func() {
-			be.Release(sched.NewJob(0, simtime.Duration(10*simtime.Second), simtime.Never))
+			be.Release(be.NewJob(0, simtime.Duration(10*simtime.Second), simtime.Never))
 		})
 		eng.RunUntil(simtime.Time(3 * simtime.Second))
 		var sig string
@@ -554,7 +554,7 @@ func TestQuickHardServersNeverOverrunBandwidth(t *testing.T) {
 			tk := sd.NewTask(fmt.Sprintf("t%d", i))
 			tk.AttachTo(srv, 0)
 			eng.At(0, func() {
-				tk.Release(sched.NewJob(0, simtime.Duration(100*simtime.Second), simtime.Never))
+				tk.Release(tk.NewJob(0, simtime.Duration(100*simtime.Second), simtime.Never))
 			})
 			servers = append(servers, srv)
 		}
@@ -582,7 +582,7 @@ func TestQuickHardServersNeverOverrunBandwidth(t *testing.T) {
 func TestUtilizationAndBusyTime(t *testing.T) {
 	eng, sd := newSim(t)
 	task := sd.NewTask("t")
-	eng.At(0, func() { task.Release(sched.NewJob(0, 300*ms, simtime.Never)) })
+	eng.At(0, func() { task.Release(task.NewJob(0, 300*ms, simtime.Never)) })
 	eng.RunUntil(simtime.Time(simtime.Second))
 	if got := sd.BusyTime(); got != 300*ms {
 		t.Errorf("BusyTime = %v, want 300ms", got)
@@ -608,7 +608,7 @@ func TestAttachErrors(t *testing.T) {
 	}()
 	// Attaching a runnable task must panic.
 	t2 := sd.NewTask("t2")
-	eng.At(0, func() { t2.Release(sched.NewJob(0, 10*ms, simtime.Never)) })
+	eng.At(0, func() { t2.Release(t2.NewJob(0, 10*ms, simtime.Never)) })
 	eng.RunUntil(simtime.Time(ms))
 	func() {
 		defer func() {
@@ -631,7 +631,7 @@ func TestLogRingBuffer(t *testing.T) {
 	task := sd.NewTask("t")
 	for i := 0; i < 20; i++ {
 		at := simtime.Time(i) * simtime.Time(10*ms)
-		eng.At(at, func() { task.Release(sched.NewJob(0, ms, simtime.Never)) })
+		eng.At(at, func() { task.Release(task.NewJob(0, ms, simtime.Never)) })
 	}
 	eng.RunUntil(simtime.Time(simtime.Second))
 	log := sd.Log()

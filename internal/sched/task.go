@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/simtime"
 )
@@ -26,52 +25,37 @@ type Job struct {
 	done     simtime.Duration
 	calls    []ProgressHook // sorted by Offset
 	nextCall int
-	gen      uint64 // bumped on recycle; see Generation
 
 	// Filled in at completion.
 	Finish simtime.Time
 }
 
-// jobPool recycles Job storage: every scheduler returns a completed
-// job to it once the job's OnJobComplete callback has run. It is
-// process-global rather than per-scheduler so schedulers running on
-// concurrent engine lanes share one free list; sync.Pool is safe for
-// that, it gives the storage of a peak backlog back at GC, and pointer
-// identity of a recycled job never feeds back into simulation state.
-var jobPool = sync.Pool{New: func() any { return new(Job) }}
-
 // NewJob returns a job released at rel with execution demand total and
-// absolute deadline dl (use simtime.Never for none). Storage may come
-// from the recycling pool, so a job is only valid until its task's
-// OnJobComplete callback returns; the syscall slice is reused across
-// generations.
-func NewJob(rel simtime.Time, total simtime.Duration, dl simtime.Time) *Job {
+// absolute deadline dl (use simtime.Never for none). The job's storage
+// comes from the task's free list, where the task puts each job it
+// completes once OnJobComplete has returned, so a job is only valid
+// until then; its syscall slice is reused across the task's jobs. The
+// free list belongs to the task and moves with it, so recycling takes
+// no lock on any lane.
+func (t *Task) NewJob(rel simtime.Time, total simtime.Duration, dl simtime.Time) *Job {
 	if total < 0 {
 		panic("sched: job with negative demand")
 	}
-	j := jobPool.Get().(*Job)
+	var j *Job
+	if n := len(t.free); n > 0 {
+		j = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		j = new(Job)
+	}
 	*j = Job{
 		Release:  rel,
 		Deadline: dl,
 		Total:    total,
 		Finish:   simtime.Never,
 		calls:    j.calls[:0],
-		gen:      j.gen,
 	}
 	return j
-}
-
-// Generation returns the job's recycle generation. A caller that must
-// detect a stale reference across a completion records the generation
-// at hand-off and compares: a recycled job has a higher generation,
-// mirroring the sim.Timer discipline.
-func (j *Job) Generation() uint64 { return j.gen }
-
-// recycle retires a completed job's storage to the pool. The
-// generation bump is what invalidates retained references.
-func (j *Job) recycle() {
-	j.gen++
-	jobPool.Put(j)
 }
 
 // AddSyscall registers system call nr, issued when the job's execution
@@ -167,10 +151,12 @@ type Task struct {
 	prio   int // fixed priority inside a server; lower value = higher priority
 
 	pending fifo[*Job] // backlog; the front is the current job
+	free    []*Job     // completed jobs, reused by NewJob
 	stats   TaskStats
 
 	// OnJobComplete, if non-nil, is invoked when a job finishes. The
-	// job is recycled when it returns, so it must not keep the job.
+	// job goes back on the task's free list when it returns, so it must
+	// not keep the job.
 	OnJobComplete func(j *Job, now simtime.Time)
 	// OnJobStart, if non-nil, is invoked the first time a job runs.
 	OnJobStart func(j *Job, now simtime.Time)
@@ -273,5 +259,5 @@ func (t *Task) completeCurrent(now simtime.Time) {
 	if t.OnJobComplete != nil {
 		t.OnJobComplete(j, now)
 	}
-	j.recycle()
+	t.free = append(t.free, j)
 }

@@ -26,8 +26,8 @@ func TestTransitionHookFiresOnWakeupAndBlock(t *testing.T) {
 	})
 
 	// Two separated jobs: wakeup/block pairs at known instants.
-	eng.At(simtime.Time(10*ms), func() { task.Release(sched.NewJob(0, 5*ms, simtime.Never)) })
-	eng.At(simtime.Time(100*ms), func() { task.Release(sched.NewJob(0, 5*ms, simtime.Never)) })
+	eng.At(simtime.Time(10*ms), func() { task.Release(task.NewJob(0, 5*ms, simtime.Never)) })
+	eng.At(simtime.Time(100*ms), func() { task.Release(task.NewJob(0, 5*ms, simtime.Never)) })
 	eng.RunUntil(simtime.Time(simtime.Second))
 
 	want := []tr{
@@ -61,9 +61,9 @@ func TestTransitionHookBackloggedTaskStaysReady(t *testing.T) {
 	// Three jobs released back to back while the first still runs:
 	// only one wakeup (idle->ready) and one block (queue drained).
 	eng.At(0, func() {
-		task.Release(sched.NewJob(0, 10*ms, simtime.Never))
-		task.Release(sched.NewJob(0, 10*ms, simtime.Never))
-		task.Release(sched.NewJob(0, 10*ms, simtime.Never))
+		task.Release(task.NewJob(0, 10*ms, simtime.Never))
+		task.Release(task.NewJob(0, 10*ms, simtime.Never))
+		task.Release(task.NewJob(0, 10*ms, simtime.Never))
 	})
 	eng.RunUntil(simtime.Time(simtime.Second))
 	if wakeups != 1 || blocks != 1 {
@@ -81,7 +81,7 @@ func TestTransitionHookWakeupTimeImmuneToContention(t *testing.T) {
 	srv := sd.NewServer("rt", 9*ms, 10*ms, sched.HardCBS)
 	hog := sd.NewTask("hog")
 	hog.AttachTo(srv, 0)
-	eng.At(0, func() { hog.Release(sched.NewJob(0, simtime.Duration(10*simtime.Second), simtime.Never)) })
+	eng.At(0, func() { hog.Release(hog.NewJob(0, simtime.Duration(10*simtime.Second), simtime.Never)) })
 
 	task := sd.NewTask("be")
 	var wakeAt, firstRun simtime.Time
@@ -91,7 +91,7 @@ func TestTransitionHookWakeupTimeImmuneToContention(t *testing.T) {
 		}
 	})
 	task.OnJobStart = func(_ *sched.Job, now simtime.Time) { firstRun = now }
-	eng.At(simtime.Time(5*ms), func() { task.Release(sched.NewJob(0, 2*ms, simtime.Never)) })
+	eng.At(simtime.Time(5*ms), func() { task.Release(task.NewJob(0, 2*ms, simtime.Never)) })
 	eng.RunUntil(simtime.Time(simtime.Second))
 
 	if wakeAt != simtime.Time(5*ms) {
@@ -109,7 +109,7 @@ func TestTransitionHookClearable(t *testing.T) {
 	fired := 0
 	sd.SetTransitionHook(func(*sched.Task, bool, simtime.Time) { fired++ })
 	sd.SetTransitionHook(nil)
-	eng.At(0, func() { task.Release(sched.NewJob(0, ms, simtime.Never)) })
+	eng.At(0, func() { task.Release(task.NewJob(0, ms, simtime.Never)) })
 	eng.RunUntil(simtime.Time(simtime.Second))
 	if fired != 0 {
 		t.Errorf("cleared hook fired %d times", fired)

@@ -336,7 +336,7 @@ func TestMoveGroupKeepsDestinationReservations(t *testing.T) {
 		x = m.Core(0).NewServer(name, 5*ms, 10*ms, sched.HardCBS)
 		task := m.Core(0).NewTask(name)
 		task.AttachTo(x, 0)
-		eng.At(0, func() { task.Release(sched.NewJob(0, 5*ms, simtime.Time(10*ms))) })
+		eng.At(0, func() { task.Release(task.NewJob(0, 5*ms, simtime.Time(10*ms))) })
 	}
 	if err := m.Reserve(1, 0.45); err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestMoveGroupKeepsDestinationReservations(t *testing.T) {
 	var done simtime.Time
 	zTask.OnJobComplete = func(_ *sched.Job, now simtime.Time) { done = now }
 	eng.At(simtime.Time(4*ms), func() {
-		zTask.Release(sched.NewJob(eng.Now(), 3600*us, simtime.Time(12*ms)))
+		zTask.Release(zTask.NewJob(eng.Now(), 3600*us, simtime.Time(12*ms)))
 	})
 	eng.At(simtime.Time(5*ms), func() {
 		if err := smp.MoveGroup(single(x), m, 0, m, 1, 0.5, nil); err != nil {

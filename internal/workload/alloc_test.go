@@ -10,26 +10,18 @@ import (
 	"repro/internal/workload"
 )
 
-// raceEnabled is set by the race build, under which sync.Pool drops a
-// random quarter of what is put back, so the job pool allocates.
-var raceEnabled bool
-
 // TestWorkloadJobPathAllocatesNothing checks that a traced workload's
 // steady-state job path allocates nothing. Each job carries its system
 // calls as data and the scheduler issues them, so once warm a release,
 // a jitter-deferred release, its calls, the overhead they charge and
-// the completion reuse storage only. Two scenarios, each tracing into
-// one 4096-event QTrace ring: a webserver, a game loop in a soft
-// reservation, a VM past its boot ramp and a noise source sharing one
-// scheduler, and a video player whose release jitter defers every
-// frame, on a scheduler of its own. The player has one to two dozen
-// calls per frame where the others have one or two, and recycled jobs
-// come from one shared pool, so beside them it would keep receiving
-// jobs whose call lists must still grow.
+// the completion reuse storage only. A webserver, a game loop in a
+// soft reservation, a VM past its boot ramp, a noise source and a
+// video player whose release jitter defers every frame share one
+// scheduler and trace into one 4096-event QTrace ring. The player has
+// one to two dozen calls per frame where the others have one or two;
+// each task recycles its own jobs, so no task receives a job whose
+// call list was sized by another kind's.
 func TestWorkloadJobPathAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts need the pools of a non-race build")
-	}
 	_, sd := newSim()
 	buf := ktrace.NewBuffer(ktrace.QTrace, 4096)
 	r := rng.New(3)
@@ -40,20 +32,19 @@ func TestWorkloadJobPathAllocatesNothing(t *testing.T) {
 	gl.Sink = buf
 	vm := workload.DefaultVMBootConfig("vm", 0.2)
 	vm.Sink = buf
+	video := workload.VideoPlayerConfig("video", 0.1)
+	video.Sink = buf
 	game := workload.NewGameLoop(sd, r.Split(), gl)
 	game.Task().AttachTo(sd.NewServer("game", 5*ms, 16*ms, sched.SoftCBS), 0)
+	player := workload.NewPlayer(sd, r.Split(), video)
+	player.Task().AttachTo(sd.NewServer("video", 8*ms, 40*ms, sched.SoftCBS), 0)
 	checkJobPathAllocatesNothing(t, sd, buf, []startable{
 		workload.NewWebServer(sd, r.Split(), ws),
 		game,
 		workload.NewVMBoot(sd, r.Split(), vm),
 		workload.NewNoise(sd, r.Split(), "noise", 50*ms, 2*ms, buf),
+		player,
 	})
-
-	_, sd = newSim()
-	buf = ktrace.NewBuffer(ktrace.QTrace, 4096)
-	video := workload.VideoPlayerConfig("video", 0.3)
-	video.Sink = buf
-	checkJobPathAllocatesNothing(t, sd, buf, []startable{workload.NewPlayer(sd, rng.New(3), video)})
 }
 
 // startable is a workload the allocation checks start and observe.

@@ -99,7 +99,7 @@ func (g *GameLoop) release(now simtime.Time) {
 	if d < simtime.Microsecond {
 		d = simtime.Microsecond
 	}
-	j := sched.NewJob(now, d, now.Add(g.cfg.FramePeriod))
+	j := g.task.NewJob(now, d, now.Add(g.cfg.FramePeriod))
 	g.syscall(j, 0, SysPoll)
 	g.syscall(j, d, SysWrite)
 	g.task.Release(j)

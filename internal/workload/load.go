@@ -37,7 +37,7 @@ func StartReservedPeriodic(sd *sched.Scheduler, r *rng.Source, name string,
 	rp.repeat(next, func() simtime.Time {
 		now := rp.lt.now()
 		d := float64(budget) * demandFrac * r.Uniform(0.95, 1.0)
-		rp.task.Release(sched.NewJob(now, simtime.Duration(d), now.Add(period)))
+		rp.task.Release(rp.task.NewJob(now, simtime.Duration(d), now.Add(period)))
 		next = next.Add(period)
 		return next
 	})
@@ -211,7 +211,7 @@ func (b *Background) Servers() []*sched.Server { return b.servers }
 func StartCPUHog(sd *sched.Scheduler, name string, work simtime.Duration) *sched.Task {
 	t := sd.NewTask(name)
 	sd.Engine().At(sd.Engine().Now(), func() {
-		t.Release(sched.NewJob(0, work, simtime.Never))
+		t.Release(t.NewJob(0, work, simtime.Never))
 	})
 	return t
 }
@@ -250,7 +250,7 @@ func (n *Noise) Start(at simtime.Time) {
 			d = simtime.Microsecond
 		}
 		now := n.lt.now()
-		j := sched.NewJob(now, d, simtime.Never)
+		j := n.task.NewJob(now, d, simtime.Never)
 		n.syscall(j, d, SysRead)
 		n.task.Release(j)
 		gap := simtime.Duration(n.r.Exp(float64(n.meanInterarrival)))

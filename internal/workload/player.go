@@ -255,7 +255,7 @@ func (p *Player) releaseFrame() {
 	p.frame++
 	total := simtime.Duration(demand)
 	deadline := now.Add(p.cfg.Period)
-	j := sched.NewJob(now, total, deadline)
+	j := p.task.NewJob(now, total, deadline)
 	p.addSyscalls(j, total)
 	p.demands = append(p.demands, total)
 

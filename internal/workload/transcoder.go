@@ -80,7 +80,7 @@ func (tr *Transcoder) Start(at simtime.Time) {
 			work *= tr.r.Norm(1, tr.cfg.WorkJitter)
 		}
 		total := simtime.Duration(work)
-		j := sched.NewJob(tr.lt.now(), total, simtime.Never)
+		j := tr.task.NewJob(tr.lt.now(), total, simtime.Never)
 		// Alternate read (demux input) and write (mux output), with a
 		// periodic lseek.
 		calls := [...]Syscall{SysRead, SysWrite, SysLseek, SysWrite}

@@ -163,7 +163,7 @@ func (v *VMBoot) release(now simtime.Time) {
 		d = max
 	}
 	demand := simtime.Duration(d)
-	j := sched.NewJob(now, demand, now.Add(v.cfg.Period))
+	j := v.task.NewJob(now, demand, now.Add(v.cfg.Period))
 	if m != 1 { // booting: disk traffic
 		v.syscall(j, 0, SysRead)
 	}

@@ -120,7 +120,7 @@ func (s *WebServer) release(now simtime.Time) {
 	if s.cfg.Deadline > 0 {
 		dl = now.Add(s.cfg.Deadline)
 	}
-	j := sched.NewJob(now, d, dl)
+	j := s.task.NewJob(now, d, dl)
 	s.syscall(j, 0, SysRead)
 	s.syscall(j, d, SysWrite)
 	s.task.Release(j)

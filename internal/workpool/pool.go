@@ -16,7 +16,8 @@
 // affinity: a caller that runs the same n every batch — a machine's
 // lanes at every fence — sees index i on the same goroutine batch
 // after batch, so the state fn(i) touches (a lane's engine heap,
-// scheduler and recycled jobs) stays in one core's caches. A shared
+// scheduler, and the jobs its tasks recycle) stays in one core's
+// caches. A shared
 // claim counter handed each lane to whichever worker was free, and on
 // a 2-vCPU VM the benchmark's 64-lane dense workload ran slower with
 // two Ps than with one (medians 173 against 305 sim_s/s, 5 runs

@@ -636,7 +636,7 @@ func (s *System) execute(units []*migUnit, snap Snapshot, moves []Move) int {
 		}
 		if moved > 0 {
 			total += moved
-			s.publish(Event{
+			s.publish(&Event{
 				Kind:   MigrationBatchEvent,
 				At:     s.engine.Now(),
 				Core:   dest,
@@ -672,7 +672,7 @@ func (s *System) move(u *migUnit, to int, reason string) error {
 	if err := s.moveUnit(u, s, to); err != nil {
 		return err
 	}
-	s.publish(Event{
+	s.publish(&Event{
 		Kind:   MigrationEvent,
 		At:     s.engine.Now(),
 		Core:   to,

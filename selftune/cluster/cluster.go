@@ -643,16 +643,16 @@ func (c *Cluster) advance(next selftune.Time) {
 // cluster-scope collector and the realm's SLO score. The two
 // collectors fold disjoint state, so one pass over the stage serves
 // both.
-func (c *Cluster) foldMachineEvent(e selftune.Event) {
+func (c *Cluster) foldMachineEvent(e *selftune.Event) {
 	if c.mcol != nil {
-		c.mcol.Observe(e)
+		c.mcol.Observe(*e)
 	}
 	if c.opt.reqStats && e.Kind == selftune.RequestCompleteEvent {
 		r := c.realmByName[telemetry.RequestGroupOf(e.Source)]
 		if r != nil && r.cfg.SLO.Quantile > 0 && e.Latency <= r.cfg.SLO.Threshold {
 			r.sloWithin++
 		}
-		c.col.Observe(e)
+		c.col.Observe(*e)
 	}
 }
 

@@ -120,18 +120,11 @@ func TestParallelClusterRace(t *testing.T) {
 	}
 }
 
-// raceEnabled is set by the race build, under which sync.Pool drops a
-// random share of its puts, so recycled jobs allocate again.
-var raceEnabled bool
-
 // TestTickAdvanceAllocatesNothing pins the fleet advance: the closure
 // that runs a machine to the tick boundary is built once and the
 // pool's batch lives in the pool, so advancing a warm fleet by a tick
 // allocates nothing, on one worker or on two.
 func TestTickAdvanceAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts need the pools of a non-race build")
-	}
 	for _, workers := range []int{1, 2} {
 		c := testCluster(t, WithMachines(4), WithCores(4), WithDetail(4), WithParallelism(workers))
 		if _, err := c.AddRealm(RealmConfig{

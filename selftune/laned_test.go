@@ -6,10 +6,6 @@ import (
 	"testing"
 )
 
-// raceEnabled is set by the race build, under which sync.Pool drops a
-// random quarter of what is put back, so the job pool allocates.
-var raceEnabled bool
-
 // lanedScenario drives a 4-core machine with a migration-heavy mix —
 // tuned players, request-shaped workloads, untuned multi-reservation
 // load, a shared group — under the work-stealing balancer, recording
@@ -192,11 +188,8 @@ func TestFencesAndWorkers(t *testing.T) {
 // — the shape of every fleet machine — and by two, whose fences go
 // through the worker pool, runs 1 ms chunks, each ending in one fence,
 // without allocating. The lanes carry untuned periodic load, whose
-// job path is allocation-free once its pools are warm.
+// job path is allocation-free once each task has recycled a job.
 func TestFenceAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts need the pools of a non-race build")
-	}
 	for _, workers := range []int{1, 2} {
 		sys, err := NewSystem(WithSeed(5), WithCPUs(4), WithCoreParallelism(workers))
 		if err != nil {

@@ -5,7 +5,10 @@ package selftune
 // snapshots, budget-exhaustion notifications and periodic per-core
 // load samples as a single typed event stream.
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // EventKind discriminates the events a System publishes.
 type EventKind int
@@ -169,48 +172,59 @@ func (s *System) Subscribe(o Observer) (cancel func()) {
 	}
 	sub := &subscription{obs: o}
 	s.obsMu.Lock()
-	s.observers = append(s.observers, sub)
+	next := append(slices.Clip(s.subscribers()), sub)
+	s.observers.Store(&next)
 	s.obsMu.Unlock()
 	s.startSampler()
-	return func() { sub.cancelled.Store(true) }
+	return func() {
+		sub.cancelled.Store(true)
+		s.cancels.Add(1)
+	}
+}
+
+// subscribers returns the live subscription list. Subscribe and
+// compact replace the list whole and never write one in place, so a
+// caller may range over it while Observe callbacks subscribe or
+// cancel.
+func (s *System) subscribers() []*subscription {
+	if p := s.observers.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // publish delivers an event to every observer live at publish time.
 // Observers subscribed from inside an Observe callback start receiving
-// from the next event; cancelled ones are compacted away afterwards.
-// The subscription list is copied out under the lock and never
-// rewritten in place: an Observe callback may itself publish (the
-// reactive balancer migrating from a load sample) or subscribe, and
-// concurrent cancels must not race the delivery loop.
-func (s *System) publish(e Event) {
-	s.obsMu.Lock()
-	snapshot := s.observers
-	s.obsMu.Unlock()
-	if len(snapshot) == 0 {
+// from the next event; cancelled ones are skipped, and compacted away
+// afterwards once a cancel has been counted. Delivery takes no lock:
+// an Observe callback may itself publish (the reactive balancer
+// migrating from a load sample) or subscribe, and concurrent cancels
+// only flip their subscription's flag.
+func (s *System) publish(e *Event) {
+	subs := s.subscribers()
+	if len(subs) == 0 {
 		return
 	}
-	for _, sub := range snapshot {
+	for _, sub := range subs {
 		if !sub.cancelled.Load() {
-			sub.obs.Observe(e)
+			sub.obs.Observe(*e)
 		}
 	}
-	// Compact cancelled subscriptions into a fresh slice.
+	if s.cancels.Load() > 0 {
+		s.compact()
+	}
+}
+
+// compact replaces the subscription list with its live entries. The
+// counter is cleared before the list is read: a cancel that lands
+// after the read counts again and is compacted by a later publish.
+func (s *System) compact() {
 	s.obsMu.Lock()
-	cancelled := 0
-	for _, sub := range s.observers {
-		if sub.cancelled.Load() {
-			cancelled++
-		}
-	}
-	if cancelled > 0 {
-		live := make([]*subscription, 0, len(s.observers)-cancelled)
-		for _, sub := range s.observers {
-			if !sub.cancelled.Load() {
-				live = append(live, sub)
-			}
-		}
-		s.observers = live
-	}
+	s.cancels.Store(0)
+	live := slices.DeleteFunc(slices.Clone(s.subscribers()), func(sub *subscription) bool {
+		return sub.cancelled.Load()
+	})
+	s.observers.Store(&live)
 	s.obsMu.Unlock()
 }
 
@@ -229,14 +243,14 @@ func (s *System) startSampler() {
 	var tick func()
 	tick = func() {
 		s.sampleBuf = s.machine.LoadsInto(s.sampleBuf[:0])
-		s.publish(Event{
+		s.publish(&Event{
 			Kind:  CoreLoadEvent,
 			At:    s.engine.Now(),
 			Core:  -1,
 			Loads: s.sampleBuf,
 		})
 		s.obsMu.Lock()
-		if len(s.observers) == 0 {
+		if len(s.subscribers()) == 0 {
 			s.samplerOn = false
 			s.obsMu.Unlock()
 			return

@@ -32,7 +32,7 @@ func TestConcurrentSubscribeCancelWhilePublishing(t *testing.T) {
 				return
 			default:
 			}
-			sys.publish(Event{Kind: BudgetExhaustedEvent, At: Time(i), Core: 0, Source: "srv"})
+			sys.publish(&Event{Kind: BudgetExhaustedEvent, At: Time(i), Core: 0, Source: "srv"})
 		}
 	}()
 
@@ -65,14 +65,47 @@ func TestConcurrentSubscribeCancelWhilePublishing(t *testing.T) {
 	// A final publish after every cancel must deliver to no one and
 	// compact the list.
 	before := delivered.Load()
-	sys.publish(Event{Kind: BudgetExhaustedEvent, Core: 0, Source: "srv"})
+	sys.publish(&Event{Kind: BudgetExhaustedEvent, Core: 0, Source: "srv"})
 	if delivered.Load() != before {
 		t.Error("cancelled observers still delivered to")
 	}
-	sys.obsMu.Lock()
-	live := len(sys.observers)
-	sys.obsMu.Unlock()
-	if live != 0 {
+	if live := len(sys.subscribers()); live != 0 {
 		t.Errorf("%d subscriptions survive cancellation", live)
+	}
+}
+
+// TestPublishCompactsOnlyAfterCancel checks that publish reads the
+// subscription list without replacing it or allocating while no
+// cancel is pending, and that the publish after a cancel drops the
+// cancelled entry once.
+func TestPublishCompactsOnlyAfterCancel(t *testing.T) {
+	sys, err := NewSystem(WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept, dropped int
+	sys.Subscribe(ObserverFunc(func(Event) { kept++ }))
+	cancel := sys.Subscribe(ObserverFunc(func(Event) { dropped++ }))
+	list := sys.observers.Load()
+	e := Event{Kind: BudgetExhaustedEvent, Core: 0, Source: "srv"}
+	if n := testing.AllocsPerRun(10, func() { sys.publish(&e) }); n != 0 {
+		t.Errorf("publish allocates %v times, want 0", n)
+	}
+	if sys.observers.Load() != list {
+		t.Error("publish replaced the subscription list with no cancel pending")
+	}
+	cancel()
+	cancel() // a second call drops nothing more
+	sys.publish(&e)
+	if got := len(sys.subscribers()); got != 1 {
+		t.Errorf("%d subscriptions after the cancel, want 1", got)
+	}
+	list = sys.observers.Load()
+	sys.publish(&e)
+	if sys.observers.Load() != list {
+		t.Error("a publish after the compaction replaced the list again")
+	}
+	if kept != 13 || dropped != 11 {
+		t.Errorf("delivered %d and %d events, want 13 and 11", kept, dropped)
 	}
 }

@@ -147,9 +147,6 @@ func TestPoliciesPlanAlikeOnFlatTopologies(t *testing.T) {
 // cost three allocations per unit, 240 of such a tick's 244. What
 // remains is the planner's own scratch.
 func TestBalanceTickReusesUnits(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts need the pools of a non-race build")
-	}
 	sys, err := NewSystem(WithSeed(1), WithCPUs(64), WithCoreParallelism(2), WithBalancer(BalanceWorkStealing()))
 	if err != nil {
 		t.Fatal(err)

@@ -322,7 +322,7 @@ func (s *System) Spawn(kind string, opts ...SpawnOption) (*Handle, error) {
 		// The machine definitively turned the workload away: worth an
 		// event, so capacity planning can count rejects without parsing
 		// error strings.
-		s.publish(Event{
+		s.publish(&Event{
 			Kind:   AdmissionRejectEvent,
 			At:     s.engine.Now(),
 			Core:   -1,

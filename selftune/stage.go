@@ -14,9 +14,18 @@ type Stage struct {
 	loads  []float64 // arena backing the staged events' Loads copies
 
 	// DrainMerged bookkeeping: the cursor and end of this stage's
-	// replay, and one slot of the merge heap (heap position i is
+	// replay, and one entry of the merge heap (heap position i is
 	// stored in stages[i].slot, so the merge allocates nothing).
-	head, end, slot int
+	head, end int
+	slot      mergeSlot
+}
+
+// mergeSlot is one merge-heap entry: a stage's index and the instant of
+// its next event, side by side, so that comparing two entries visits
+// neither stage.
+type mergeSlot struct {
+	at    Time
+	stage int
 }
 
 // Observe appends an event. Loads is copied into the stage's arena:
@@ -32,12 +41,13 @@ func (s *Stage) Observe(e Event) {
 }
 
 // Drain replays the staged events to fn in append order, then resets
-// the stage, keeping its storage. Events fn stages back into s are kept
-// for the next drain.
-func (s *Stage) Drain(fn func(Event)) {
+// the stage, keeping its storage. fn receives each event in place: it
+// must not modify the event or keep the pointer past its return.
+// Events fn stages back into s are kept for the next drain.
+func (s *Stage) Drain(fn func(*Event)) {
 	n := len(s.events)
 	for i := 0; i < n; i++ {
-		fn(s.events[i])
+		fn(&s.events[i])
 	}
 	s.discard(n)
 }
@@ -56,15 +66,16 @@ func (s *Stage) discard(n int) {
 // ordered by timestamp, ties broken by stage index and then by append
 // order, and resets every stage. Each stage must hold its events in
 // non-decreasing At order — true of a core lane, which executes in time
-// order — so a k-way merge yields the order without sorting. Events fn
-// stages back into any of the stages are kept for the next drain.
-func DrainMerged(stages []Stage, fn func(Event)) {
+// order — so a k-way merge yields the order without sorting. fn
+// receives each event in place, as from Drain. Events fn stages back
+// into any of the stages are kept for the next drain.
+func DrainMerged(stages []Stage, fn func(*Event)) {
 	n := 0
 	for i := range stages {
 		st := &stages[i]
 		st.head, st.end = 0, len(st.events)
 		if st.end > 0 {
-			stages[n].slot = i
+			stages[n].slot = mergeSlot{st.events[0].At, i}
 			n++
 		}
 	}
@@ -72,12 +83,15 @@ func DrainMerged(stages []Stage, fn func(Event)) {
 		siftDown(stages, p, n)
 	}
 	for n > 0 {
-		st := &stages[stages[0].slot]
-		fn(st.events[st.head])
+		top := &stages[0].slot
+		st := &stages[top.stage]
+		fn(&st.events[st.head])
 		st.head++
-		if st.head == st.end {
+		if st.head < st.end {
+			top.at = st.events[st.head].At
+		} else {
 			n--
-			stages[0].slot = stages[n].slot
+			*top = stages[n].slot
 		}
 		siftDown(stages, 0, n)
 	}
@@ -90,9 +104,7 @@ func DrainMerged(stages []Stage, fn func(Event)) {
 // events: timestamp, then stage index.
 func mergeLess(stages []Stage, a, b int) bool {
 	x, y := stages[a].slot, stages[b].slot
-	tx := stages[x].events[stages[x].head].At
-	ty := stages[y].events[stages[y].head].At
-	return tx < ty || (tx == ty && x < y)
+	return x.at < y.at || (x.at == y.at && x.stage < y.stage)
 }
 
 // siftDown restores the heap property below position p of an n-entry

@@ -3,6 +3,7 @@ package selftune
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/ktrace"
@@ -47,9 +48,10 @@ type System struct {
 	advance func(int)
 
 	loadSample Duration
-	obsMu      sync.Mutex // guards observers and samplerOn
+	obsMu      sync.Mutex // serialises list replacements; guards samplerOn
 	samplerOn  bool
-	observers  []*subscription
+	observers  atomic.Pointer[[]*subscription]
+	cancels    atomic.Int64 // cancels since the last compaction
 
 	bal      *balancer
 	migrated int // units moved across cores
@@ -156,7 +158,7 @@ func (s *System) emit(core int, e Event) {
 		s.stages[core].Observe(e)
 		return
 	}
-	s.publish(e)
+	s.publish(&e)
 }
 
 // Core is one CPU of the System: an EDF+CBS scheduler and the

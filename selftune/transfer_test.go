@@ -386,7 +386,7 @@ func (c *cbsJob) MoveLane(dst *sim.Engine, _ workload.SyscallSink) {}
 
 func (c *cbsJob) Start(at selftune.Time) {
 	c.sd.Engine().At(at, func() {
-		c.task.Release(sched.NewJob(at, 5*selftune.Millisecond, at.Add(10*selftune.Millisecond)))
+		c.task.Release(c.task.NewJob(at, 5*selftune.Millisecond, at.Add(10*selftune.Millisecond)))
 	})
 }
 
@@ -430,7 +430,7 @@ func TestTransferKeepsDestinationReservations(t *testing.T) {
 			var done selftune.Time
 			zTask.OnJobComplete = func(_ *sched.Job, now selftune.Time) { done = now }
 			zs.Engine().At(selftune.Time(4*ms), func() {
-				zTask.Release(sched.NewJob(zs.Engine().Now(), 3600*selftune.Microsecond, selftune.Time(12*ms)))
+				zTask.Release(zTask.NewJob(zs.Engine().Now(), 3600*selftune.Microsecond, selftune.Time(12*ms)))
 			})
 
 			src.Run(5 * ms)

@@ -270,8 +270,8 @@ func BenchmarkSLOAwareFleet(b *testing.B) {
 // scheduling and cancelling a victim so every step exercises the full
 // pool cycle (get, fire or cancel, release) plus a heap remove. Each
 // iteration is a fixed batch of steps so the events_per_s metric is
-// meaningful even under -benchtime=1x; it is gated higher-is-better
-// in CI.
+// meaningful even under -benchtime=1x; CI gates its median over 20
+// runs against the parent commit's.
 func BenchmarkEngineHotPath(b *testing.B) {
 	e := sim.New()
 	const trains = 64
@@ -330,8 +330,9 @@ func parallelFleet(b *testing.B, parallel int) *cluster.Cluster {
 // workers, reporting events per wall second and the simulation-time
 // speed. After the timed run, the identical scenario replays serially
 // over the same horizon; speedup_x is the ratio of the two
-// throughputs. CI gates it higher-is-better against the previous run;
-// its absolute value depends on the runner's core count.
+// throughputs. CI gates the medians of both over 20 runs against the
+// parent commit's. speedup_x depends on the runner's core count; on
+// two CPUs single runs have read below 1.
 func BenchmarkClusterParallelTicks(b *testing.B) {
 	const (
 		warmup = 2 * selftune.Second // fill the fleet with residents first
@@ -411,7 +412,8 @@ func coreParallelMachine(b *testing.B, workers int) *selftune.System {
 // single-engine path over the same horizon. speedup_x is the
 // throughput ratio. The sharding is meant to pay even on a small
 // runner — 64 shallow per-lane heaps against one 64x-denser heap on
-// every sift; each run's value is a single sample.
+// every sift; each run's value is a single sample, and CI gates the
+// medians of both metrics over 20 runs against the parent commit's.
 func BenchmarkCoreParallelMachine(b *testing.B) {
 	const (
 		warmup = 1 * selftune.Second

@@ -1,253 +1,191 @@
-// Benchcmp is the CI regression gate for benchmark metrics: it
-// compares the custom metrics of one or more benchmarks between two
-// `go test -bench` output files (the previous run's uploaded artifact
-// and the current run) and fails when a watched metric regressed by
-// more than the tolerance.
+// Benchcmp is CI's gate on the host-timed benchmark numbers. It reads
+// two `go test -bench` outputs made on one runner, the parent commit's
+// and the change's, each holding the same benchmarks run N times with
+// the two binaries alternating, and pairs the k-th result of a
+// benchmark in one file with the k-th in the other:
 //
-// Flags form repeated blocks: each -bench starts a new block and the
-// -metric flags that follow attach to it, so one invocation gates
-// several benchmarks against the same pair of files:
+//	benchcmp [-json F] parent.txt change.txt
 //
-//	go run ./cmd/benchcmp \
-//	    -bench BenchmarkMigrationContention64Core \
-//	    -metric spread_after -metric migrations \
-//	    -bench BenchmarkNUMAContention64Core \
-//	    -metric xnode_frac -metric spread_after \
-//	    -tolerance 0.20 baseline/bench.txt bench.txt
-//
-// Watched metrics are named explicitly with their direction: -metric
-// is lower-is-better (the gate fails when new > old*(1+tolerance) +
-// slack), -metric-up is higher-is-better (the gate fails when new <
-// old*(1-tolerance) - slack; throughputs like events_per_s go here).
-// The absolute slack keeps near-zero metrics (a spread of 0.1) from
-// tripping on noise a relative bound cannot express.
-//
-// Missing data is asymmetric by design. A benchmark (or metric) absent
-// from the *baseline* is skipped with a note — the baseline artifact
-// may simply predate a newly added benchmark, and the first run after
-// adding one seeds the gate. A benchmark (or metric) absent from the
-// *current* run is an explicit failure: the suite stopped running or
-// reporting something the gate watches, which is exactly the
-// regression the gate exists to catch.
+// It gates events_per_s and speedup_x, both higher-is-better. The
+// change fails when its median of a gated metric is below 0.8× the
+// parent's, when it lacks a gated metric the parent reports, or when a
+// benchmark ran a different number of times in the two files. Each
+// gated metric is printed with both medians, the parent's interquartile
+// range and the pairs the change won. A benchmark the parent lacks is
+// printed but not gated. -json writes the median of every unit of every
+// benchmark in the change's file.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
+
+	"repro/internal/stats"
 )
 
-// watch is one gated metric: its unit and its improvement direction.
-type watch struct {
-	unit string
-	up   bool // higher-is-better: gate on drops instead of rises
-}
+// gated are the metrics the comparison gates, both higher-is-better:
+// simulated events per wall second, and a parallel run's speed over its
+// own serial replay.
+var gated = []string{"events_per_s", "speedup_x"}
 
-// block is one -bench flag with the -metric/-metric-up flags that
-// followed it.
-type block struct {
-	bench   string
-	metrics []watch
-}
+// bound is the lowest change/parent ratio of medians that passes.
+const bound = 0.8
 
-// blockFlags accumulates the repeated -bench/-metric flags in order:
-// the standard flag package calls Set in command-line order, so the
-// two flag.Values share this struct and -metric attaches to the block
-// the most recent -bench opened.
-type blockFlags struct {
-	blocks []*block
-}
+// runs maps a benchmark's name to its results in file order, one map
+// from unit to value per run.
+type runs map[string][]map[string]float64
 
-type benchFlag struct{ f *blockFlags }
+// procs is the -N GOMAXPROCS suffix `go test` appends to a name.
+var procs = regexp.MustCompile(`-[0-9]+$`)
 
-func (b benchFlag) String() string { return "" }
-
-func (b benchFlag) Set(v string) error {
-	if v == "" {
-		return fmt.Errorf("empty benchmark name")
-	}
-	b.f.blocks = append(b.f.blocks, &block{bench: v})
-	return nil
-}
-
-type metricFlag struct {
-	f  *blockFlags
-	up bool
-}
-
-func (m metricFlag) String() string { return "" }
-
-func (m metricFlag) Set(v string) error {
-	if v == "" {
-		return fmt.Errorf("empty metric name")
-	}
-	if len(m.f.blocks) == 0 {
-		name := "-metric"
-		if m.up {
-			name = "-metric-up"
-		}
-		return fmt.Errorf("%s %s before any -bench", name, v)
-	}
-	last := m.f.blocks[len(m.f.blocks)-1]
-	last.metrics = append(last.metrics, watch{unit: v, up: m.up})
-	return nil
-}
-
-// parseBench extracts the named benchmark's metrics from `go test
-// -bench` output: every "<value> <unit>" pair of its result lines
-// (ns/op, custom ReportMetric units, allocs). Multiple result lines
-// for the same benchmark (higher -benchtime counts, -cpu variants)
-// keep the last value.
-func parseBench(text, bench string) map[string]float64 {
-	out := make(map[string]float64)
+// parse collects every result line of `go test -bench` output: the
+// name, the iteration count, then value-unit pairs.
+func parse(text string) runs {
+	out := make(runs)
 	for _, line := range strings.Split(text, "\n") {
 		fields := strings.Fields(line)
-		if len(fields) < 4 {
+		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		// Exact name, or the name with a -N GOMAXPROCS suffix; a bare
-		// prefix must not conflate 8Core with 64Core.
-		if fields[0] != bench && !strings.HasPrefix(fields[0], bench+"-") {
+		if _, err := strconv.Atoi(fields[1]); err != nil {
 			continue
 		}
-		// fields[0] is the name (possibly with a -N cpu suffix),
-		// fields[1] the iteration count, then value/unit pairs.
-		rest := fields[2:]
-		for i := 0; i+1 < len(rest); i += 2 {
-			v, err := strconv.ParseFloat(rest[i], 64)
-			if err != nil {
-				continue
+		res := make(map[string]float64)
+		for i := 2; i+1 < len(fields); i += 2 {
+			if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
+				res[fields[i+1]] = v
 			}
-			out[rest[i+1]] = v
 		}
+		name := procs.ReplaceAllString(fields[0], "")
+		out[name] = append(out[name], res)
 	}
 	return out
 }
 
-// compare gates every block's metrics of newText against oldText and
-// returns an error when any watched metric regressed, stopped being
-// reported, or its benchmark disappeared from the current run.
-func compare(blocks []*block, oldText, newText string, tolerance, slack float64, w io.Writer) error {
+// values returns unit's value in every run, or false if a run lacks it.
+func values(rs []map[string]float64, unit string) ([]float64, bool) {
+	xs := make([]float64, len(rs))
+	for k, r := range rs {
+		v, ok := r[unit]
+		if !ok {
+			return nil, false
+		}
+		xs[k] = v
+	}
+	return xs, len(xs) > 0
+}
+
+// quartiles returns the median and the interquartile range of xs.
+func quartiles(xs []float64) (med, iqr float64) {
+	s := slices.Sorted(slices.Values(xs))
+	return stats.Quantile(s, 0.5), stats.Quantile(s, 0.75) - stats.Quantile(s, 0.25)
+}
+
+// compare gates change against parent and returns an error if any
+// gated metric failed.
+func compare(parent, change runs, w io.Writer) error {
 	failed := false
-	for _, bl := range blocks {
-		old := parseBench(oldText, bl.bench)
-		cur := parseBench(newText, bl.bench)
-		if len(cur) == 0 {
-			// The gate's reason to exist: a watched benchmark that no
-			// longer runs (or crashes before reporting) must fail loudly,
-			// never ride through as "nothing to compare".
-			fmt.Fprintf(w, "FAIL %s: benchmark missing from current run (present in baseline: %v)\n",
-				bl.bench, len(old) > 0)
-			failed = true
+	fail := func(format string, args ...any) {
+		fmt.Fprintf(w, "FAIL "+format+"\n", args...)
+		failed = true
+	}
+	for _, name := range slices.Sorted(maps.Keys(parent)) {
+		if len(change[name]) == 0 {
+			fail("%s: missing from the change", name)
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(change)) {
+		p, c := parent[name], change[name]
+		if len(p) > 0 && len(p) != len(c) {
+			fail("%s: %d runs at the parent, %d in the change", name, len(p), len(c))
 			continue
 		}
-		if len(old) == 0 {
-			// A baseline without the benchmark cannot gate anything; CI
-			// treats the first run after adding a benchmark as the seed.
-			fmt.Fprintf(w, "skip %s: absent from baseline; seeding from this run\n", bl.bench)
-			continue
-		}
-		for _, m := range bl.metrics {
-			now, ok := cur[m.unit]
-			if !ok {
-				fmt.Fprintf(w, "FAIL %s %s: metric missing from current run\n", bl.bench, m.unit)
-				failed = true
-				continue
+		for _, unit := range gated {
+			pv, inParent := values(p, unit)
+			cv, inChange := values(c, unit)
+			switch {
+			case !inParent:
+				if inChange {
+					med, _ := quartiles(cv)
+					fmt.Fprintf(w, "new  %s %s: median %.4g, absent from the parent, not gated\n", name, unit, med)
+				}
+			case !inChange:
+				fail("%s %s: reported by the parent, missing from the change", name, unit)
+			default:
+				won := 0
+				for k := range pv {
+					if cv[k] > pv[k] {
+						won++
+					}
+				}
+				pm, piqr := quartiles(pv)
+				cm, _ := quartiles(cv)
+				status := "ok  "
+				if cm < bound*pm {
+					status, failed = "FAIL", true
+				}
+				fmt.Fprintf(w, "%s %s %s: median %.4g -> %.4g (%.3fx, bound %.2fx), parent IQR %.4g, change won %d/%d\n",
+					status, name, unit, pm, cm, cm/pm, bound, piqr, won, len(pv))
 			}
-			was, ok := old[m.unit]
-			if !ok {
-				fmt.Fprintf(w, "skip %s %s: metric absent from baseline\n", bl.bench, m.unit)
-				continue
-			}
-			// The bound sits tolerance (plus slack) on the regression side
-			// of the baseline: above it for lower-is-better metrics, below
-			// it for higher-is-better ones.
-			bound := was*(1+tolerance) + slack
-			regressed := now > bound
-			if m.up {
-				bound = was*(1-tolerance) - slack
-				regressed = now < bound
-			}
-			status := "ok  "
-			if regressed {
-				status = "FAIL"
-				failed = true
-			}
-			fmt.Fprintf(w, "%s %s %s: %g -> %g (bound %g)\n", status, bl.bench, m.unit, was, now, bound)
 		}
 	}
 	if failed {
-		return fmt.Errorf("benchmark metrics regressed beyond %.0f%%", tolerance*100)
+		return fmt.Errorf("the change fails the paired gate")
 	}
 	return nil
 }
 
-// dumpJSON writes every watched benchmark's parsed current-run metrics
-// (all units, not just the gated ones, so contrast metrics and
-// throughput ride along) as a JSON object keyed by benchmark name —
-// the machine-readable trajectory point CI archives after each run.
-func dumpJSON(blocks []*block, newText string, w io.Writer) error {
+// dumpJSON writes the median of every unit of every benchmark in
+// change, keyed by benchmark and unit: the trajectory point CI
+// archives. encoding/json sorts the keys.
+func dumpJSON(change runs, w io.Writer) error {
 	out := make(map[string]map[string]float64)
-	for _, bl := range blocks {
-		if cur := parseBench(newText, bl.bench); len(cur) > 0 {
-			out[bl.bench] = cur
+	for name, rs := range change {
+		out[name] = make(map[string]float64)
+		for unit := range rs[0] {
+			if xs, ok := values(rs, unit); ok {
+				out[name][unit], _ = quartiles(xs)
+			}
 		}
 	}
-	// encoding/json sorts map keys, so committed trajectories diff
-	// cleanly run-over-run.
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
 }
 
 func run() error {
-	var (
-		blocks    blockFlags
-		tolerance = flag.Float64("tolerance", 0.20, "allowed relative regression")
-		slack     = flag.Float64("slack", 0.02, "absolute slack added on top of the relative bound")
-		jsonPath  = flag.String("json", "", "also write the current run's parsed metrics for every watched benchmark to this file as JSON")
-	)
-	flag.Var(benchFlag{&blocks}, "bench", "benchmark name; starts a block, repeatable")
-	flag.Var(metricFlag{f: &blocks}, "metric", "lower-is-better metric unit gated for the preceding -bench; repeatable")
-	flag.Var(metricFlag{f: &blocks, up: true}, "metric-up", "higher-is-better metric unit gated for the preceding -bench; repeatable")
+	jsonPath := flag.String("json", "", "also write the change's median of every unit of every benchmark to this file")
 	flag.Parse()
-	if len(blocks.blocks) == 0 || flag.NArg() != 2 {
-		// Metrics must be named explicitly: the gate is lower-is-better,
-		// and a benchmark's units mix directions (admitted counts grow
-		// on improvement) — auto-gating everything would fail on wins.
-		return fmt.Errorf("usage: benchcmp -bench <name> {-metric|-metric-up} <unit>... [-bench <name> ...] [-tolerance 0.20] old.txt new.txt")
+	if flag.NArg() != 2 {
+		return fmt.Errorf("usage: benchcmp [-json F] parent.txt change.txt")
 	}
-	for _, bl := range blocks.blocks {
-		if len(bl.metrics) == 0 {
-			return fmt.Errorf("-bench %s names no -metric or -metric-up to gate on", bl.bench)
-		}
-	}
-	oldText, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		return err
-	}
-	newText, err := os.ReadFile(flag.Arg(1))
-	if err != nil {
-		return err
-	}
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
+	var files [2]runs
+	for i := range files {
+		text, err := os.ReadFile(flag.Arg(i))
 		if err != nil {
 			return err
 		}
-		if err := dumpJSON(blocks.blocks, string(newText), f); err != nil {
-			f.Close()
+		files[i] = parse(string(text))
+	}
+	if *jsonPath != "" {
+		var dump bytes.Buffer
+		if err := dumpJSON(files[1], &dump); err != nil {
 			return err
 		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(*jsonPath, dump.Bytes(), 0o644); err != nil {
 			return err
 		}
 	}
-	return compare(blocks.blocks, string(oldText), string(newText), *tolerance, *slack, os.Stdout)
+	return compare(files[0], files[1], os.Stdout)
 }
 
 func main() {

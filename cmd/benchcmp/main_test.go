@@ -2,269 +2,307 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
 
-const sample = `goos: linux
-goarch: amd64
-pkg: repro
-BenchmarkMigrationContention8Core 	       1	  42841132 ns/op	      16.00 admitted_rebalance	      15.00 admitted_static	       7.000 migrations	       0.1200 spread_after
-BenchmarkMigrationContention64Core 	       1	 169294643 ns/op	       128.0 admitted_rebalance	       127.0 admitted_static	        62.00 migrations	         0.1100 spread_after
-BenchmarkNUMAContention64Core 	       1	 301203111 ns/op	        52.00 migrations	         0.1050 spread_after	        0.1049 spread_after_steal	       0 xnode_frac	        0.7300 xnode_frac_steal
-PASS
-`
+// bench is one benchmark's value of each unit in each run.
+type bench struct {
+	name  string
+	units map[string][]float64
+}
 
-// gate builds the block list a command line like
-// "-bench B1 -metric m -bench B2 -metric m..." would produce. A "+"
-// prefix on a metric marks it higher-is-better (-metric-up).
-func gate(pairs ...[]string) []*block {
-	var blocks []*block
-	for _, p := range pairs {
-		bl := &block{bench: p[0]}
-		for _, m := range p[1:] {
-			w := watch{unit: m}
-			if strings.HasPrefix(m, "+") {
-				w = watch{unit: m[1:], up: true}
-			}
-			bl.metrics = append(bl.metrics, w)
-		}
-		blocks = append(blocks, bl)
+var (
+	hotPath = bench{"BenchmarkEngineHotPath", map[string][]float64{
+		"ns/op":        {7.1e6, 7.0e6, 7.3e6, 6.9e6, 7.2e6},
+		"events_per_s": {9.2e6, 9.3e6, 9.0e6, 9.5e6, 9.1e6},
+		"ns_per_event": {108, 107, 111, 105, 110},
+	}}
+	ticks = bench{"BenchmarkClusterParallelTicks", map[string][]float64{
+		"ns/op":            {1.7e7, 1.8e7, 1.6e7, 1.7e7, 1.9e7},
+		"events_per_s":     {4.1e6, 3.9e6, 4.3e6, 4.0e6, 3.7e6},
+		"sim_s_per_wall_s": {117, 112, 123, 115, 106},
+		"speedup_x":        {0.89, 1.31, 1.12, 0.95, 1.40},
+	}}
+	machine = bench{"BenchmarkCoreParallelMachine", map[string][]float64{
+		"ns/op":        {2.4e6, 2.6e6, 2.3e6, 2.5e6, 2.4e6},
+		"events_per_s": {1.56e7, 1.44e7, 1.62e7, 1.50e7, 1.56e7},
+		"speedup_x":    {2.89, 2.40, 3.10, 2.75, 5.94},
+	}}
+)
+
+// with returns a copy of b whose unit takes the values vs, or loses the
+// unit if vs is nil.
+func (b bench) with(unit string, vs []float64) bench {
+	units := maps.Clone(b.units)
+	if vs == nil {
+		delete(units, unit)
+	} else {
+		units[unit] = vs
 	}
-	return blocks
+	return bench{b.name, units}
+}
+
+// scaled returns a copy of b with every value of unit multiplied by f.
+func (b bench) scaled(unit string, f float64) bench {
+	vs := slices.Clone(b.units[unit])
+	for k := range vs {
+		vs[k] *= f
+	}
+	return b.with(unit, vs)
+}
+
+// output renders the concatenated output of repeated runs of one test
+// binary, as CI collects it: each run prints its header, one result
+// line per benchmark that has a value in that run, and PASS. suffix
+// follows each name, as -N does at GOMAXPROCS N.
+func output(suffix string, benches ...bench) string {
+	var b strings.Builder
+	for k := 0; ; k++ {
+		var lines []string
+		for _, bn := range benches {
+			line, has := fmt.Sprintf("%s%s \t       1", bn.name, suffix), false
+			for _, unit := range slices.Sorted(maps.Keys(bn.units)) {
+				if vs := bn.units[unit]; k < len(vs) {
+					line += fmt.Sprintf("\t%12g %s", vs[k], unit)
+					has = true
+				}
+			}
+			if has {
+				lines = append(lines, line)
+			}
+		}
+		if len(lines) == 0 {
+			return b.String()
+		}
+		b.WriteString("goos: linux\ngoarch: amd64\npkg: repro\ncpu: Intel(R) Xeon(R) Processor\n")
+		for _, line := range lines {
+			b.WriteString(line + "\n")
+		}
+		b.WriteString("PASS\n")
+	}
+}
+
+// gate runs compare on two renderings and returns its report and error.
+func gate(parent, change string) (string, error) {
+	var out strings.Builder
+	err := compare(parse(parent), parse(change), &out)
+	return out.String(), err
 }
 
 func TestParseBenchExtractsMetrics(t *testing.T) {
-	got := parseBench(sample, "BenchmarkMigrationContention64Core")
-	want := map[string]float64{
-		"ns/op":              169294643,
-		"admitted_rebalance": 128,
-		"admitted_static":    127,
-		"migrations":         62,
-		"spread_after":       0.11,
+	text := output("-2", hotPath, ticks) +
+		"BenchmarkMigrationContention64Core-2 \t       1\t 169294643 ns/op\t 62.00 migrations\n" +
+		"BenchmarkMigrationContention8Core \t       1\t  42841132 ns/op\t 7.000 migrations\n" +
+		"--- FAIL: BenchmarkBroken\nok  \trepro\t1.2s\n"
+	got := parse(text)
+	if len(got) != 4 {
+		t.Fatalf("parsed %d benchmarks, want 4: %v", len(got), slices.Sorted(maps.Keys(got)))
 	}
-	for unit, v := range want {
-		if got[unit] != v {
-			t.Errorf("%s = %v, want %v", unit, got[unit], v)
+	for _, b := range []bench{hotPath, ticks} {
+		rs := got[b.name]
+		if len(rs) != 5 {
+			t.Fatalf("%s: %d runs, want 5", b.name, len(rs))
+		}
+		for unit, vs := range b.units {
+			for k, v := range vs {
+				if rs[k][unit] != v {
+					t.Errorf("%s run %d %s = %v, want %v", b.name, k, unit, rs[k][unit], v)
+				}
+			}
 		}
 	}
-	// The 8-core line must not bleed into the 64-core result.
-	if got["migrations"] == 7 {
-		t.Error("prefix match confused the 8- and 64-core benchmarks")
+	// A name's own digits survive; only the -N suffix goes.
+	if rs := got["BenchmarkMigrationContention64Core"]; len(rs) != 1 || rs[0]["migrations"] != 62 {
+		t.Errorf("64-core result %v, want one run with 62 migrations", rs)
+	}
+	if rs := got["BenchmarkMigrationContention8Core"]; len(rs) != 1 || rs[0]["migrations"] != 7 {
+		t.Errorf("8-core result %v, want one run with 7 migrations", rs)
 	}
 }
 
 func TestParseBenchMissingBenchmark(t *testing.T) {
-	if got := parseBench(sample, "BenchmarkNoSuchThing"); len(got) != 0 {
-		t.Errorf("found metrics for a missing benchmark: %v", got)
+	got := parse(output("", hotPath))
+	if _, ok := got[ticks.name]; ok {
+		t.Errorf("found results for a benchmark that did not run: %v", got[ticks.name])
+	}
+	if got := parse("goos: linux\npkg: repro\nPASS\n"); len(got) != 0 {
+		t.Errorf("found results in output without result lines: %v", got)
 	}
 }
 
-func TestCompareMultipleBlocksPass(t *testing.T) {
-	var out strings.Builder
-	err := compare(gate(
-		[]string{"BenchmarkMigrationContention64Core", "spread_after", "migrations"},
-		[]string{"BenchmarkNUMAContention64Core", "xnode_frac", "spread_after"},
-	), sample, sample, 0.20, 0.02, &out)
+// TestComparePairsByRunIndex checks that the k-th run of the parent
+// meets the k-th of the change, whatever GOMAXPROCS suffix each file
+// carries: by index the change wins 3 of 4 pairs, by rank all 4.
+func TestComparePairsByRunIndex(t *testing.T) {
+	parent := bench{hotPath.name, map[string][]float64{"events_per_s": {10, 30, 20, 40}}}
+	change := parent.with("events_per_s", []float64{40, 20, 30, 50})
+	out, err := gate(output("-2", parent), output("-4", change))
 	if err != nil {
-		t.Fatalf("identical files failed the gate: %v\n%s", err, out.String())
+		t.Fatalf("a faster change failed: %v\n%s", err, out)
 	}
-	if strings.Count(out.String(), "ok  ") != 4 {
-		t.Errorf("expected 4 gated metrics across the blocks, got:\n%s", out.String())
+	if !strings.Contains(out, "change won 3/4") {
+		t.Errorf("report does not pair by run index:\n%s", out)
 	}
 }
 
+func TestQuartilesAtEvenAndOddCounts(t *testing.T) {
+	for _, tc := range []struct {
+		xs       []float64
+		med, iqr float64
+	}{
+		{[]float64{7}, 7, 0},
+		{[]float64{5, 1, 3}, 3, 2},
+		{[]float64{4, 1, 3, 2}, 2.5, 1.5},
+		{[]float64{9, 2, 6, 1, 8}, 6, 6},
+		{[]float64{10, 9, 8, 7, 6, 5, 4, 3, 2, 1}, 5.5, 4.5},
+	} {
+		med, iqr := quartiles(tc.xs)
+		if med != tc.med || iqr != tc.iqr {
+			t.Errorf("quartiles(%v) = %v, %v; want %v, %v", tc.xs, med, iqr, tc.med, tc.iqr)
+		}
+	}
+}
+
+func TestCompareIdenticalFilesPass(t *testing.T) {
+	text := output("-2", hotPath, ticks, machine)
+	out, err := gate(text, text)
+	if err != nil {
+		t.Fatalf("identical files failed the gate: %v\n%s", err, out)
+	}
+	// events_per_s of all three, speedup_x of two; a tie wins nothing.
+	if n := strings.Count(out, "ok   "); n != 5 {
+		t.Errorf("%d gated metrics, want 5:\n%s", n, out)
+	}
+	if n := strings.Count(out, "(1.000x, bound 0.80x)"); n != 5 {
+		t.Errorf("%d ratios of 1, want 5:\n%s", n, out)
+	}
+	if n := strings.Count(out, "change won 0/5"); n != 5 {
+		t.Errorf("ties counted as wins:\n%s", out)
+	}
+}
+
+// TestCompareFailsOnRegression plants a change 30% slower in one
+// metric of one benchmark: that metric fails, the others stay ok.
 func TestCompareFailsOnRegression(t *testing.T) {
-	regressed := strings.Replace(sample, "0.1050 spread_after", "0.9000 spread_after", 1)
-	var out strings.Builder
-	err := compare(gate(
-		[]string{"BenchmarkMigrationContention64Core", "spread_after"},
-		[]string{"BenchmarkNUMAContention64Core", "spread_after"},
-	), sample, regressed, 0.20, 0.02, &out)
+	out, err := gate(output("-2", hotPath, ticks, machine),
+		output("-2", hotPath, ticks, machine.scaled("speedup_x", 0.7)))
 	if err == nil {
-		t.Fatalf("0.105 -> 0.9 spread passed the gate:\n%s", out.String())
+		t.Fatalf("a 30%% slower speedup_x passed:\n%s", out)
 	}
-	// Only the NUMA block regressed; the other must still read ok.
-	if !strings.Contains(out.String(), "FAIL BenchmarkNUMAContention64Core spread_after") {
-		t.Errorf("missing per-block failure line:\n%s", out.String())
+	if !strings.Contains(out, "FAIL BenchmarkCoreParallelMachine speedup_x") ||
+		!strings.Contains(out, "(0.700x, bound 0.80x)") {
+		t.Errorf("missing failure line:\n%s", out)
 	}
-	if !strings.Contains(out.String(), "ok   BenchmarkMigrationContention64Core spread_after") {
-		t.Errorf("healthy block dragged down:\n%s", out.String())
+	if strings.Count(out, "ok   ") != 4 {
+		t.Errorf("the unchanged metrics did not all pass:\n%s", out)
 	}
 }
 
-// TestCompareFailsWhenBenchmarkMissingFromCurrent pins the fix for the
-// silent-pass hole: a benchmark the gate watches that is present in
-// the baseline but absent from the current run must fail with a clear
-// message — the suite stopped running it.
-func TestCompareFailsWhenBenchmarkMissingFromCurrent(t *testing.T) {
-	var withoutNUMA string
-	for _, line := range strings.Split(sample, "\n") {
-		if strings.HasPrefix(line, "BenchmarkNUMAContention64Core") {
-			continue
+// TestCompareMetricUpDirection checks that both gated metrics are
+// higher-is-better: a faster change passes, as does a slower one down
+// to 0.8× its parent, and an ungated unit may move either way.
+func TestCompareMetricUpDirection(t *testing.T) {
+	parent := output("", ticks)
+	for _, tc := range []struct {
+		f    float64
+		pass bool
+	}{{1.3, true}, {0.85, true}, {0.8, true}, {0.75, false}} {
+		change := output("", ticks.scaled("events_per_s", tc.f).scaled("ns/op", 3))
+		if out, err := gate(parent, change); (err == nil) != tc.pass {
+			t.Errorf("events_per_s ×%v: error %v, want pass=%v\n%s", tc.f, err, tc.pass, out)
 		}
-		withoutNUMA += line + "\n"
-	}
-	var out strings.Builder
-	err := compare(gate(
-		[]string{"BenchmarkNUMAContention64Core", "xnode_frac"},
-	), sample, withoutNUMA, 0.20, 0.02, &out)
-	if err == nil {
-		t.Fatalf("benchmark missing from the current run passed silently:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "benchmark missing from current run") {
-		t.Errorf("failure message does not name the cause:\n%s", out.String())
-	}
-	// Same when the benchmark never existed anywhere: gating a
-	// nonexistent benchmark is a configuration error, not a pass.
-	out.Reset()
-	if err := compare(gate([]string{"BenchmarkNoSuchThing", "x"}),
-		sample, sample, 0.20, 0.02, &out); err == nil {
-		t.Errorf("gating a nonexistent benchmark passed:\n%s", out.String())
-	}
-}
-
-// TestCompareSkipsBenchmarkMissingFromBaseline pins the graceful half:
-// a benchmark newly added since the baseline artifact warns and seeds
-// instead of failing.
-func TestCompareSkipsBenchmarkMissingFromBaseline(t *testing.T) {
-	var oldFile string
-	for _, line := range strings.Split(sample, "\n") {
-		if strings.HasPrefix(line, "BenchmarkNUMAContention64Core") {
-			continue
-		}
-		oldFile += line + "\n"
-	}
-	var out strings.Builder
-	err := compare(gate(
-		[]string{"BenchmarkMigrationContention64Core", "spread_after"},
-		[]string{"BenchmarkNUMAContention64Core", "xnode_frac"},
-	), oldFile, sample, 0.20, 0.02, &out)
-	if err != nil {
-		t.Fatalf("newly added benchmark failed the gate against an older baseline: %v\n%s",
-			err, out.String())
-	}
-	if !strings.Contains(out.String(), "skip BenchmarkNUMAContention64Core: absent from baseline") {
-		t.Errorf("missing seed note:\n%s", out.String())
 	}
 }
 
 func TestCompareMetricMissingFromCurrentFails(t *testing.T) {
-	noFrac := strings.Replace(sample, "xnode_frac	", "other_unit	", 1)
-	var out strings.Builder
-	err := compare(gate([]string{"BenchmarkNUMAContention64Core", "xnode_frac"}),
-		sample, noFrac, 0.20, 0.02, &out)
+	out, err := gate(output("-2", hotPath, ticks), output("-2", hotPath, ticks.with("speedup_x", nil)))
 	if err == nil {
-		t.Fatalf("metric missing from current run passed:\n%s", out.String())
+		t.Fatalf("a gated metric missing from the change passed:\n%s", out)
 	}
-	if !strings.Contains(out.String(), "metric missing from current run") {
-		t.Errorf("failure message does not name the cause:\n%s", out.String())
+	if !strings.Contains(out, "FAIL BenchmarkClusterParallelTicks speedup_x: reported by the parent, missing from the change") {
+		t.Errorf("failure message does not name the cause:\n%s", out)
+	}
+	// Missing from one run is missing too.
+	short := ticks.with("speedup_x", ticks.units["speedup_x"][:4])
+	if out, err := gate(output("-2", ticks), output("-2", short)); err == nil {
+		t.Errorf("a gated metric missing from one run of the change passed:\n%s", out)
+	}
+}
+
+func TestCompareFailsWhenBenchmarkMissingFromCurrent(t *testing.T) {
+	out, err := gate(output("-2", hotPath, ticks), output("-2", hotPath))
+	if err == nil {
+		t.Fatalf("a benchmark missing from the change passed:\n%s", out)
+	}
+	if !strings.Contains(out, "FAIL BenchmarkClusterParallelTicks: missing from the change") {
+		t.Errorf("failure message does not name the cause:\n%s", out)
+	}
+}
+
+func TestCompareFailsOnUnequalRunCounts(t *testing.T) {
+	fewer := ticks
+	fewer.units = make(map[string][]float64)
+	for unit, vs := range ticks.units {
+		fewer.units[unit] = vs[:4]
+	}
+	out, err := gate(output("-2", hotPath, ticks), output("-2", hotPath, fewer))
+	if err == nil {
+		t.Fatalf("5 runs against 4 passed:\n%s", out)
+	}
+	if !strings.Contains(out, "FAIL BenchmarkClusterParallelTicks: 5 runs at the parent, 4 in the change") {
+		t.Errorf("failure message does not name the cause:\n%s", out)
+	}
+}
+
+// TestCompareSkipsBenchmarkMissingFromBaseline checks that a benchmark
+// the parent does not have is reported and not gated, however slow.
+func TestCompareSkipsBenchmarkMissingFromBaseline(t *testing.T) {
+	out, err := gate(output("-2", hotPath),
+		output("-2", hotPath, machine.scaled("events_per_s", 0.1)))
+	if err != nil {
+		t.Fatalf("a benchmark new in the change failed the gate: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, "new  BenchmarkCoreParallelMachine events_per_s: median 1.56e+06, absent from the parent, not gated") ||
+		!strings.Contains(out, "new  BenchmarkCoreParallelMachine speedup_x: median 2.89, absent from the parent, not gated") {
+		t.Errorf("the new benchmark is not reported:\n%s", out)
 	}
 }
 
 func TestCompareMetricMissingFromBaselineSkips(t *testing.T) {
-	noFrac := strings.Replace(sample, "xnode_frac	", "other_unit	", 1)
-	var out strings.Builder
-	err := compare(gate([]string{"BenchmarkNUMAContention64Core", "xnode_frac", "spread_after"}),
-		noFrac, sample, 0.20, 0.02, &out)
+	out, err := gate(output("-2", ticks.with("speedup_x", nil)),
+		output("-2", ticks.scaled("speedup_x", 0.5)))
 	if err != nil {
-		t.Fatalf("metric newly added since the baseline failed the gate: %v\n%s", err, out.String())
+		t.Fatalf("a metric new in the change failed the gate: %v\n%s", err, out)
 	}
-	if !strings.Contains(out.String(), "skip BenchmarkNUMAContention64Core xnode_frac") {
-		t.Errorf("missing skip note:\n%s", out.String())
+	if !strings.Contains(out, "new  BenchmarkClusterParallelTicks speedup_x: median 0.56, absent from the parent, not gated") {
+		t.Errorf("the new metric is not reported:\n%s", out)
+	}
+	if !strings.Contains(out, "ok   BenchmarkClusterParallelTicks events_per_s") {
+		t.Errorf("the metric both report was not gated:\n%s", out)
 	}
 }
 
-// TestDumpJSONWritesWatchedBenchmarks pins the -json trajectory dump:
-// every watched benchmark present in the current run appears with all
-// of its parsed units (gated or not), and absent benchmarks are simply
-// left out rather than erroring — the gate half handles those.
+// TestDumpJSONWritesWatchedBenchmarks checks the -json trajectory
+// point: every benchmark in the change's file, with the median of each
+// of its units, gated or not.
 func TestDumpJSONWritesWatchedBenchmarks(t *testing.T) {
 	var out strings.Builder
-	err := dumpJSON(gate(
-		[]string{"BenchmarkNUMAContention64Core", "xnode_frac"},
-		[]string{"BenchmarkNoSuchThing", "x"},
-	), sample, &out)
-	if err != nil {
+	if err := dumpJSON(parse(output("-2", hotPath, ticks)), &out); err != nil {
 		t.Fatalf("dumpJSON: %v", err)
 	}
 	var got map[string]map[string]float64
 	if err := json.Unmarshal([]byte(out.String()), &got); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
 	}
-	numa, ok := got["BenchmarkNUMAContention64Core"]
-	if !ok {
-		t.Fatalf("watched benchmark missing from dump:\n%s", out.String())
+	want := map[string]map[string]float64{
+		hotPath.name: {"ns/op": 7.1e6, "events_per_s": 9.2e6, "ns_per_event": 108},
+		ticks.name:   {"ns/op": 1.7e7, "events_per_s": 4.0e6, "sim_s_per_wall_s": 115, "speedup_x": 1.12},
 	}
-	if numa["xnode_frac_steal"] != 0.73 {
-		t.Errorf("ungated unit not carried along: %v", numa)
-	}
-	if numa["migrations"] != 52 {
-		t.Errorf("migrations = %v, want 52", numa["migrations"])
-	}
-	if _, ok := got["BenchmarkNoSuchThing"]; ok {
-		t.Error("benchmark absent from the run appeared in the dump")
-	}
-}
-
-func TestBlockFlagsAttachMetricsInOrder(t *testing.T) {
-	var f blockFlags
-	b := benchFlag{&f}
-	m := metricFlag{f: &f}
-	mu := metricFlag{f: &f, up: true}
-	if err := m.Set("orphan"); err == nil {
-		t.Error("-metric before any -bench accepted")
-	}
-	for _, step := range []struct {
-		flag interface{ Set(string) error }
-		v    string
-	}{
-		{b, "B1"}, {m, "m1"}, {mu, "m2"}, {b, "B2"}, {m, "m3"},
-	} {
-		if err := step.flag.Set(step.v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(f.blocks) != 2 {
-		t.Fatalf("%d blocks, want 2", len(f.blocks))
-	}
-	want1 := []watch{{unit: "m1"}, {unit: "m2", up: true}}
-	if got := f.blocks[0].metrics; len(got) != 2 || got[0] != want1[0] || got[1] != want1[1] {
-		t.Errorf("block 1 metrics %+v, want %+v", got, want1)
-	}
-	if got := f.blocks[1].metrics; len(got) != 1 || got[0] != (watch{unit: "m3"}) {
-		t.Errorf("block 2 metrics %+v, want m3 (lower-is-better)", got)
-	}
-}
-
-// TestCompareMetricUpDirection pins the higher-is-better gate: a
-// throughput that drops beyond tolerance fails, one that merely grows
-// — which the lower-is-better bound would flag — passes.
-func TestCompareMetricUpDirection(t *testing.T) {
-	// migrations: 52 in the baseline. Gate it as higher-is-better.
-	dropped := strings.Replace(sample, "52.00 migrations", "30.00 migrations", 1)
-	var out strings.Builder
-	err := compare(gate([]string{"BenchmarkNUMAContention64Core", "+migrations"}),
-		sample, dropped, 0.20, 0.02, &out)
-	if err == nil {
-		t.Fatalf("52 -> 30 passed a higher-is-better gate:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "FAIL BenchmarkNUMAContention64Core migrations") {
-		t.Errorf("missing failure line:\n%s", out.String())
-	}
-
-	grown := strings.Replace(sample, "52.00 migrations", "90.00 migrations", 1)
-	out.Reset()
-	if err := compare(gate([]string{"BenchmarkNUMAContention64Core", "+migrations"}),
-		sample, grown, 0.20, 0.02, &out); err != nil {
-		t.Fatalf("52 -> 90 failed a higher-is-better gate: %v\n%s", err, out.String())
-	}
-
-	// A small wobble within tolerance passes in both directions.
-	wobble := strings.Replace(sample, "52.00 migrations", "48.00 migrations", 1)
-	out.Reset()
-	if err := compare(gate([]string{"BenchmarkNUMAContention64Core", "+migrations"}),
-		sample, wobble, 0.20, 0.02, &out); err != nil {
-		t.Fatalf("52 -> 48 failed at 20%% tolerance: %v\n%s", err, out.String())
+	if !maps.EqualFunc(got, want, maps.Equal) {
+		t.Errorf("dump = %v, want %v", got, want)
 	}
 }

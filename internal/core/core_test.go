@@ -333,8 +333,10 @@ func TestAperiodicAppNeverClaimsPeriod(t *testing.T) {
 	// "non-periodic" verdict or simply by never stabilising), and the
 	// tuner must hold its initial reservation rather than invent one.
 	rg := newRig(31)
-	noise := workload.StartPoissonNoise(rg.sd, rg.r.Split(), "browser",
+	browser := workload.NewNoise(rg.sd, rg.r.Split(), "browser",
 		25*ms, 2*ms, rg.tracer)
+	browser.Start(rg.eng.Now())
+	noise := browser.Task()
 	cfg := core.DefaultConfig()
 	// Ample hold budget: a throttling reservation quantises even an
 	// aperiodic app's completions to the server grid, and the analyser
@@ -346,7 +348,7 @@ func TestAperiodicAppNeverClaimsPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// StartPoissonNoise released jobs already? It schedules from now;
+	// Start released jobs already? It schedules from now;
 	// the tuner attach requires a non-runnable task, which core.New
 	// has already verified by not panicking.
 	tuner.Start()

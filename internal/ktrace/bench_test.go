@@ -30,7 +30,7 @@ func BenchmarkDrainPID(b *testing.B) {
 // BenchmarkSyscall is the tracer's record path: one traced system call
 // into a ring that has already grown to the default capacity of 64k
 // events, so every record wraps and overwrites the oldest event. It
-// allocates nothing, and CI gates its allocs/op.
+// allocates nothing (TestSyscallIntoFullRingAllocatesNothing).
 func BenchmarkSyscall(b *testing.B) {
 	const capacity, pids = 1 << 16, 24
 	buf := NewBuffer(QTrace, capacity)

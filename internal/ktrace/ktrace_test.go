@@ -256,6 +256,27 @@ func TestDrainPIDAllocatesOnlyItsResult(t *testing.T) {
 	}
 }
 
+// TestSyscallIntoFullRingAllocatesNothing pins BenchmarkSyscall's
+// path: a record into a ring grown to its capacity overwrites the
+// oldest event in place.
+func TestSyscallIntoFullRingAllocatesNothing(t *testing.T) {
+	b := NewBuffer(QTrace, 4*minRing)
+	now := int64(0)
+	record := func() {
+		now++
+		b.Syscall(ev(now, 1+int(now%3), 1))
+	}
+	for b.Len() < 4*minRing {
+		record()
+	}
+	if a := testing.AllocsPerRun(100, record); a != 0 {
+		t.Errorf("a record into a full ring allocates %v times, want 0", a)
+	}
+	if b.Dropped() != 101 {
+		t.Errorf("%d events dropped, want 101", b.Dropped())
+	}
+}
+
 func TestSnapshotDoesNotConsume(t *testing.T) {
 	b := NewBuffer(QTrace, 8)
 	b.Syscall(ev(1, 1, 1))

@@ -160,14 +160,3 @@ func (r *Source) Pareto(xm, alpha float64) float64 {
 
 // Bool returns true with probability p.
 func (r *Source) Bool(p float64) bool { return r.Float64() < p }
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

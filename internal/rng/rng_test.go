@@ -243,18 +243,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestPerm(t *testing.T) {
-	r := New(23)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := New(42)
 	c1 := parent.Split()

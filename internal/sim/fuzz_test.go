@@ -8,17 +8,16 @@ import (
 )
 
 // FuzzQueueOrder drives the engine with an interleaved stream of
-// schedule / cancel / reschedule / step operations decoded from the
-// fuzz input and checks every fired event against a reference model:
-// events must fire in (when, scheduling-order) order, same-instant
-// events FIFO, a reschedule moves an event to the back of its new
-// instant, and a cancel — including a cancel through a stale handle
-// whose storage the free list has since recycled — never disturbs the
-// order of the survivors.
+// schedule / cancel / step operations decoded from the fuzz input and
+// checks every fired event against a reference model: events must
+// fire in (when, scheduling-order) order, same-instant events FIFO,
+// and a cancel — including a cancel through a stale handle whose
+// storage the free list has since recycled — never disturbs the order
+// of the survivors.
 func FuzzQueueOrder(f *testing.F) {
-	f.Add([]byte{0, 5, 0, 5, 0, 3, 3, 2, 0, 5, 1, 0, 2, 9, 3, 255})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 2, 0, 3, 3})
-	f.Add([]byte{0, 1, 1, 128, 0, 1, 2, 1, 0, 1, 3, 1, 0, 1, 1, 0, 3, 255})
+	f.Add([]byte{0, 5, 0, 5, 0, 3, 2, 2, 0, 5, 1, 0, 2, 255})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 1, 1, 2, 3})
+	f.Add([]byte{0, 1, 1, 128, 0, 1, 0, 1, 2, 1, 0, 1, 1, 0, 2, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type item struct {
 			id   int
@@ -74,7 +73,7 @@ func FuzzQueueOrder(f *testing.F) {
 			model = append(model[:min], model[min+1:]...)
 		}
 		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i]%4, data[i+1]
+			op, arg := data[i]%3, data[i+1]
 			switch op {
 			case 0: // schedule at now + small delta (collisions are the point)
 				id := nextID
@@ -102,23 +101,7 @@ func FuzzQueueOrder(f *testing.F) {
 						break
 					}
 				}
-			case 2: // reschedule a live timer: new instant, back of the line
-				ids := liveIDs()
-				if len(ids) == 0 {
-					break
-				}
-				id := ids[int(arg)%len(ids)]
-				when := e.Now().Add(simtime.Duration(arg % 16))
-				e.Reschedule(timers[id], when)
-				for j := range model {
-					if model[j].id == id {
-						model[j].when = when
-						model[j].seq = seq
-						seq++
-						break
-					}
-				}
-			case 3: // fire a few events (255 drains everything)
+			case 2: // fire a few events (255 drains everything)
 				n := int(arg % 4)
 				if arg == 255 {
 					n = len(model)

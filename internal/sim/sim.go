@@ -23,8 +23,7 @@ import (
 
 // Timer is an opaque handle to a scheduled event. The zero Timer is
 // valid and never pending. A handle goes stale the instant its event
-// fires or is cancelled; Cancel ignores stale handles and Reschedule
-// rejects them.
+// fires or is cancelled; Cancel ignores stale handles.
 type Timer struct {
 	ev  *event
 	gen uint64
@@ -114,23 +113,6 @@ func (e *Engine) Cancel(t Timer) {
 	ev := t.ev
 	e.remove(ev.index)
 	e.release(ev)
-}
-
-// Reschedule moves a pending event to a new instant, preserving its
-// callback; the handle stays valid. A stale handle panics: the event
-// already fired or was cancelled, and its callback is gone.
-func (e *Engine) Reschedule(t Timer, at simtime.Time) {
-	if !t.Pending() {
-		panic("sim: rescheduling dead event")
-	}
-	if at < e.now {
-		panic(fmt.Sprintf("sim: rescheduling event to %v before now %v", at, e.now))
-	}
-	ev := t.ev
-	ev.when = at
-	ev.seq = e.seq
-	e.seq++
-	e.fix(ev.index)
 }
 
 // Empty reports whether no events are pending.

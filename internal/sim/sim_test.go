@@ -136,33 +136,6 @@ func TestStaleTimerAfterPoolReuse(t *testing.T) {
 	}
 }
 
-func TestRescheduleKeepsHandleValid(t *testing.T) {
-	e := New()
-	var at simtime.Time
-	tm := e.At(10, func() { at = e.Now() })
-	e.Reschedule(tm, 20)
-	if !tm.Pending() {
-		t.Fatal("timer went stale across Reschedule")
-	}
-	e.Reschedule(tm, 30)
-	e.Run()
-	if at != 30 {
-		t.Errorf("event fired at %v, want 30", at)
-	}
-}
-
-func TestRescheduleCancelledEventPanics(t *testing.T) {
-	e := New()
-	tm := e.At(5, func() {})
-	e.Cancel(tm)
-	defer func() {
-		if recover() == nil {
-			t.Error("rescheduling cancelled event did not panic")
-		}
-	}()
-	e.Reschedule(tm, 10)
-}
-
 func TestTimerStaleInsideOwnCallback(t *testing.T) {
 	// By the time fn runs its event is already retired, so the
 	// self-handle pattern `tm = zero` inside fn is redundant but the
@@ -186,41 +159,6 @@ func TestCancelFromEarlierEvent(t *testing.T) {
 	if fired {
 		t.Error("event cancelled at t=10 still fired at t=20")
 	}
-}
-
-func TestReschedule(t *testing.T) {
-	e := New()
-	var at simtime.Time
-	ev := e.At(10, func() { at = e.Now() })
-	e.Reschedule(ev, 25)
-	e.Run()
-	if at != 25 {
-		t.Errorf("rescheduled event fired at %v, want 25", at)
-	}
-}
-
-func TestRescheduleEarlier(t *testing.T) {
-	e := New()
-	var order []string
-	ev := e.At(100, func() { order = append(order, "a") })
-	e.At(10, func() { order = append(order, "b") })
-	e.Reschedule(ev, 5)
-	e.Run()
-	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestRescheduleDeadEventPanics(t *testing.T) {
-	e := New()
-	ev := e.At(1, func() {})
-	e.Run()
-	defer func() {
-		if recover() == nil {
-			t.Error("rescheduling fired event did not panic")
-		}
-	}()
-	e.Reschedule(ev, 10)
 }
 
 func TestRunUntil(t *testing.T) {
@@ -318,7 +256,7 @@ func TestManyEventsStress(t *testing.T) {
 }
 
 // TestWarmCycleAllocatesNothing drives every engine entry point — At,
-// After, Reschedule, Cancel and Step — through one warm cycle, with
+// After, Cancel and Step — through one warm cycle, with
 // two garbage collections in it. Event storage is recycled through the
 // engine's own free list, which a collection does not empty, so the
 // cycle allocates nothing however often the collector runs in between.
@@ -327,10 +265,9 @@ func TestWarmCycleAllocatesNothing(t *testing.T) {
 	fired := 0
 	fn := func() { fired++ }
 	cycle := func() {
-		a := e.At(e.Now().Add(3), fn)
+		e.At(e.Now().Add(3), fn)
 		b := e.After(5, fn)
 		c := e.After(9, fn)
-		e.Reschedule(a, e.Now().Add(7))
 		e.Cancel(b)
 		runtime.GC()
 		runtime.GC()
@@ -342,7 +279,7 @@ func TestWarmCycleAllocatesNothing(t *testing.T) {
 	}
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
-		t.Errorf("a warm At/After/Reschedule/Cancel/Step cycle allocates %v times, want 0", n)
+		t.Errorf("a warm At/After/Cancel/Step cycle allocates %v times, want 0", n)
 	}
 	if fired != 2*102 {
 		t.Errorf("fired %d callbacks, want %d", fired, 2*102)

@@ -29,7 +29,7 @@ func newMachine(eng *sim.Engine, n int) *smp.Machine {
 // machine's offset.
 func TestNewBindsEachCoreToItsEngine(t *testing.T) {
 	lanes := []*sim.Engine{sim.New(), sim.New(), sim.New()}
-	m := smp.New(lanes, 0.9, 7_000_000_000)
+	m := smp.New(lanes, 0.9, 7_000_000)
 	for i, eng := range lanes {
 		if m.Core(i).Engine() != eng {
 			t.Errorf("core %d schedules on another engine", i)
@@ -37,7 +37,7 @@ func TestNewBindsEachCoreToItsEngine(t *testing.T) {
 		if got := m.Supervisor(i).ULub(); got != 0.9 {
 			t.Errorf("core %d supervised at %v, want 0.9", i, got)
 		}
-		if got, want := m.Core(i).NewTask("t").PID(), 7_000_001_000+i*1_000_000; got != want {
+		if got, want := m.Core(i).NewTask("t").PID(), 7_001_000+i*1_000_000; got != want {
 			t.Errorf("core %d first PID %d, want %d", i, got, want)
 		}
 	}

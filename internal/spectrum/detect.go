@@ -232,13 +232,3 @@ func (dt *Detector) Detect(s *Spectrum, cfg DetectConfig) Detection {
 	det.Score = bestScore
 	return det
 }
-
-// DetectedPeriodNS is a convenience wrapper returning the detected
-// period in nanoseconds, or 0 when the signal is aperiodic.
-func DetectedPeriodNS(s *Spectrum, cfg DetectConfig) int64 {
-	d := Detect(s, cfg)
-	if !d.Periodic || d.Frequency <= 0 {
-		return 0
-	}
-	return int64(math.Round(1e9 / d.Frequency))
-}

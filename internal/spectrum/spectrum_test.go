@@ -350,16 +350,3 @@ func TestQuickAmplitudeBounds(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestDetectedPeriodNS(t *testing.T) {
-	r := rng.New(12)
-	events := diracTrain(r, 40*simtime.Millisecond, 50, []simtime.Duration{0, 38 * simtime.Millisecond}, 0)
-	s := Compute(events, DefaultBand)
-	ns := DetectedPeriodNS(s, DefaultDetect)
-	if math.Abs(float64(ns)-4e7) > 2e5 {
-		t.Errorf("period %dns, want ~40ms", ns)
-	}
-	if got := DetectedPeriodNS(Compute(nil, DefaultBand), DefaultDetect); got != 0 {
-		t.Errorf("aperiodic period = %d, want 0", got)
-	}
-}

@@ -103,16 +103,11 @@ func StartLoad(sd *sched.Scheduler, r *rng.Source, spec LoadSpec, name string) [
 	return out
 }
 
-// MakeLoad builds a background load of approximately util CPU
+// MakeLoadAt builds a background load of approximately util CPU
 // utilisation out of n periodic reservations with distinct periods
 // (used by Table 3, where the paper loads the system with "some
-// periodic real-time tasks").
-func MakeLoad(sd *sched.Scheduler, r *rng.Source, util float64, n int) []*ReservedPeriodic {
-	return MakeLoadAt(sd, r, util, n, 0)
-}
-
-// MakeLoadAt is MakeLoad with every task's release offset shifted to
-// start from base, so deferred-start callers can bring the load up
+// periodic real-time tasks"). Every task's release offset is shifted
+// to start from base, so deferred-start callers can bring the load up
 // mid-run.
 func MakeLoadAt(sd *sched.Scheduler, r *rng.Source, util float64, n int, base simtime.Time) []*ReservedPeriodic {
 	if util <= 0 {
@@ -142,7 +137,7 @@ func MakeLoadAt(sd *sched.Scheduler, r *rng.Source, util float64, n int, base si
 	return out
 }
 
-// Background is a deferred MakeLoad: the reservations are created only
+// Background is a deferred MakeLoadAt: the reservations are created only
 // when Start fires, so a background load can sit behind the same
 // create-then-start contract as the application models.
 type Background struct {
@@ -259,14 +254,4 @@ func (n *Noise) Start(at simtime.Time) {
 		}
 		return now.Add(gap)
 	})
-}
-
-// StartPoissonNoise creates a Poisson noise source whose arrivals
-// begin immediately.
-func StartPoissonNoise(sd *sched.Scheduler, r *rng.Source, name string,
-	meanInterarrival, meanDemand simtime.Duration, sink SyscallSink) *sched.Task {
-
-	n := NewNoise(sd, r, name, meanInterarrival, meanDemand, sink)
-	n.Start(sd.Engine().Now())
-	return n.Task()
 }

@@ -244,7 +244,7 @@ func TestReservedPeriodicMeetsDeadlines(t *testing.T) {
 func TestMakeLoadTotalsRequestedUtil(t *testing.T) {
 	eng, sd := newSim()
 	r := rng.New(9)
-	workload.MakeLoad(sd, r, 0.45, 3)
+	workload.MakeLoadAt(sd, r, 0.45, 3, 0)
 	if got := sd.TotalReservedBandwidth(); math.Abs(got-0.45) > 0.01 {
 		t.Errorf("reserved bandwidth %.3f, want 0.45", got)
 	}
@@ -305,7 +305,9 @@ func TestPoissonNoiseRuns(t *testing.T) {
 	eng, sd := newSim()
 	r := rng.New(11)
 	buf := ktrace.NewBuffer(ktrace.QTrace, 1<<12)
-	task := workload.StartPoissonNoise(sd, r, "noise", 20*ms, 2*ms, buf)
+	noise := workload.NewNoise(sd, r, "noise", 20*ms, 2*ms, buf)
+	noise.Start(0)
+	task := noise.Task()
 	eng.RunUntil(simtime.Time(5 * simtime.Second))
 	if task.Stats().Completed < 100 {
 		t.Errorf("noise completed only %d jobs", task.Stats().Completed)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -540,7 +541,7 @@ func (s *stalePlanner) Plan(snap FleetSnapshot) []Placement {
 	s.fired = true
 	return []Placement{
 		{Job: departed, To: cold},
-		{Job: 1 << 40, To: cold}, // never issued
+		{Job: math.MaxInt32, To: cold}, // never issued
 		{Job: -1, To: cold},
 		{Job: onHot[0].ID, To: len(snap.MachineUsed)},
 		{Job: onHot[1].ID, To: hot},
